@@ -14,7 +14,7 @@ use rbcd_core::{scan_list, FfStack, RbcdConfig, RbcdStats, RbcdUnit, Zeb, ZebEle
 use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
-    rasterize_triangle_in_tile, CollisionUnit, Facing, GpuConfig, NullCollisionUnit, ObjectId,
+    rasterize_triangle_in_tile, Facing, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision,
     PipelineMode, ScreenTriangle, Simulator, TileCoord,
 };
 use rbcd_math::{Mat4, Vec3, Viewport};
@@ -190,7 +190,8 @@ fn bench_full_frame() {
     }
 }
 
-/// The RBCD unit in isolation: insert + scan a dense tile.
+/// The RBCD unit in isolation: insert + scan a dense tile on a worker,
+/// then merge it into the unit.
 fn bench_rbcd_unit_tile() {
     let frags: Vec<_> = (0..1024)
         .map(|i| rbcd_gpu::CollisionFragment {
@@ -202,13 +203,12 @@ fn bench_rbcd_unit_tile() {
         })
         .collect();
     let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
+    let mut worker = unit.make_worker();
+    let tile = TileCoord { x: 0, y: 0 };
     bench("rbcd_unit_tile_1024_fragments", || {
         unit.new_frame();
-        unit.begin_tile(TileCoord { x: 0, y: 0 }, 0);
-        for f in &frags {
-            unit.insert(*f);
-        }
-        unit.finish_tile(1024);
+        let out = worker.process_tile(tile, &frags);
+        unit.merge_tile(tile, out, 0, 1024);
         unit.take_contacts().len()
     });
 }

@@ -54,8 +54,8 @@
 //! configuration and defaults the experiment list to `bench temporal`,
 //! and `--scene <alias>` restricts multi-scene experiments to one
 //! workload. All flags parse through the shared option table in
-//! `rbcd_bench::cli`; an unknown flag or missing value exits with
-//! status 2.
+//! `rbcd_bench::cli`; an unknown flag, a missing value, or an unknown
+//! experiment id exits with status 2.
 //!
 //! `--trace <out.json>` runs the trace experiment: render the `cap`
 //! workload with the deterministic instrumentation layer enabled and

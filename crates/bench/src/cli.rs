@@ -44,6 +44,41 @@ struct FlagSpec {
     value: Option<&'static str>,
 }
 
+/// Every experiment id `repro` dispatches — the one list a positional
+/// argument is checked against, so a typo exits with usage code 2
+/// instead of silently running nothing.
+const EXPERIMENTS: [&str; 29] = [
+    "all",
+    "table1",
+    "table2",
+    "fig2",
+    "fig8a",
+    "fig8b",
+    "fig8c",
+    "fig8d",
+    "fig9a",
+    "fig9b",
+    "fig10",
+    "fig11",
+    "table3",
+    "sec52",
+    "sec53",
+    "ablation-zebs",
+    "imr",
+    "spares",
+    "timesteps",
+    "tbdr",
+    "resolution",
+    "temporal",
+    "bench",
+    "hotpath",
+    "frontend",
+    "broadphase",
+    "overload",
+    "serve",
+    "debug",
+];
+
 const FLAGS: &[FlagSpec] = &[
     FlagSpec { name: "--frames", value: Some("a frame count") },
     FlagSpec { name: "--threads", value: Some("a thread count") },
@@ -154,13 +189,22 @@ impl CliOptions {
 /// # Errors
 ///
 /// [`UsageError`] when a flag is missing its value, a value has the
-/// wrong shape, or an argument starting with `--` matches no known
-/// flag.
+/// wrong shape, an argument starting with `--` matches no known flag,
+/// or a positional argument names no experiment.
 pub fn parse_args(args: Vec<String>) -> Result<CliOptions, UsageError> {
     let mut out = CliOptions::default();
     let mut it = args.into_iter().peekable();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
+            if !EXPERIMENTS.contains(&arg.as_str()) {
+                return Err(UsageError {
+                    flag: arg,
+                    expected: format!(
+                        "to be a known experiment id (one of: {})",
+                        EXPERIMENTS.join(", ")
+                    ),
+                });
+            }
             out.rest.push(arg);
             continue;
         }
@@ -345,6 +389,29 @@ mod tests {
         let e = parse(&["--fames", "3"]).expect_err("typo must be caught");
         assert_eq!(e.flag, "--fames");
         assert!(e.expected.contains("--frames"), "{e}");
+    }
+
+    #[test]
+    fn unknown_experiment_ids_are_rejected_with_the_valid_list() {
+        let e = parse(&["fig8a", "fig99"]).expect_err("typo must be caught");
+        assert_eq!(e.flag, "fig99");
+        assert!(e.expected.contains("fig8a") && e.expected.contains("ablation-zebs"), "{e}");
+        for id in EXPERIMENTS {
+            assert_eq!(parse(&[id]).expect("listed ids parse").rest, [id]);
+        }
+    }
+
+    #[test]
+    fn experiment_list_matches_what_repro_dispatches() {
+        let src = include_str!("bin/repro.rs");
+        let mut dispatched = std::collections::BTreeSet::new();
+        for pat in ["want(\"", "w == \""] {
+            for (i, _) in src.match_indices(pat) {
+                let id = &src[i + pat.len()..];
+                dispatched.insert(&id[..id.find('"').expect("closing quote")]);
+            }
+        }
+        assert_eq!(dispatched, EXPERIMENTS.into_iter().collect());
     }
 
     #[test]

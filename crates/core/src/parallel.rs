@@ -1,46 +1,46 @@
-//! Per-thread RBCD collision workers for parallel tile execution.
+//! Per-thread RBCD collision workers: the compute half of the unit.
 //!
 //! [`rbcd_gpu::ParallelCollision`] splits collision detection into an
 //! order-free compute half and an order-dependent merge half.
-//! [`ZebTileWorker`] is the compute half for the hardware model: each
-//! worker thread owns a private software ZEB + FF-Stack and produces an
-//! owned [`TileCollisions`] per tile. [`RbcdUnit::merge_scanned_tile`]
-//! is the merge half: called in tile-index order, it replays the ZEB
-//! double-buffer claim and the Z-overlap unit's serialization, so the
-//! unit ends in exactly the state sequential execution produces.
+//! [`ZebTileWorker`] is the compute half for the hardware model: it
+//! owns a private software ZEB + FF-Stack and produces an owned
+//! [`TileCollisions`] per tile. [`crate::RbcdUnit`]'s `merge_tile` is the
+//! merge half: called in tile-index order, it replays the ZEB
+//! double-buffer claim and the Z-overlap unit's serialization.
 //!
-//! This equivalence rests on the per-tile hardware protocol itself:
-//! every tile starts from a cleared ZEB (`begin_tile` asserts it) and
-//! the FF-Stack is cleared at each list scan, so per-tile insert + scan
-//! results are independent of which ZEB — or here, which thread —
-//! hosted them. Only the *timing* couples tiles, and that is replayed
-//! sequentially at merge.
+//! The split rests on the per-tile hardware protocol itself: every tile
+//! starts from a cleared ZEB and the FF-Stack is cleared at each list
+//! scan, so per-tile insert + scan results are independent of which
+//! ZEB — or here, which worker — hosted them. Only the *timing* couples
+//! tiles, and the merge replays it in tile order.
 
 use crate::scan::FfStack;
 use crate::software::OracleUnit;
 use crate::stats::RbcdStats;
-use crate::unit::{ladder_zeb_tile, ContactPoint, RbcdConfig, RbcdUnit};
+use crate::unit::{ladder_zeb_tile, ContactPoint, RbcdConfig};
 use crate::zeb::Zeb;
 use crate::ZebElement;
-use rbcd_gpu::{CollisionFragment, CollisionUnit, ObjectId, ParallelCollision, TileCoord};
+use rbcd_gpu::{CollisionFragment, ObjectId, ParallelCollision, TileCoord};
 
-/// One worker thread's private collision state: a software ZEB and
-/// FF-Stack, reused across the tiles the thread claims.
+/// One worker's private collision state: a software ZEB and FF-Stack,
+/// reused across the tiles the worker claims.
 #[derive(Debug)]
 pub struct ZebTileWorker {
     config: RbcdConfig,
     tile_size: u32,
     zeb: Zeb,
     stack: FfStack,
+    /// The tile's fragments, buffered so the degradation ladder can
+    /// re-insert them at a larger capacity if the tile overflows.
     pending: Vec<(u32, ZebElement)>,
 }
 
 /// Owned per-tile collision results, merged in tile order by
-/// `RbcdUnit::merge_scanned_tile`.
+/// [`crate::RbcdUnit`]'s `merge_tile`.
 #[derive(Debug, Clone, Default)]
 pub struct TileCollisions {
     /// Contacts in occupancy (insertion-touch) order — the order the
-    /// sequential unit emits them.
+    /// unit emits them.
     pub contacts: Vec<ContactPoint>,
     /// The tile's isolated stats, including its `scan_cycles` (used to
     /// replay the scan-unit timing) and `tiles = 1`.
@@ -51,12 +51,12 @@ pub struct TileCollisions {
 }
 
 impl ZebTileWorker {
-    /// Creates a worker mirroring `RbcdUnit::new`'s per-ZEB geometry.
+    /// Creates a worker with one ZEB of the unit's geometry.
     ///
     /// # Panics
     ///
     /// Panics on a zero-sized capacity; workers are only built from the
-    /// already-validated config of an existing [`RbcdUnit`].
+    /// already-validated config of an existing [`crate::RbcdUnit`].
     pub fn new(config: RbcdConfig, tile_size: u32) -> Self {
         let lists = (tile_size * tile_size) as usize;
         Self {
@@ -70,20 +70,23 @@ impl ZebTileWorker {
         }
     }
 
-    /// Inserts `frags` (in pipeline order) and scans the tile, exactly
-    /// as the sequential `insert` × n + `finish_tile` sequence would —
-    /// including the degradation ladder, which both paths run from the
-    /// same buffered fragment stream.
+    /// Buffers `frags` (in pipeline order) as tile-local ZEB insertions.
+    fn buffer(&mut self, tile: TileCoord, frags: &[CollisionFragment]) {
+        let (bx, by) = (tile.x * self.tile_size, tile.y * self.tile_size);
+        self.pending.clear();
+        self.pending.extend(frags.iter().map(|f| {
+            let index = (f.y - by) * self.tile_size + (f.x - bx);
+            (index, ZebElement::new(f.z, f.object, f.facing))
+        }));
+    }
+
+    /// Inserts `frags` (in pipeline order) and scans the tile, running
+    /// the degradation ladder over the buffered fragment stream when
+    /// the tile overflows.
     pub fn process_tile(&mut self, tile: TileCoord, frags: &[CollisionFragment]) -> TileCollisions {
         let mut out = TileCollisions::default();
         out.stats.tiles = 1;
-        self.pending.clear();
-        for frag in frags {
-            let lx = frag.x - tile.x * self.tile_size;
-            let ly = frag.y - tile.y * self.tile_size;
-            let index = ly * self.tile_size + lx;
-            self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-        }
+        self.buffer(tile, frags);
         out.stats.scan_cycles = ladder_zeb_tile(
             &mut self.zeb,
             &mut self.stack,
@@ -117,13 +120,7 @@ impl ZebTileWorker {
         let config = RbcdConfig { list_capacity: m, ..self.config };
         let mut out = TileCollisions::default();
         out.stats.tiles = 1;
-        self.pending.clear();
-        for frag in frags {
-            let lx = frag.x - tile.x * self.tile_size;
-            let ly = frag.y - tile.y * self.tile_size;
-            let index = ly * self.tile_size + lx;
-            self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-        }
+        self.buffer(tile, frags);
         let lists = (self.tile_size * self.tile_size) as usize;
         // The boosted geometry mirrors the ladder's own rescan rung: the
         // scan stack widens alongside the lists, preserving the
@@ -144,72 +141,6 @@ impl ZebTileWorker {
             &mut out.escalated,
         );
         out
-    }
-}
-
-impl ParallelCollision for RbcdUnit {
-    type Worker = ZebTileWorker;
-    type TileOut = TileCollisions;
-
-    fn make_worker(&self) -> Self::Worker {
-        ZebTileWorker::new(*self.config(), self.tile_size())
-    }
-
-    fn process_tile(
-        worker: &mut Self::Worker,
-        tile: TileCoord,
-        frags: &[CollisionFragment],
-    ) -> Self::TileOut {
-        worker.process_tile(tile, frags)
-    }
-
-    fn process_boosted_tile(
-        worker: &mut Self::Worker,
-        tile: TileCoord,
-        frags: &[CollisionFragment],
-        boost: u8,
-    ) -> Self::TileOut {
-        worker.process_tile_boosted(tile, frags, boost)
-    }
-
-    fn next_free(&self) -> u64 {
-        CollisionUnit::next_free(self)
-    }
-
-    fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64) {
-        self.merge_scanned_tile(tile, &out.stats, &out.contacts, &out.escalated, start, end);
-    }
-
-    fn replay_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64) {
-        self.replay_scanned_tile(tile, &out.stats, &out.contacts, &out.escalated, start, end);
-    }
-
-    fn coherence_key(&self) -> u64 {
-        // Every RbcdConfig field feeds the key: a cached tile result is
-        // only valid under the exact unit configuration that produced
-        // it (capacities change overflow behaviour, ladder knobs change
-        // recovery, scan costs change the logged timing).
-        let c = self.config();
-        let mut h = 0x52_BC_D0_01u64;
-        for v in [
-            c.zeb_count as u64,
-            c.list_capacity as u64,
-            c.ff_stack_capacity as u64,
-            c.scan_cycles_per_element,
-            c.scan_cycles_per_list,
-            c.spare_entries as u64,
-            c.ladder_rescans as u64,
-            c.ladder_cpu_fallback as u64,
-            c.hot_path as u64,
-        ] {
-            h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h ^= h >> 29;
-        }
-        h
-    }
-
-    fn idle_at(&self) -> u64 {
-        CollisionUnit::idle_at(self)
     }
 }
 
@@ -248,6 +179,7 @@ impl ParallelCollision for OracleUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unit::RbcdUnit;
     use rbcd_gpu::{Facing, ObjectId};
 
     fn frag(x: u32, y: u32, z: f32, id: u16, facing: Facing) -> CollisionFragment {
@@ -264,102 +196,6 @@ mod tests {
             frag(bx + 9, by + 1, 0.50, 1, Facing::Front),
             frag(bx + 9, by + 1, 0.60, 1, Facing::Back),
         ]
-    }
-
-    /// Worker + ordered merge == sequential begin/insert/finish, to the
-    /// bit: contacts (and order), stats, and timing state.
-    #[test]
-    fn worker_merge_matches_sequential_unit() {
-        let config = RbcdConfig::default();
-        let tiles = [
-            TileCoord { x: 0, y: 0 },
-            TileCoord { x: 1, y: 0 },
-            TileCoord { x: 3, y: 2 },
-        ];
-        // Sequential reference, with a cursor mimicking the simulator's.
-        let mut seq = RbcdUnit::new(config, 16).unwrap();
-        let mut cursor = 0u64;
-        let mut seq_bounds = Vec::new();
-        for tile in tiles {
-            let start = cursor.max(CollisionUnit::next_free(&seq));
-            seq.begin_tile(tile, start);
-            for f in tile_frags(tile, 16) {
-                seq.insert(f);
-            }
-            let end = start + 40;
-            seq.finish_tile(end);
-            seq_bounds.push((start, end));
-            cursor = end;
-        }
-
-        // Parallel path: one worker computes, the unit merges in order.
-        let mut par = RbcdUnit::new(config, 16).unwrap();
-        let mut worker = <RbcdUnit as ParallelCollision>::make_worker(&par);
-        let outs: Vec<TileCollisions> = tiles
-            .iter()
-            .map(|&tile| worker.process_tile(tile, &tile_frags(tile, 16)))
-            .collect();
-        let mut cursor = 0u64;
-        for (&tile, out) in tiles.iter().zip(outs) {
-            let start = cursor.max(ParallelCollision::next_free(&par));
-            let end = start + 40;
-            ParallelCollision::merge_tile(&mut par, tile, out, start, end);
-            cursor = end;
-        }
-
-        assert_eq!(seq.contacts(), par.contacts());
-        assert_eq!(seq.stats(), par.stats());
-        assert_eq!(
-            CollisionUnit::next_free(&seq),
-            ParallelCollision::next_free(&par)
-        );
-        assert_eq!(CollisionUnit::idle_at(&seq), ParallelCollision::idle_at(&par));
-        // And the dispatch bounds that drove both timelines agree.
-        assert_eq!(seq_bounds.len(), tiles.len());
-    }
-
-    /// With tile logging enabled, the sequential and merge paths log
-    /// identical per-tile records (same deltas, same timing brackets),
-    /// and logging changes no result.
-    #[test]
-    fn tile_logs_match_between_sequential_and_merge() {
-        let config = RbcdConfig::default();
-        let tiles = [TileCoord { x: 0, y: 0 }, TileCoord { x: 2, y: 1 }];
-
-        let mut seq = RbcdUnit::new(config, 16).unwrap();
-        seq.set_tile_logging(true);
-        let mut cursor = 0u64;
-        for tile in tiles {
-            let start = cursor.max(CollisionUnit::next_free(&seq));
-            seq.begin_tile(tile, start);
-            for f in tile_frags(tile, 16) {
-                seq.insert(f);
-            }
-            let end = start + 40;
-            seq.finish_tile(end);
-            cursor = end;
-        }
-
-        let mut par = RbcdUnit::new(config, 16).unwrap();
-        par.set_tile_logging(true);
-        let mut worker = <RbcdUnit as ParallelCollision>::make_worker(&par);
-        let mut cursor = 0u64;
-        for &tile in &tiles {
-            let out = worker.process_tile(tile, &tile_frags(tile, 16));
-            let start = cursor.max(ParallelCollision::next_free(&par));
-            let end = start + 40;
-            ParallelCollision::merge_tile(&mut par, tile, out, start, end);
-            cursor = end;
-        }
-
-        let seq_log = seq.take_tile_records();
-        let par_log = par.take_tile_records();
-        assert_eq!(seq_log.len(), tiles.len());
-        assert_eq!(seq_log, par_log);
-        assert!(seq_log.iter().all(|r| r.insertions > 0 && r.scan_end > r.scan_start));
-        // Drained: a second take is empty, stats untouched by logging.
-        assert!(seq.take_tile_records().is_empty());
-        assert_eq!(seq.stats(), par.stats());
     }
 
     /// Replaying a cached tile accumulates the same contacts and event

@@ -8,7 +8,7 @@
 //! other than the shared depth format. When the hardware model suffers
 //! no overflow, its *pair set* must equal the oracle's.
 
-use rbcd_gpu::{CollisionFragment, CollisionUnit, Facing, ObjectId, TileCoord};
+use rbcd_gpu::{CollisionFragment, Facing, ObjectId};
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-pixel fragment record: quantized depth, owner, and orientation.
@@ -123,24 +123,6 @@ impl OracleUnit {
     /// Clears all stored fragments.
     pub fn clear(&mut self) {
         self.pixels.clear();
-    }
-}
-
-impl CollisionUnit for OracleUnit {
-    fn next_free(&self) -> u64 {
-        0
-    }
-
-    fn begin_tile(&mut self, _tile: TileCoord, _cycle: u64) {}
-
-    fn insert(&mut self, frag: CollisionFragment) {
-        self.add_fragment(frag);
-    }
-
-    fn finish_tile(&mut self, _cycle: u64) {}
-
-    fn idle_at(&self) -> u64 {
-        0
     }
 }
 

@@ -2,12 +2,13 @@
 
 use crate::error::RbcdError;
 use crate::pair::ObjectPair;
+use crate::parallel::{TileCollisions, ZebTileWorker};
 use crate::scan::{scan_list_with, FfStack};
 use crate::stats::RbcdStats;
 use crate::zeb::Zeb;
 use crate::ZebElement;
 use rbcd_gpu::{
-    CollisionFragment, CollisionUnit, FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId,
+    CollisionFragment, FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId, ParallelCollision,
     PipelineMode, Simulator, TileCoord,
 };
 use rbcd_trace::TileZebRecord;
@@ -122,20 +123,20 @@ impl ContactPoint {
 
 /// The RBCD unit: ZEBs + sorted insertion + Z-overlap test, with the
 /// paper's tile double-buffering timing protocol.
+///
+/// The unit is a [`ParallelCollision`] backend: its
+/// [`ZebTileWorker`]s insert and scan each tile's fragments in a
+/// private ZEB + FF-Stack, and the unit itself keeps the timing state
+/// (per-ZEB busy-until cycles and the single Z-overlap unit's clock),
+/// the accumulated statistics, and the contact output buffer.
 #[derive(Debug)]
 pub struct RbcdUnit {
     config: RbcdConfig,
     tile_size: u32,
-    zebs: Vec<Zeb>,
     zeb_free_at: Vec<u64>,
     scan_unit_free_at: u64,
-    active: Option<ActiveTile>,
-    stack: FfStack,
     stats: RbcdStats,
     contacts: Vec<ContactPoint>,
-    /// Fragments of the active tile, buffered so the degradation ladder
-    /// can re-insert them at a larger capacity if the tile overflows.
-    pending: Vec<(u32, ZebElement)>,
     /// Objects escalated to the CPU detector by ladder rung 3.
     escalated: BTreeSet<ObjectId>,
     /// Per-tile observability records, kept only while tile logging is
@@ -144,39 +145,27 @@ pub struct RbcdUnit {
     tile_log: Option<Vec<TileZebRecord>>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ActiveTile {
-    zeb: usize,
-    tile: TileCoord,
-    /// Cycle the tile was dispatched (`begin_tile`'s `cycle`), kept for
-    /// the tile log.
-    begin: u64,
-}
-
 impl RbcdUnit {
     /// Creates a unit for tiles of `tile_size` × `tile_size` pixels.
     ///
     /// # Errors
     ///
     /// Returns an [`RbcdError`] if `config.zeb_count`, any capacity, or
-    /// `tile_size` is zero, instead of panicking on hostile input.
+    /// `tile_size` is zero, instead of panicking on hostile input. A
+    /// `tile_size` whose `tile_size²` lists overflow `u32` is rejected
+    /// as [`RbcdError::ZeroLists`] too.
     pub fn new(config: RbcdConfig, tile_size: u32) -> Result<Self, RbcdError> {
         config.validate()?;
-        if tile_size == 0 {
+        // One ZEB list per tile pixel, sized by every worker the unit
+        // makes: the count must be positive and fit in `u32`.
+        if !matches!(tile_size.checked_mul(tile_size), Some(lists) if lists > 0) {
             return Err(RbcdError::ZeroLists);
         }
-        let lists = (tile_size * tile_size) as usize;
         Ok(Self {
-            zebs: (0..config.zeb_count)
-                .map(|_| Zeb::with_spares(lists, config.list_capacity, config.spare_entries))
-                .collect::<Result<_, _>>()?,
             zeb_free_at: vec![0; config.zeb_count as usize],
             scan_unit_free_at: 0,
-            active: None,
-            stack: FfStack::new(config.ff_stack_capacity)?,
             stats: RbcdStats::default(),
             contacts: Vec::new(),
-            pending: Vec::new(),
             escalated: BTreeSet::new(),
             tile_log: None,
             config,
@@ -254,88 +243,16 @@ impl RbcdUnit {
     pub fn new_frame(&mut self) {
         self.zeb_free_at.fill(0);
         self.scan_unit_free_at = 0;
-        debug_assert!(self.active.is_none(), "new_frame during an active tile");
     }
 
     /// The tile edge length (pixels) this unit was built for.
     pub fn tile_size(&self) -> u32 {
         self.tile_size
     }
-
-    /// Merges one tile's pre-computed collision results (from a
-    /// [`crate::ZebTileWorker`]) exactly as the sequential
-    /// `begin_tile(start)` … `finish_tile(end)` bracket would:
-    /// claim the earliest-free ZEB, serialize the scan behind the single
-    /// Z-overlap unit, and accumulate the tile's stats and contacts.
-    ///
-    /// Called in tile-index order by the parallel merge, this reproduces
-    /// the sequential unit's state bit-for-bit — `zeb_free_at` and
-    /// `scan_unit_free_at` only ever change inside `finish_tile`, so the
-    /// earliest-free claim made here equals the claim `begin_tile` would
-    /// have made at dispatch time.
-    pub(crate) fn merge_scanned_tile(
-        &mut self,
-        tile: TileCoord,
-        tile_stats: &RbcdStats,
-        contacts: &[ContactPoint],
-        escalated: &[ObjectId],
-        start: u64,
-        end: u64,
-    ) {
-        debug_assert!(self.active.is_none(), "merge during an active tile");
-        let (zeb, &free) = self
-            .zeb_free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("at least one ZEB");
-        debug_assert!(
-            start >= free,
-            "Tile Scheduler dispatched at {start} before ZEB {zeb} frees at {free}"
-        );
-        let scan_start = end.max(self.scan_unit_free_at);
-        let scan_end = scan_start + tile_stats.scan_cycles;
-        self.scan_unit_free_at = scan_end;
-        self.zeb_free_at[zeb] = scan_end;
-        self.stats.accumulate(tile_stats);
-        self.contacts.extend_from_slice(contacts);
-        self.escalated.extend(escalated.iter().copied());
-        if let Some(log) = &mut self.tile_log {
-            log.push(tile_record(tile, tile_stats, start, end, scan_start, scan_end));
-        }
-    }
-
-    /// Replays one tile's cached collision results (temporal coherence):
-    /// the tile's event counters, contacts, and escalations accumulate
-    /// exactly as [`RbcdUnit::merge_scanned_tile`] would have, but no
-    /// ZEB is claimed and neither `zeb_free_at` nor `scan_unit_free_at`
-    /// advances — the hardware never ran, so it holds no resource. The
-    /// tile-log record keeps its cached scan duration for observability,
-    /// anchored at the (signature-check-only) timing bracket.
-    pub(crate) fn replay_scanned_tile(
-        &mut self,
-        tile: TileCoord,
-        tile_stats: &RbcdStats,
-        contacts: &[ContactPoint],
-        escalated: &[ObjectId],
-        start: u64,
-        end: u64,
-    ) {
-        debug_assert!(self.active.is_none(), "replay during an active tile");
-        self.stats.accumulate(tile_stats);
-        self.contacts.extend_from_slice(contacts);
-        self.escalated.extend(escalated.iter().copied());
-        if let Some(log) = &mut self.tile_log {
-            let scan_end = end + tile_stats.scan_cycles;
-            log.push(tile_record(tile, tile_stats, start, end, end, scan_end));
-        }
-    }
 }
 
 /// Builds one tile's observability record from its isolated stats and
-/// timing bracket. Shared by the sequential (`finish_tile` delta) and
-/// parallel (`merge_scanned_tile` per-tile stats) paths, which
-/// therefore log identical records.
+/// timing bracket.
 fn tile_record(
     tile: TileCoord,
     d: &RbcdStats,
@@ -420,9 +337,7 @@ fn skip_single_object_scan(list: &[ZebElement], stack: &mut FfStack, stats: &mut
 
 /// Scans every occupied list of `zeb`, pushing contacts (in occupancy
 /// order, with window-absolute coordinates) and charging scan stats;
-/// clears the ZEB and returns the scan's cycle count. Shared by the
-/// sequential [`CollisionUnit::finish_tile`] and the per-thread
-/// [`crate::ZebTileWorker`], which therefore produce identical results.
+/// clears the ZEB and returns the scan's cycle count.
 pub(crate) fn scan_zeb_tile(
     zeb: &mut Zeb,
     stack: &mut FfStack,
@@ -463,9 +378,9 @@ pub(crate) fn scan_zeb_tile(
 }
 
 /// Runs one tile's buffered fragments through the degradation ladder and
-/// scans the result, returning the scan's cycle count. Shared by the
-/// sequential [`CollisionUnit::finish_tile`] and the per-thread
-/// [`crate::ZebTileWorker`], so both paths stay bit-identical.
+/// scans the result, returning the scan's cycle count. The caller
+/// ([`crate::ZebTileWorker`]) buffers the tile's whole fragment stream
+/// first, so the ladder can replay it at a larger capacity.
 ///
 /// Rungs, in escalation order (§5.3 overflow handling, extended):
 ///
@@ -480,8 +395,8 @@ pub(crate) fn scan_zeb_tile(
 ///    distinct object ids are reported through `escalated` for an exact
 ///    software detector, and the best (largest-`M`) attempt is still
 ///    scanned so partial pairs are not thrown away.
-// Takes the unit's fields as split borrows so the sequential path and
-// the per-thread `ZebTileWorker` can share it without a wrapper struct.
+// Takes the worker's fields as split borrows so a boosted tile can
+// bring its own ZEB and FF-Stack.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ladder_zeb_tile(
     zeb: &mut Zeb,
@@ -554,106 +469,98 @@ fn escalate_pending(pending: &[(u32, ZebElement)], escalated: &mut Vec<ObjectId>
     escalated.extend(ids);
 }
 
-impl CollisionUnit for RbcdUnit {
+impl ParallelCollision for RbcdUnit {
+    type Worker = ZebTileWorker;
+    type TileOut = TileCollisions;
+
+    fn make_worker(&self) -> Self::Worker {
+        ZebTileWorker::new(self.config, self.tile_size)
+    }
+
+    fn process_tile(
+        worker: &mut Self::Worker,
+        tile: TileCoord,
+        frags: &[CollisionFragment],
+    ) -> Self::TileOut {
+        worker.process_tile(tile, frags)
+    }
+
+    fn process_boosted_tile(
+        worker: &mut Self::Worker,
+        tile: TileCoord,
+        frags: &[CollisionFragment],
+        boost: u8,
+    ) -> Self::TileOut {
+        worker.process_tile_boosted(tile, frags, boost)
+    }
+
     fn next_free(&self) -> u64 {
         self.zeb_free_at.iter().copied().min().expect("at least one ZEB")
     }
 
-    fn begin_tile(&mut self, tile: TileCoord, cycle: u64) {
-        assert!(self.active.is_none(), "begin_tile while a tile is active");
-        let (zeb, &free) = self
-            .zeb_free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("at least one ZEB");
+    /// Claims the earliest-free ZEB at `start`, serializes the tile's
+    /// scan behind the single Z-overlap unit from `end`, and
+    /// accumulates the tile's stats and contacts (§3.5). Called in
+    /// tile-index order, so the claim and the scan clock advance
+    /// exactly as the hardware's Tile Scheduler would drive them.
+    fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64) {
+        let (zeb, &free) =
+            self.zeb_free_at.iter().enumerate().min_by_key(|(_, &t)| t).expect("at least one ZEB");
         debug_assert!(
-            cycle >= free,
-            "Tile Scheduler dispatched at {cycle} before ZEB {zeb} frees at {free}"
+            start >= free,
+            "Tile Scheduler dispatched at {start} before ZEB {zeb} frees at {free}"
         );
-        debug_assert!(self.zebs[zeb].is_empty(), "claimed ZEB was not cleared");
-        self.active = Some(ActiveTile { zeb, tile, begin: cycle });
-    }
-
-    fn insert(&mut self, frag: CollisionFragment) {
-        let Some(active) = self.active else {
-            panic!("insert without an active tile");
-        };
-        // Buffered, not inserted directly: the degradation ladder may
-        // need to replay the tile's whole fragment stream at a larger
-        // capacity. The ZEB insertions (and their stats) happen in
-        // `finish_tile`, in this exact arrival order.
-        let lx = frag.x - active.tile.x * self.tile_size;
-        let ly = frag.y - active.tile.y * self.tile_size;
-        let index = ly * self.tile_size + lx;
-        self.pending.push((index, ZebElement::new(frag.z, frag.object, frag.facing)));
-    }
-
-    fn insert_batch(&mut self, frags: &[CollisionFragment]) {
-        let Some(active) = self.active else {
-            panic!("insert without an active tile");
-        };
-        // Same buffering as `insert`, one dynamic dispatch per tile
-        // instead of one per fragment.
-        let bx = active.tile.x * self.tile_size;
-        let by = active.tile.y * self.tile_size;
-        self.pending.reserve(frags.len());
-        for f in frags {
-            let index = (f.y - by) * self.tile_size + (f.x - bx);
-            self.pending.push((index, ZebElement::new(f.z, f.object, f.facing)));
-        }
-    }
-
-    fn finish_tile(&mut self, cycle: u64) {
-        let Some(active) = self.active.take() else {
-            panic!("finish_tile without an active tile");
-        };
-        self.stats.tiles += 1;
-
-        // The single Z-overlap unit serializes scans across ZEBs.
-        let scan_start = cycle.max(self.scan_unit_free_at);
-        let pending = std::mem::take(&mut self.pending);
-        let mut escalated = Vec::new();
-        // Stats snapshot for the tile log: the per-tile delta is the
-        // tile's isolated activity. `RbcdStats` is `Copy`; this costs
-        // nothing when logging is off.
-        let before = self.tile_log.is_some().then_some(self.stats);
-        let scan_cycles = ladder_zeb_tile(
-            &mut self.zebs[active.zeb],
-            &mut self.stack,
-            &self.config,
-            active.tile,
-            self.tile_size,
-            &pending,
-            &mut self.stats,
-            &mut self.contacts,
-            &mut escalated,
-        );
-        self.pending = pending;
-        self.pending.clear();
-        self.escalated.extend(escalated);
-        let scan_end = scan_start + scan_cycles;
-        self.stats.scan_cycles += scan_cycles;
+        let scan_start = end.max(self.scan_unit_free_at);
+        let scan_end = scan_start + out.stats.scan_cycles;
         self.scan_unit_free_at = scan_end;
-        self.zeb_free_at[active.zeb] = scan_end;
+        self.zeb_free_at[zeb] = scan_end;
+        self.stats.accumulate(&out.stats);
+        self.contacts.extend_from_slice(&out.contacts);
+        self.escalated.extend(out.escalated.iter().copied());
         if let Some(log) = &mut self.tile_log {
-            let b = before.expect("snapshot taken while logging");
-            let s = &self.stats;
-            let delta = RbcdStats {
-                insertions: s.insertions - b.insertions,
-                overflows: s.overflows - b.overflows,
-                spare_allocations: s.spare_allocations - b.spare_allocations,
-                elements_scanned: s.elements_scanned - b.elements_scanned,
-                pairs_emitted: s.pairs_emitted - b.pairs_emitted,
-                ff_drops: s.ff_drops - b.ff_drops,
-                scan_skipped: s.scan_skipped - b.scan_skipped,
-                rung_spare: s.rung_spare - b.rung_spare,
-                rung_rescan: s.rung_rescan - b.rung_rescan,
-                rung_cpu: s.rung_cpu - b.rung_cpu,
-                ..RbcdStats::default()
-            };
-            log.push(tile_record(active.tile, &delta, active.begin, cycle, scan_start, scan_end));
+            log.push(tile_record(tile, &out.stats, start, end, scan_start, scan_end));
         }
+    }
+
+    /// Replays one tile's cached collision results (temporal coherence):
+    /// the tile's event counters, contacts, and escalations accumulate
+    /// exactly as [`ParallelCollision::merge_tile`] would have, but no
+    /// ZEB is claimed and neither clock advances — the hardware never
+    /// ran, so it holds no resource. The tile-log record keeps its
+    /// cached scan duration for observability, anchored at the
+    /// (signature-check-only) timing bracket.
+    fn replay_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64) {
+        self.stats.accumulate(&out.stats);
+        self.contacts.extend_from_slice(&out.contacts);
+        self.escalated.extend(out.escalated.iter().copied());
+        if let Some(log) = &mut self.tile_log {
+            let scan_end = end + out.stats.scan_cycles;
+            log.push(tile_record(tile, &out.stats, start, end, end, scan_end));
+        }
+    }
+
+    fn coherence_key(&self) -> u64 {
+        // Every RbcdConfig field feeds the key: a cached tile result is
+        // only valid under the exact unit configuration that produced
+        // it (capacities change overflow behaviour, ladder knobs change
+        // recovery, scan costs change the logged timing).
+        let c = &self.config;
+        let mut h = 0x52_BC_D0_01u64;
+        for v in [
+            c.zeb_count as u64,
+            c.list_capacity as u64,
+            c.ff_stack_capacity as u64,
+            c.scan_cycles_per_element,
+            c.scan_cycles_per_list,
+            c.spare_entries as u64,
+            c.ladder_rescans as u64,
+            c.ladder_cpu_fallback as u64,
+            c.hot_path as u64,
+        ] {
+            h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+        }
+        h
     }
 
     fn idle_at(&self) -> u64 {
@@ -736,12 +643,32 @@ mod tests {
         CollisionFragment { x, y, z, object: ObjectId::new(id), facing }
     }
 
-    fn drive_tile(unit: &mut RbcdUnit, frags: &[CollisionFragment], start: u64, end: u64) {
-        unit.begin_tile(TileCoord { x: 0, y: 0 }, start);
-        for f in frags {
-            unit.insert(*f);
-        }
-        unit.finish_tile(end);
+    const T0: TileCoord = TileCoord { x: 0, y: 0 };
+
+    /// Runs one tile through the unit's two halves: a worker inserts and
+    /// scans `frags`, then the unit merges the result as a tile
+    /// dispatched at `start` whose rasterization ends at `end`.
+    fn drive_tile(
+        unit: &mut RbcdUnit,
+        tile: TileCoord,
+        frags: &[CollisionFragment],
+        start: u64,
+        end: u64,
+    ) {
+        let out = unit.make_worker().process_tile(tile, frags);
+        unit.merge_tile(tile, out, start, end);
+    }
+
+    #[test]
+    fn new_rejects_every_zero_size() {
+        let d = RbcdConfig::default();
+        let err = |config, tile_size| RbcdUnit::new(config, tile_size).unwrap_err();
+        assert_eq!(err(RbcdConfig { zeb_count: 0, ..d }, 16), RbcdError::ZeroZebCount);
+        assert_eq!(err(RbcdConfig { list_capacity: 0, ..d }, 16), RbcdError::ZeroListCapacity);
+        assert_eq!(err(RbcdConfig { ff_stack_capacity: 0, ..d }, 16), RbcdError::ZeroStackCapacity);
+        assert_eq!(err(d, 0), RbcdError::ZeroLists);
+        assert_eq!(err(d, 1 << 16), RbcdError::ZeroLists, "tile_size² overflows u32");
+        assert!(RbcdUnit::new(d, 1).is_ok(), "a one-pixel tile is still a tile");
     }
 
     #[test]
@@ -754,7 +681,7 @@ mod tests {
             frag(3, 4, 0.3, 1, Facing::Back),
             frag(3, 4, 0.4, 2, Facing::Back),
         ];
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         assert_eq!(unit.contacts().len(), 1);
         let c = unit.contacts()[0];
         assert_eq!((c.x, c.y), (3, 4));
@@ -770,7 +697,7 @@ mod tests {
             frag(0, 0, 0.1, 1, Facing::Front),
         ];
         let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         assert_eq!(unit.pairs().len(), 1);
     }
 
@@ -783,7 +710,7 @@ mod tests {
             frag(0, 0, 0.4, 2, Facing::Back),
         ];
         let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         assert!(unit.contacts().is_empty());
     }
 
@@ -791,7 +718,7 @@ mod tests {
     fn timing_single_zeb_blocks_next_tile() {
         let mut unit = RbcdUnit::new(RbcdConfig { zeb_count: 1, ..RbcdConfig::default() }, 16).unwrap();
         let frags: Vec<_> = (0..8).map(|i| frag(i, 0, 0.5, 1, Facing::Front)).collect();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         // Scan: 8 lists × (1 + 1 element) = 16 cycles after cycle 100.
         assert_eq!(unit.next_free(), 116);
         assert_eq!(unit.idle_at(), 116);
@@ -801,23 +728,21 @@ mod tests {
     fn timing_two_zebs_overlap() {
         let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
         let frags: Vec<_> = (0..8).map(|i| frag(i, 0, 0.5, 1, Facing::Front)).collect();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         // Second ZEB is free immediately.
         assert_eq!(unit.next_free(), 0);
         // But the single scan unit serializes: a second tile finishing at
         // cycle 101 scans only after the first scan ends (116).
-        unit.begin_tile(TileCoord { x: 1, y: 0 }, 50);
-        for f in &frags {
-            unit.insert(CollisionFragment { x: f.x + 16, ..*f });
-        }
-        unit.finish_tile(101);
+        let shifted: Vec<_> =
+            frags.iter().map(|f| CollisionFragment { x: f.x + 16, ..*f }).collect();
+        drive_tile(&mut unit, TileCoord { x: 1, y: 0 }, &shifted, 50, 101);
         assert_eq!(unit.idle_at(), 116 + 16);
     }
 
     #[test]
     fn new_frame_resets_timing_keeps_stats() {
         let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        drive_tile(&mut unit, &[frag(0, 0, 0.5, 1, Facing::Front)], 0, 10);
+        drive_tile(&mut unit, T0, &[frag(0, 0, 0.5, 1, Facing::Front)], 0, 10);
         let ins = unit.stats().insertions;
         unit.new_frame();
         assert_eq!(unit.next_free(), 0);
@@ -925,13 +850,6 @@ mod tests {
         assert!(spared.pairs().is_superset(&base.pairs()));
     }
 
-    #[test]
-    #[should_panic(expected = "active")]
-    fn insert_without_tile_panics() {
-        let mut unit = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        unit.insert(frag(0, 0, 0.5, 1, Facing::Front));
-    }
-
     /// A deep interleaved stack at one pixel: every pair of the `n`
     /// objects overlaps in depth.
     fn deep_stack(n: u16) -> Vec<CollisionFragment> {
@@ -952,7 +870,7 @@ mod tests {
                 16,
             )
             .unwrap();
-            drive_tile(&mut unit, &frags, 0, 100);
+            drive_tile(&mut unit, T0, &frags, 0, 100);
             assert_eq!(unit.stats().overflows, 0);
             unit.pairs()
         };
@@ -961,7 +879,7 @@ mod tests {
         // M = 4 drops fragments without the ladder…
         let base_cfg = RbcdConfig { list_capacity: 4, ..RbcdConfig::default() };
         let mut base = RbcdUnit::new(base_cfg, 16).unwrap();
-        drive_tile(&mut base, &frags, 0, 100);
+        drive_tile(&mut base, T0, &frags, 0, 100);
         assert!(base.stats().overflows > 0);
         assert!(base.pairs().len() < reference.len());
         assert_eq!(base.stats().rung_rescan, 0);
@@ -969,7 +887,7 @@ mod tests {
         // …and recovers them with two doubling passes (4 → 8 → 16).
         let mut ladder =
             RbcdUnit::new(RbcdConfig { ladder_rescans: 2, ..base_cfg }, 16).unwrap();
-        drive_tile(&mut ladder, &frags, 0, 100);
+        drive_tile(&mut ladder, T0, &frags, 0, 100);
         assert_eq!(ladder.pairs(), reference);
         assert_eq!(ladder.stats().rung_rescan, 1);
         assert_eq!(ladder.stats().rescan_passes, 2);
@@ -989,7 +907,7 @@ mod tests {
             ..RbcdConfig::default()
         };
         let mut unit = RbcdUnit::new(cfg, 16).unwrap();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         assert_eq!(unit.stats().rung_cpu, 1);
         assert_eq!(unit.stats().rung_rescan, 0);
         let ids: Vec<u16> = unit.escalated().iter().map(|id| id.get()).collect();
@@ -1010,12 +928,10 @@ mod tests {
             ..RbcdConfig::default()
         };
         let mut unit = RbcdUnit::new(cfg, 16).unwrap();
-        drive_tile(&mut unit, &frags, 0, 100);
+        drive_tile(&mut unit, T0, &frags, 0, 100);
         // A clean second tile for contrast.
-        unit.begin_tile(TileCoord { x: 1, y: 0 }, 1000);
-        unit.insert(frag(16, 0, 0.1, 1, Facing::Front));
-        unit.insert(frag(16, 0, 0.2, 1, Facing::Back));
-        unit.finish_tile(1100);
+        let clean = [frag(16, 0, 0.1, 1, Facing::Front), frag(16, 0, 0.2, 1, Facing::Back)];
+        drive_tile(&mut unit, TileCoord { x: 1, y: 0 }, &clean, 1000, 1100);
         let s = unit.stats();
         assert_eq!(s.tiles, 2);
         assert_eq!(
@@ -1033,7 +949,7 @@ mod tests {
         // the pre-ladder behavior.
         let mut unit =
             RbcdUnit::new(RbcdConfig { list_capacity: 1, ..RbcdConfig::default() }, 16).unwrap();
-        drive_tile(&mut unit, &deep_stack(4), 0, 100);
+        drive_tile(&mut unit, T0, &deep_stack(4), 0, 100);
         let s = unit.stats();
         assert!(s.overflows > 0);
         assert_eq!(s.rung_rescan + s.rung_cpu + s.rescan_passes, 0);

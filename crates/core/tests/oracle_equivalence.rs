@@ -7,7 +7,7 @@
 
 use rbcd_core::software::OracleUnit;
 use rbcd_core::{RbcdConfig, RbcdUnit};
-use rbcd_gpu::{CollisionFragment, CollisionUnit, Facing, ObjectId, TileCoord};
+use rbcd_gpu::{CollisionFragment, Facing, ObjectId, ParallelCollision, TileCoord};
 use rbcd_math::Rng;
 
 const CASES: usize = 256;
@@ -45,11 +45,9 @@ fn interval_set(rng: &mut Rng) -> Vec<CollisionFragment> {
 
 fn run_hardware(frags: &[CollisionFragment], config: RbcdConfig) -> RbcdUnit {
     let mut unit = RbcdUnit::new(config, 16).unwrap();
-    unit.begin_tile(TileCoord { x: 0, y: 0 }, 0);
-    for f in frags {
-        unit.insert(*f);
-    }
-    unit.finish_tile(1000);
+    let tile = TileCoord { x: 0, y: 0 };
+    let out = unit.make_worker().process_tile(tile, frags);
+    unit.merge_tile(tile, out, 0, 1000);
     unit
 }
 

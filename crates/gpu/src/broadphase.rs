@@ -66,9 +66,6 @@
 //!   both at once would change which tiles shed, breaking the
 //!   exactness contract. Pruned tiles therefore never count toward the
 //!   governor's budget projection (a governed frame has none).
-//! * **The sequential [`crate::Simulator::render_frame`] path ignores
-//!   the knob** (like temporal reuse): its `dyn` collision-unit
-//!   protocol has no per-tile replay hook.
 //! * **Baseline mode is never pruned**: with no collision unit there
 //!   are no pairs to preserve, and the baseline exists to measure the
 //!   full render cost.

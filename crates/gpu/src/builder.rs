@@ -184,8 +184,7 @@ impl SimulatorBuilder {
     }
 
     /// Enables temporal tile coherence on the built simulator
-    /// (equivalent to [`Simulator::set_reuse`] after construction).
-    /// Only the parallel render path consults the knob; see
+    /// (equivalent to [`Simulator::set_reuse`] after construction). See
     /// [`Simulator::set_reuse`] for the contract.
     #[deprecated(
         since = "0.1.0",
@@ -198,7 +197,7 @@ impl SimulatorBuilder {
 
     /// Installs an overload governor on the built simulator (equivalent
     /// to [`Simulator::set_governor`] after construction). See that
-    /// method for which render paths honour which policy rungs.
+    /// method for the policy ladder.
     #[deprecated(
         since = "0.1.0",
         note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"

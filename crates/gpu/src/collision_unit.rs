@@ -1,13 +1,15 @@
 //! The attachment point for the RBCD unit (implemented in `rbcd-core`).
 //!
 //! Mirrors the paper's Figure 3: the Rasterizer forwards every
-//! collisionable fragment to the unit, which stores it into the active
-//! ZEB; when a tile finishes rasterizing, the unit's Z-overlap scan runs
-//! while the Raster Pipeline moves on — if a free ZEB exists. The Tile
-//! Scheduler otherwise stalls (§3.5), which is what
-//! [`CollisionUnit::next_free`] models.
+//! collisionable fragment of a tile to the unit, which stores it into a
+//! free ZEB; when the tile finishes rasterizing, the unit's Z-overlap
+//! scan runs while the Raster Pipeline moves on — if a free ZEB exists.
+//! The Tile Scheduler otherwise stalls (§3.5), which is what
+//! [`ParallelCollision::next_free`] models. This module holds the data
+//! the rasterizer hands a backend and the null backend of baseline runs.
 
 use crate::command::{Facing, ObjectId};
+use crate::parallel::ParallelCollision;
 
 /// Tile coordinates in the tile grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,64 +36,23 @@ pub struct CollisionFragment {
     pub facing: Facing,
 }
 
-/// Hardware attached to the rasterizer output for collision detection.
-///
-/// Timing protocol, all in GPU cycles:
-///
-/// 1. The Tile Scheduler calls [`next_free`](Self::next_free) before
-///    dispatching a tile; if the returned cycle is in the future, the
-///    Raster Pipeline stalls until then (single-ZEB behaviour, §3.5).
-/// 2. [`begin_tile`](Self::begin_tile) claims a ZEB at the (possibly
-///    stalled) start cycle.
-/// 3. [`insert`](Self::insert) is called once per collisionable fragment
-///    during rasterization.
-/// 4. [`finish_tile`](Self::finish_tile) marks the end of rasterization;
-///    the unit schedules its Z-overlap scan from that cycle and keeps
-///    the ZEB busy until the scan completes.
-pub trait CollisionUnit {
-    /// Earliest cycle at which a ZEB becomes available for a new tile.
-    fn next_free(&self) -> u64;
-
-    /// Claims a ZEB for `tile`, starting at `cycle`.
-    fn begin_tile(&mut self, tile: TileCoord, cycle: u64);
-
-    /// Stores one collisionable fragment into the active ZEB.
-    fn insert(&mut self, frag: CollisionFragment);
-
-    /// Stores a batch of collisionable fragments, in arrival order.
-    /// Semantically identical to calling [`insert`](Self::insert) once
-    /// per fragment; implementors may override it to amortize the
-    /// per-fragment dynamic dispatch of the hot rasterizer → unit edge.
-    fn insert_batch(&mut self, frags: &[CollisionFragment]) {
-        for &f in frags {
-            self.insert(f);
-        }
-    }
-
-    /// Rasterization for the active tile completed at `cycle`; runs the
-    /// Z-overlap scan and releases the ZEB when it finishes.
-    fn finish_tile(&mut self, cycle: u64);
-
-    /// Cycle at which all pending work (including the last scan) is done.
-    fn idle_at(&self) -> u64;
-}
-
-/// The baseline GPU: no collision hardware. All methods are free.
+/// The baseline GPU: no collision hardware. Every phase is free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullCollisionUnit;
 
-impl CollisionUnit for NullCollisionUnit {
+impl ParallelCollision for NullCollisionUnit {
+    type Worker = ();
+    type TileOut = ();
+
+    fn make_worker(&self) -> Self::Worker {}
+
+    fn process_tile(_worker: &mut (), _tile: TileCoord, _frags: &[CollisionFragment]) {}
+
     fn next_free(&self) -> u64 {
         0
     }
 
-    fn begin_tile(&mut self, _tile: TileCoord, _cycle: u64) {}
-
-    fn insert(&mut self, _frag: CollisionFragment) {}
-
-    fn insert_batch(&mut self, _frags: &[CollisionFragment]) {}
-
-    fn finish_tile(&mut self, _cycle: u64) {}
+    fn merge_tile(&mut self, _tile: TileCoord, _out: (), _start: u64, _end: u64) {}
 
     fn idle_at(&self) -> u64 {
         0
@@ -106,15 +67,16 @@ mod tests {
     fn null_unit_is_always_free() {
         let mut u = NullCollisionUnit;
         assert_eq!(u.next_free(), 0);
-        u.begin_tile(TileCoord { x: 0, y: 0 }, 100);
-        u.insert(CollisionFragment {
+        let tile = TileCoord { x: 0, y: 0 };
+        let frag = CollisionFragment {
             x: 0,
             y: 0,
             z: 0.5,
             object: ObjectId::new(1),
             facing: Facing::Front,
-        });
-        u.finish_tile(200);
+        };
+        NullCollisionUnit::process_tile(&mut u.make_worker(), tile, &[frag]);
+        u.merge_tile(tile, (), 100, 200);
         assert_eq!(u.next_free(), 0);
         assert_eq!(u.idle_at(), 0);
     }

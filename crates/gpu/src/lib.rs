@@ -14,10 +14,16 @@
 //!   Processors shade the survivors into on-chip colour/Z buffers.
 //!
 //! The RBCD unit itself lives in the `rbcd-core` crate and attaches to the
-//! rasterizer through the [`CollisionUnit`] trait, exactly mirroring the
-//! paper's integration point (Figure 3): the rasterizer forwards every
+//! rasterizer through the [`ParallelCollision`] trait, exactly mirroring
+//! the paper's integration point (Figure 3): the rasterizer forwards every
 //! *collisionable* fragment — including tagged-to-be-culled ones — to the
 //! unit, while only non-culled fragments proceed to Early-Z.
+//!
+//! There is one render path. [`render_batch`] renders one frame of each
+//! of N sessions; [`Simulator::render_frame_parallel`] is a batch of one
+//! and [`Simulator::render_frame`] that batch on one worker. Every
+//! [`FramePolicy`] knob applies to all three, and results are
+//! bit-identical at any worker count.
 //!
 //! Timing is throughput/latency-approximate rather than RTL-accurate: per
 //! pipeline stage the simulator counts work items against the stage
@@ -65,7 +71,7 @@ pub use broadphase::BroadPhase;
 pub use builder::{GpuConfigError, SimulatorBuilder};
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use clip::clip_near;
-pub use collision_unit::{CollisionFragment, CollisionUnit, NullCollisionUnit, TileCoord};
+pub use collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
 pub use command::{
     Camera, CullMode, DrawCommand, Facing, FrameTrace, ObjectId, SceneError, ShaderCost,
 };

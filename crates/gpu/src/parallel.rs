@@ -1,67 +1,71 @@
-//! Parallel tile-pipeline execution with a deterministic merge.
+//! The one frame render path: plan, compute, merge.
 //!
 //! Tiles are the natural work unit of a tile-based GPU: after binning,
 //! each tile's rasterization, Early-Z, and collision analysis touch
-//! only private state. [`Simulator::render_frame_parallel`] exploits
-//! this with a scoped worker pool (`std::thread::scope`; no external
-//! dependencies):
+//! only private state. Every frame — solo through
+//! [`Simulator::render_frame`] / [`Simulator::render_frame_parallel`]
+//! or many sessions at once through [`crate::render_batch`] — runs the
+//! same three phases:
 //!
 //! 1. **Plan phase** (`plan_raster`) — the main thread computes the
-//!    temporal-coherence reuse plan and the governor's coarsening plan
-//!    from the binned frame alone, so both are thread-count invariant
-//!    by construction.
-//! 2. **Compute phase** — workers claim tiles from the shared binned
-//!    list via an atomic cursor. Each worker owns a private
-//!    [`TileWorker`] (z-buffer + fragment scratch) and a private
+//!    temporal-coherence reuse plan, the broad-phase skip mask, and the
+//!    governor's coarsening plan from the binned frame alone, so all
+//!    three are thread-count invariant by construction.
+//! 2. **Compute phase** (worker pools only) — workers claim tiles from
+//!    the shared binned list via an atomic cursor. Each worker owns a
+//!    private [`TileWorker`] (z-buffer + fragment scratch) and a private
 //!    collision worker ([`ParallelCollision::Worker`], e.g. a software
-//!    ZEB + FF-Stack), and produces an *owned* per-tile result. The
-//!    per-tile step is exposed through [`TileComputeCtx`], an immutable
-//!    `Sync` view of the planned frame, so the service layer
-//!    (`crate::service`) can interleave tiles from *many* sessions on
-//!    one pool without touching any session's mutable state.
+//!    ZEB + FF-Stack), and produces an *owned* per-tile result through
+//!    [`TileComputeCtx`], an immutable `Sync` view of the planned frame.
 //! 3. **Merge phase** (`merge_raster`) — the main thread walks tiles in
-//!    ascending tile index (exactly the sequential processing order),
-//!    replays the shared tile-cache accesses, folds per-tile stats, and
-//!    replays the timing protocol (ZEB claim, scan-unit serialization)
-//!    against the backend.
+//!    ascending tile index (the hardware's dispatch order), replays the
+//!    shared tile-cache accesses, folds per-tile stats, and replays the
+//!    timing protocol (ZEB claim, scan-unit serialization) against the
+//!    backend. With one worker there is no compute phase: the merge
+//!    computes each fresh tile when it reaches it, on the simulator's
+//!    resident [`TileWorker`], so a frame holds one tile's results at a
+//!    time.
 //!
 //! Everything order-dependent — cache hit/miss sequences, the cycle
 //! timeline, ZEB double-buffer claims, contact emission order — happens
-//! only in the merge phase, in tile-index order. Per-tile work is
+//! only in the merge phase, in tile-index order ("sequential" names
+//! this merge order, never a second pipeline). Per-tile work is
 //! order-free (each tile starts from a cleared z-buffer and an empty
-//! ZEB). Parallel runs are therefore **bit-identical** to sequential
-//! runs for any thread count — and, because every phase reads and
-//! writes only one simulator's state, a frame rendered through the
-//! batch service is bit-identical to the same frame rendered solo.
+//! ZEB). Results are therefore **bit-identical** for any worker count —
+//! and, because every phase reads and writes only one simulator's
+//! state, a frame rendered in a batch is bit-identical to the same
+//! frame rendered solo.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::broadphase::{self, BroadPhase};
 use crate::coherence;
-use crate::collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
+use crate::collision_unit::{CollisionFragment, TileCoord};
 use crate::command::{FrameTrace, ObjectId};
 use crate::config::GpuConfig;
+use crate::service::{render_batch, BatchJob};
 use crate::sim::{
     accumulate_reused_tile, accumulate_tile, finalize_raster_timing, replay_tile_cache,
     BinnedTiles, GovernorFrameReport, PipelineMode, Simulator, TileRasterOut, TileWorker,
 };
 use crate::stats::{BroadphaseStats, CoherenceStats, FrameStats, RasterStats};
 
-/// A collision backend whose per-tile analysis can run on worker
-/// threads, with results merged deterministically in tile order.
+/// A collision backend attached at the rasterizer's
+/// collisionable-fragment output (the paper's Figure 3).
 ///
-/// This is the parallel counterpart of [`crate::CollisionUnit`]: the
-/// sequential trait interleaves `begin_tile` / `insert` / `finish_tile`
-/// with rasterization, while this one splits the work into an
-/// order-free compute half (`Worker` + [`ParallelCollision::process_tile`])
+/// Per-tile analysis splits into an order-free compute half (`Worker` +
+/// [`ParallelCollision::process_tile`]), which may run on any thread,
 /// and an order-dependent timing/accumulation half
-/// ([`ParallelCollision::merge_tile`], called in tile-index order).
+/// ([`ParallelCollision::merge_tile`], called in tile-index order) that
+/// replays the §3.5 protocol: [`ParallelCollision::next_free`] gates
+/// tile dispatch, `merge_tile` claims a ZEB and schedules the Z-overlap
+/// scan, and [`ParallelCollision::idle_at`] reports when the last scan
+/// drains.
 ///
-/// Implementations must guarantee: driving `process_tile` on any
-/// worker and then `merge_tile` in tile order leaves the backend in
-/// exactly the state the sequential [`crate::CollisionUnit`] calls
-/// would have produced.
+/// Implementations must guarantee that a tile's `process_tile` output
+/// depends only on the tile's fragments — never on which worker ran it
+/// or what that worker ran before — so results are identical at any
+/// worker count.
 pub trait ParallelCollision {
     /// Per-thread collision state (e.g. one software ZEB + FF-Stack).
     type Worker: Send;
@@ -73,9 +77,8 @@ pub trait ParallelCollision {
     /// Creates one worker; called once per thread before the pool runs.
     fn make_worker(&self) -> Self::Worker;
 
-    /// Analyses one tile's collisionable fragments on a worker thread.
-    /// `frags` arrive in the exact order the sequential pipeline would
-    /// insert them.
+    /// Analyses one tile's collisionable fragments, on any thread.
+    /// `frags` arrive in rasterization order.
     fn process_tile(
         worker: &mut Self::Worker,
         tile: TileCoord,
@@ -99,17 +102,18 @@ pub trait ParallelCollision {
     }
 
     /// Earliest cycle at which a ZEB is free — the merge phase's tile
-    /// dispatch gate, identical to [`crate::CollisionUnit::next_free`].
+    /// dispatch gate. A later cycle stalls the Tile Scheduler until
+    /// then (single-ZEB behaviour, §3.5).
     fn next_free(&self) -> u64;
 
     /// Folds one tile's result into the backend. Called in ascending
     /// tile-index order with the tile's dispatch (`start`) and raster
-    /// completion (`end`) cycles, mirroring the sequential
-    /// `begin_tile(start)` … `finish_tile(end)` bracket.
+    /// completion (`end`) cycles: the tile holds a ZEB from `start`,
+    /// and its Z-overlap scan starts no earlier than `end`.
     fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, start: u64, end: u64);
 
-    /// Cycle at which all backend activity has drained, identical to
-    /// [`crate::CollisionUnit::idle_at`].
+    /// Cycle at which all backend activity, including the last scan,
+    /// has drained.
     fn idle_at(&self) -> u64;
 
     /// Folds a *cached* tile result back into the backend when the
@@ -133,46 +137,42 @@ pub trait ParallelCollision {
     }
 }
 
-/// The null backend: no collision work in either phase.
-impl ParallelCollision for NullCollisionUnit {
-    type Worker = ();
-    type TileOut = ();
+/// Pool-computed results of one frame's fresh tiles, indexed by
+/// active-list position (`None` for reused tiles).
+pub(crate) type TileSlots<B> = Vec<Option<(TileRasterOut, <B as ParallelCollision>::TileOut)>>;
 
-    fn make_worker(&self) -> Self::Worker {}
-
-    fn process_tile(_worker: &mut (), _tile: TileCoord, _frags: &[CollisionFragment]) {}
-
-    fn next_free(&self) -> u64 {
-        0
-    }
-
-    fn merge_tile(&mut self, _tile: TileCoord, _out: (), _start: u64, _end: u64) {}
-
-    fn idle_at(&self) -> u64 {
-        0
-    }
+/// Where [`Simulator::merge_raster`] finds each fresh (not reused)
+/// tile's results.
+pub(crate) enum FreshTiles<B: ParallelCollision> {
+    /// Computed ahead of the merge by a worker pool.
+    Pooled(TileSlots<B>),
+    /// Computed by the merge itself when it reaches the tile, on the
+    /// simulator's resident [`TileWorker`] and this collision worker.
+    Inline(B::Worker),
 }
 
 /// An immutable, `Sync` view of one planned frame — everything the
 /// order-free compute phase needs to process any tile of that frame on
-/// any thread. Built by [`Simulator::compute_ctx`] after
-/// [`Simulator::plan_raster`]; the batch service layer holds one per
-/// live session and lets a single worker pool drain an interleaved
-/// work list across all of them.
+/// any thread. Built after [`Simulator::plan_raster`]: by
+/// [`Simulator::compute_ctx`] for a worker pool (the batch service
+/// holds one per live session and lets a single pool drain an
+/// interleaved work list across all of them), or inside
+/// [`Simulator::merge_raster`] for one-worker frames.
 pub(crate) struct TileComputeCtx<'a> {
-    cfg: &'a GpuConfig,
+    config: &'a GpuConfig,
     bins: &'a BinnedTiles,
-    plan: &'a [(u64, bool)],
-    boost: &'a [u8],
-    blocked: &'a BTreeSet<ObjectId>,
-    reuse_on: bool,
-    tiles_x: u32,
+    /// `(signature, reused)` per active-list position; empty when reuse
+    /// is off.
+    reuse_plan: &'a [(u64, bool)],
+    /// Capacity boost per active-list position; empty when nothing is
+    /// coarsened.
+    boost_plan: &'a [u8],
+    governor_blocked: &'a BTreeSet<ObjectId>,
+    /// Broad-phase skip flag per active-list position; empty when the
+    /// broad phase is inert.
+    bp_plan: &'a [bool],
     trace: &'a FrameTrace,
     mode: PipelineMode,
-    /// Broad-phase skip flags per active-list position (empty when the
-    /// broad phase is inert).
-    bp: &'a [bool],
-    bp_active: bool,
 }
 
 impl TileComputeCtx<'_> {
@@ -185,7 +185,22 @@ impl TileComputeCtx<'_> {
     /// The owning simulator's configuration (for sizing per-thread
     /// [`TileWorker`]s).
     pub(crate) fn config(&self) -> &GpuConfig {
-        self.cfg
+        self.config
+    }
+
+    /// Whether the reuse plan replays the tile at position `k`.
+    fn reused(&self, k: usize) -> bool {
+        self.reuse_plan.get(k).is_some_and(|&(_, reused)| reused)
+    }
+
+    /// Whether the broad phase proved the tile at position `k` pair-free.
+    fn bp_skip(&self, k: usize) -> bool {
+        self.bp_plan.get(k).copied().unwrap_or(false)
+    }
+
+    /// The governor's capacity boost for the tile at position `k`.
+    fn boost(&self, k: usize) -> u8 {
+        self.boost_plan.get(k).copied().unwrap_or(0)
     }
 
     /// Processes the tile at active-list position `k`: rasterization
@@ -201,39 +216,34 @@ impl TileComputeCtx<'_> {
         tw: &mut TileWorker,
         cw: &mut B::Worker,
     ) -> Option<(TileRasterOut, B::TileOut)> {
-        if self.reuse_on && self.plan[k].1 {
+        if self.reused(k) {
             return None;
         }
         let ti = self.bins.active()[k];
-        let tile = TileCoord { x: ti % self.tiles_x, y: ti / self.tiles_x };
-        let bp_skip = self.bp_active && self.bp[k];
-        let mut out = tw.process_tile(
-            self.cfg,
-            self.trace,
-            tile,
-            self.bins.tile(ti as usize),
-            self.mode,
-            bp_skip,
-        );
-        if !self.blocked.is_empty() {
-            tw.coll_frags.retain(|f| !self.blocked.contains(&f.object));
+        let tiles_x = self.config.tiles_x();
+        let tile = TileCoord { x: ti % tiles_x, y: ti / tiles_x };
+        let prims = self.bins.tile(ti as usize);
+        let mut out =
+            tw.process_tile(self.config, self.trace, tile, prims, self.mode, self.bp_skip(k));
+        if !self.governor_blocked.is_empty() {
+            tw.coll_frags.retain(|f| !self.governor_blocked.contains(&f.object));
             out.coll_frags = tw.coll_frags.len() as u64;
         }
-        let boost = self.boost.get(k).copied().unwrap_or(0);
-        let cout = B::process_boosted_tile(cw, tile, &tw.coll_frags, boost);
+        let cout = B::process_boosted_tile(cw, tile, &tw.coll_frags, self.boost(k));
         Some((out, cout))
     }
 }
 
 impl Simulator {
-    /// Renders one frame using up to `threads` worker threads for the
-    /// raster pipeline, producing results **bit-identical** to
-    /// [`Simulator::render_frame`] with the corresponding sequential
-    /// unit — same frame statistics, same cache stats, same cycle
-    /// counts, same contacts in the same order — for any thread count.
+    /// Renders one frame with up to `threads` worker threads: a
+    /// one-job [`render_batch`]. Results are **bit-identical** for any
+    /// thread count — same frame statistics, cache stats, cycle counts,
+    /// and contacts in the same order. `threads <= 1` (or a frame with
+    /// a single active tile) runs on the calling thread with no pool.
     ///
-    /// `threads == 1` (or a frame with a single active tile) runs
-    /// inline on the calling thread with no pool overhead.
+    /// # Panics
+    ///
+    /// If a pool worker panics.
     pub fn render_frame_parallel<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
@@ -241,32 +251,18 @@ impl Simulator {
         backend: &mut B,
         threads: usize,
     ) -> FrameStats {
-        let geometry = self.geometry_pipeline_with(trace, mode, threads);
-        let co = self.plan_raster(trace, mode, &*backend);
-        let slots = self.compute_raster(trace, mode, &*backend, threads.max(1));
-        let (raster, coherence) = self.merge_raster(trace, backend, slots, co);
-        let governor = self.governor_frame_stats();
-        let stats = FrameStats {
-            geometry,
-            raster,
-            coherence,
-            governor,
-            broadphase: self.broadphase_frame_stats(),
-            frames: 1,
-        };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.end_frame(stats.total_cycles());
-        }
-        stats
+        render_batch(&mut [BatchJob { sim: self, backend, trace, mode }], threads)
+            .expect("tile worker panicked")
+            .remove(0)
     }
 
-    /// Plan phase: temporal-coherence reuse decisions and the
-    /// governor's coarsening plan, computed on the main thread *before*
-    /// the compute phase, so they depend only on the binned frame —
-    /// never on worker scheduling — and are thread-count invariant by
-    /// construction. The overload governor's policy rung 1 forces the
-    /// reuse machinery on, so signature-stable tiles replay cheaply
-    /// while the frame is under deadline pressure.
+    /// Plan phase: temporal-coherence reuse decisions, the broad-phase
+    /// skip mask, and the governor's coarsening plan, computed on the
+    /// main thread *before* any tile is, so they depend only on the
+    /// binned frame — never on worker scheduling — and are thread-count
+    /// invariant by construction. The overload governor's policy rung 1
+    /// forces the reuse machinery on, so signature-stable tiles replay
+    /// cheaply while the frame is under deadline pressure.
     pub(crate) fn plan_raster<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
@@ -300,6 +296,7 @@ impl Simulator {
             BroadphaseStats::default()
         };
 
+        self.reuse_plan.clear();
         if reuse_on {
             // The incremental front-end already hashed this frame's
             // draws (its cache key shares the digest); reuse them
@@ -323,7 +320,6 @@ impl Simulator {
             let seed = coherence::frame_seed(&self.config, mode, key, bp_active);
             self.result_cache
                 .ensure_tiles((self.config.tiles_x() * self.config.tiles_y()) as usize);
-            self.reuse_plan.clear();
             for (k, &ti) in self.bins.active().iter().enumerate() {
                 let raw =
                     coherence::tile_signature(seed, self.bins.tile(ti as usize), &self.draw_hashes);
@@ -375,146 +371,84 @@ impl Simulator {
         co
     }
 
-    /// Builds the immutable compute-phase view of this (planned) frame.
-    /// Only valid between [`Simulator::plan_raster`] and
-    /// [`Simulator::merge_raster`] of the same frame.
+    /// Builds the immutable compute-phase view of this (planned) frame
+    /// for a worker pool. Only valid between [`Simulator::plan_raster`]
+    /// and [`Simulator::merge_raster`] of the same frame.
     pub(crate) fn compute_ctx<'a>(
         &'a self,
         trace: &'a FrameTrace,
         mode: PipelineMode,
     ) -> TileComputeCtx<'a> {
+        let Simulator { config, bins, reuse_plan, boost_plan, governor_blocked, bp_plan, .. } =
+            self;
         TileComputeCtx {
-            cfg: &self.config,
-            bins: &self.bins,
-            plan: &self.reuse_plan,
-            boost: &self.boost_plan,
-            blocked: &self.governor_blocked,
-            reuse_on: self.reuse || self.governor.is_some(),
-            tiles_x: self.config.tiles_x(),
+            config,
+            bins,
+            reuse_plan,
+            boost_plan,
+            governor_blocked,
+            bp_plan,
             trace,
             mode,
-            bp: &self.bp_plan,
-            bp_active: self.bp_active,
         }
     }
 
-    /// Compute phase for the solo render path: owned per-tile results,
-    /// indexed by position in the active list. Tiles the plan marks
-    /// reused are skipped — no worker ever touches them.
-    fn compute_raster<B: ParallelCollision>(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-        backend: &B,
-        threads: usize,
-    ) -> Vec<Option<(TileRasterOut, B::TileOut)>> {
-        // Lend out the resident worker (no per-frame allocation on the
-        // inline path) while the compute context borrows the rest of
-        // the simulator immutably.
-        let mut tw = std::mem::replace(&mut self.worker, TileWorker::empty());
-        let slots;
-        {
-            let ctx = self.compute_ctx(trace, mode);
-            let n = ctx.tiles();
-            if threads <= 1 || n <= 1 {
-                let mut inline = Vec::with_capacity(n);
-                let mut cw = backend.make_worker();
-                for k in 0..n {
-                    inline.push(ctx.compute_tile::<B>(k, &mut tw, &mut cw));
-                }
-                slots = inline;
-            } else {
-                let mut pooled: Vec<Option<(TileRasterOut, B::TileOut)>> = Vec::new();
-                pooled.resize_with(n, || None);
-                let next = AtomicUsize::new(0);
-                // Workers are created up front on this thread:
-                // `make_worker` borrows the backend, which must not be
-                // shared with the pool (merge needs it mutably
-                // afterwards).
-                let col_workers: Vec<B::Worker> =
-                    (0..threads).map(|_| backend.make_worker()).collect();
-                let ctx = &ctx;
-                let results: Vec<Vec<(usize, TileRasterOut, B::TileOut)>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = col_workers
-                            .into_iter()
-                            .map(|mut cw| {
-                                let next = &next;
-                                s.spawn(move || {
-                                    let mut tw = TileWorker::new(ctx.config());
-                                    let mut done = Vec::new();
-                                    loop {
-                                        let k = next.fetch_add(1, Ordering::Relaxed);
-                                        if k >= ctx.tiles() {
-                                            break;
-                                        }
-                                        if let Some((out, cout)) =
-                                            ctx.compute_tile::<B>(k, &mut tw, &mut cw)
-                                        {
-                                            done.push((k, out, cout));
-                                        }
-                                    }
-                                    done
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("tile worker panicked"))
-                            .collect()
-                    });
-                for batch in results {
-                    for (k, out, cout) in batch {
-                        pooled[k] = Some((out, cout));
-                    }
-                }
-                slots = pooled;
-            }
-        }
-        self.worker = tw;
-        slots
-    }
-
-    /// Merge phase: tile-index order replays the sequential timeline
-    /// and the shared tile cache's access sequence exactly. Reused
-    /// tiles pull their cached outcome instead of a slot; freshly
-    /// computed tiles refresh the cache for the next frame. Under a
-    /// governor budget, tiles past the deadline are shed (policy
-    /// rung 3): their results — computed or cached — are discarded,
-    /// their objects reported for CPU recovery.
+    /// Merge phase: tile-index order replays the frame timeline and the
+    /// shared tile cache's access sequence exactly. Reused tiles pull
+    /// their cached outcome; fresh tiles take their results from
+    /// `fresh` — pooled ahead of time, or computed right here as the
+    /// merge reaches them — and refresh the cache for the next frame.
+    /// Under a governor budget, tiles past the deadline are shed
+    /// (policy rung 3): their results — pooled or cached — are
+    /// discarded (inline, never computed), their objects reported for
+    /// CPU recovery.
     pub(crate) fn merge_raster<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
+        mode: PipelineMode,
         backend: &mut B,
-        mut slots: Vec<Option<(TileRasterOut, B::TileOut)>>,
+        mut fresh: FreshTiles<B>,
         mut co: CoherenceStats,
     ) -> (RasterStats, CoherenceStats) {
-        let cfg = self.config.clone();
         let mut r = RasterStats::default();
-        let tiles_x = cfg.tiles_x();
         let gov = self.governor;
         let reuse_on = self.reuse || gov.is_some();
         let bp_active = self.bp_active;
         let bp_sweep = self.bp_stats.sweep_cycles;
         let Simulator {
+            config,
             bins,
+            worker,
             tile_cache,
             tracer,
             reuse_plan,
             result_cache,
             boost_plan,
+            governor_blocked,
             governor_report,
             bp_plan,
             ..
         } = self;
-        let active = bins.active();
+        let ctx = TileComputeCtx {
+            config,
+            bins,
+            reuse_plan,
+            boost_plan,
+            governor_blocked,
+            bp_plan,
+            trace,
+            mode,
+        };
+        let mut fresh_tile = |k: usize| {
+            match &mut fresh {
+                FreshTiles::Pooled(slots) => slots[k].take(),
+                FreshTiles::Inline(cw) => ctx.compute_tile::<B>(k, worker, cw),
+            }
+            .expect("fresh tiles are computed, never reused")
+        };
+        let cfg = ctx.config;
+        let tiles_x = cfg.tiles_x();
         let coord = |ti: u32| TileCoord { x: ti % tiles_x, y: ti / tiles_x };
-        let plan: &[(u64, bool)] = reuse_plan;
-        let is_reused = |k: usize| reuse_on && plan[k].1;
-        let bp: &[bool] = bp_plan;
-        let is_bp_skip = |k: usize| bp_active && bp[k];
-        let boost: &[u8] = boost_plan;
-        let tile_boost = |k: usize| boost.get(k).copied().unwrap_or(0);
 
         let budget = gov.map_or(0, |g| g.frame_budget_cycles);
         let shed_overhead = gov.map_or(0, |g| g.shed_overhead_cycles);
@@ -538,18 +472,18 @@ impl Simulator {
             r.fp_idle_cycles += bp_sweep;
             cursor += bp_sweep;
         }
-        for (k, &ti) in active.iter().enumerate() {
+        for (k, &ti) in ctx.bins.active().iter().enumerate() {
             let ti_us = ti as usize;
             let tc = coord(ti);
             if budget > 0 && cursor >= budget {
                 let rep = report.as_mut().expect("a budget implies a governed frame");
                 rep.shed_tiles.push((tc.x, tc.y));
-                for prim in bins.tile(ti_us) {
+                for prim in ctx.bins.tile(ti_us) {
                     if let Some(id) = trace.draws[prim.draw as usize].collidable {
                         rep.shed_objects.insert(id);
                     }
                 }
-                if is_reused(k) {
+                if ctx.reused(k) {
                     // The planned replay never happens.
                     co.tiles_reused -= 1;
                 }
@@ -563,8 +497,8 @@ impl Simulator {
             // (the signature check reads it), so the shared tile-cache
             // access sequence — and its counters — stay bit-identical
             // with reuse on or off.
-            replay_tile_cache(tile_cache, &cfg, ti_us, bins.tile(ti_us));
-            if is_reused(k) {
+            replay_tile_cache(tile_cache, cfg, ti_us, ctx.bins.tile(ti_us));
+            if ctx.reused(k) {
                 let entry = result_cache.get(ti_us).expect("reuse plan vouched for this tile");
                 let out = entry.out;
                 let cout = entry
@@ -583,7 +517,7 @@ impl Simulator {
                 }
                 max_tile_cycles = max_tile_cycles.max(end - cursor);
                 cursor = end;
-            } else if is_bp_skip(k) {
+            } else if ctx.bp_skip(k) {
                 // Broad phase proved no feasible pair can touch this
                 // tile: the worker already skipped the image-side
                 // work, so the merge charges only the list walk (plus
@@ -592,13 +526,13 @@ impl Simulator {
                 // replayed unchanged: every collisionable fragment
                 // reached the unit exactly as it would have without
                 // pruning, so pairs and `rbcd.*` stay bit-identical.
-                let (out, cout) = slots[k].take().expect("every claimed tile completed");
+                let (out, cout) = fresh_tile(k);
                 let mut replay_cycles = broadphase::skip_replay_cycles(out.prim_count);
                 if reuse_on {
                     let sig_cycles = coherence::signature_check_cycles(out.prim_count);
                     co.signature_cycles += sig_cycles;
                     replay_cycles += sig_cycles;
-                    result_cache.store(ti_us, plan[k].0, out, Box::new(cout.clone()));
+                    result_cache.store(ti_us, ctx.reuse_plan[k].0, out, Box::new(cout.clone()));
                 }
                 let start = cursor;
                 let end = accumulate_reused_tile(&mut r, &out, cursor, replay_cycles);
@@ -610,11 +544,11 @@ impl Simulator {
                 max_tile_cycles = max_tile_cycles.max(end - cursor);
                 cursor = end;
             } else {
-                let (out, cout) = slots[k].take().expect("every claimed tile completed");
-                let b = tile_boost(k);
+                let (out, cout) = fresh_tile(k);
+                let b = ctx.boost(k);
                 coarsened += (b > 0) as u64;
                 let start = cursor.max(backend.next_free());
-                let mut end = accumulate_tile(&mut r, &cfg, &out, cursor, start);
+                let mut end = accumulate_tile(&mut r, cfg, &out, cursor, start);
                 if reuse_on {
                     // The signature was checked (and missed); charge it
                     // and refresh the cache with the fresh result. A
@@ -626,7 +560,8 @@ impl Simulator {
                     r.fp_idle_cycles += sig_cycles;
                     end += sig_cycles;
                     if b == 0 {
-                        result_cache.store(ti_us, plan[k].0, out, Box::new(cout.clone()));
+                        let sig = ctx.reuse_plan[k].0;
+                        result_cache.store(ti_us, sig, out, Box::new(cout.clone()));
                     }
                 }
                 backend.merge_tile(tc, cout, start, end);
@@ -645,7 +580,7 @@ impl Simulator {
         *governor_report = report;
         cursor = cursor.max(backend.idle_at());
         r.tile_cache_loads = tile_cache.stats();
-        finalize_raster_timing(&mut r, &cfg, cursor);
+        finalize_raster_timing(&mut r, cfg, cursor);
         (r, co)
     }
 }
@@ -655,6 +590,7 @@ mod tests {
     use super::*;
     use crate::command::{Camera, DrawCommand, ObjectId};
     use crate::config::{GovernorConfig, GpuConfig};
+    use crate::NullCollisionUnit;
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};
 
@@ -678,6 +614,8 @@ mod tests {
         GpuConfig { viewport: Viewport::new(128, 96), ..GpuConfig::default() }
     }
 
+    /// `render_frame` (one worker, merge-computed tiles) against a
+    /// worker pool of every size.
     #[test]
     fn parallel_null_matches_sequential() {
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
@@ -697,7 +635,7 @@ mod tests {
     fn parallel_warm_caches_match_sequential() {
         // Cache stats are order-dependent and persist across frames;
         // the merge-phase replay must keep multi-frame warm-cache runs
-        // identical too.
+        // identical between one worker and a pool too.
         let trace = busy_trace();
         let mut seq_sim = Simulator::new(cfg());
         let mut par_sim = Simulator::new(cfg());

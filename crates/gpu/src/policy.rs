@@ -41,8 +41,8 @@ use crate::frontend::FrontendMode;
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use = "a FramePolicy does nothing until passed to SimulatorBuilder::policy or a session"]
 pub struct FramePolicy {
-    /// Worker threads for the parallel render path (and solo session
-    /// runs). Simulated results are bit-identical for any value; the
+    /// Worker threads for rendering (solo session runs). Simulated
+    /// results are bit-identical for any value; the
     /// batch scheduler's shared pool overrides this per run. Clamped to
     /// at least 1 at the point of use.
     pub workers: usize,
@@ -140,9 +140,9 @@ impl FramePolicy {
     }
 
     /// Selects the screen-space broad phase. `On` prunes pair-infeasible
-    /// draws and tiles on the parallel render path while keeping pairs
-    /// and `rbcd.*` counters bit-identical; only raster/scan timing,
-    /// energy, and the mask-only `broadphase.*` counters move.
+    /// draws and tiles while keeping pairs and `rbcd.*` counters
+    /// bit-identical; only raster/scan timing, energy, and the
+    /// mask-only `broadphase.*` counters move.
     pub fn with_broadphase(mut self, broadphase: BroadPhase) -> Self {
         self.broadphase = broadphase;
         self

@@ -1,24 +1,26 @@
 //! The batch render service: many sessions' frames over one worker pool.
 //!
-//! [`render_batch`] is the GPU-side half of the multi-session scheduler
-//! (`rbcd_core::sched`). It takes one frame from each of N independent
-//! sessions — each a [`BatchJob`] wrapping its own [`Simulator`] and
-//! collision backend — and drives all of them through the three-phase
-//! parallel pipeline of [`crate::render_frame_parallel`]
-//! with a *single* scoped thread pool:
+//! [`render_batch`] is the simulator's one frame renderer:
+//! [`Simulator::render_frame_parallel`] is a one-job batch, and the
+//! multi-session scheduler (`rbcd_core::sched`) submits one frame from
+//! each of N independent sessions — each a [`BatchJob`] wrapping its own
+//! [`Simulator`] and collision backend. Every batch runs the phases of
+//! `crate::parallel`:
 //!
 //! 1. **Plan** — each session's geometry pipeline and raster plan run
 //!    sequentially on the calling thread, in submission order. Plans
 //!    depend only on the session's own state, never on the pool.
-//! 2. **Compute** — every live session exposes an immutable
-//!    [`TileComputeCtx`](crate::parallel); their tiles are interleaved
-//!    round-robin by tile position into one work list that workers
-//!    drain via an atomic cursor. Per-tile work is order-free and
-//!    session-private (each worker keeps one raster scratch and one
-//!    collision worker *per session*), so the interleaving affects only
-//!    wall-clock, never results.
+//! 2. **Compute** (with more than one worker) — every live session
+//!    exposes an immutable [`TileComputeCtx`](crate::parallel); their
+//!    tiles are interleaved round-robin by tile position into one work
+//!    list that a single scoped pool drains via an atomic cursor.
+//!    Per-tile work is order-free and session-private (each worker
+//!    keeps one raster scratch and one collision worker *per session*),
+//!    so the interleaving affects only wall-clock, never results.
 //! 3. **Merge** — each session's results are folded back on its own
-//!    sequential timeline, in submission order, in tile-index order.
+//!    timeline, in submission order, in tile-index order. With one
+//!    worker there is no compute phase: each merge computes its
+//!    session's fresh tiles itself, one at a time.
 //!
 //! Because phase 2 is the only concurrent phase and it is pure with
 //! respect to every session's mutable state, each session's frame
@@ -33,7 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::command::FrameTrace;
-use crate::parallel::ParallelCollision;
+use crate::parallel::{FreshTiles, ParallelCollision, TileSlots};
 use crate::sim::{PipelineMode, Simulator, TileWorker};
 use crate::stats::FrameStats;
 
@@ -94,118 +96,109 @@ pub fn render_batch<B: ParallelCollision>(
     let mut geoms = Vec::with_capacity(jobs.len());
     let mut cos = Vec::with_capacity(jobs.len());
     for job in jobs.iter_mut() {
-        geoms.push(job.sim.geometry_pipeline_with(job.trace, job.mode, workers));
+        geoms.push(job.sim.geometry_pipeline(job.trace, job.mode, workers));
         cos.push(job.sim.plan_raster(job.trace, job.mode, &*job.backend));
     }
 
-    // Phase 2: one interleaved work list across all sessions, drained
-    // by the shared pool. Results land in per-session slot vectors.
-    let mut slots: Vec<Vec<Option<(_, B::TileOut)>>> = Vec::with_capacity(jobs.len());
-    {
-        let ctxs: Vec<_> = jobs.iter().map(|j| j.sim.compute_ctx(j.trace, j.mode)).collect();
-        for ctx in &ctxs {
-            let mut v = Vec::new();
-            v.resize_with(ctx.tiles(), || None);
-            slots.push(v);
-        }
-        // Round-robin by tile position: (session, tile) pairs cycle
-        // through the sessions so every session makes progress at the
-        // same rate regardless of scene size (fairness), and the claim
-        // order is deterministic even though completion order is not.
-        let max_tiles = ctxs.iter().map(|c| c.tiles()).max().unwrap_or(0);
-        let mut items: Vec<(u32, u32)> = Vec::new();
-        for pos in 0..max_tiles {
-            for (ji, ctx) in ctxs.iter().enumerate() {
-                if pos < ctx.tiles() {
-                    items.push((ji as u32, pos as u32));
-                }
-            }
-        }
-
-        if workers <= 1 || items.len() <= 1 {
-            // Inline on the calling thread: one collision worker per
-            // session (created eagerly — cheap), one raster scratch per
-            // session (created lazily — a z-buffer allocation).
-            let mut cws: Vec<B::Worker> =
-                jobs.iter().map(|j| j.backend.make_worker()).collect();
-            let mut tws: Vec<Option<TileWorker>> = Vec::new();
-            tws.resize_with(jobs.len(), || None);
-            for &(ji, k) in &items {
-                let (ji, k) = (ji as usize, k as usize);
-                let ctx = &ctxs[ji];
-                let tw = tws[ji].get_or_insert_with(|| TileWorker::new(ctx.config()));
-                slots[ji][k] = ctx.compute_tile::<B>(k, tw, &mut cws[ji]);
-            }
-        } else {
-            // Each pool thread owns one collision worker per session
-            // (collision workers are not shareable across sessions: a
-            // backend's worker may be sized by its config) plus lazy
-            // per-session raster scratches.
-            let worker_sets: Vec<Vec<B::Worker>> = (0..workers)
-                .map(|_| jobs.iter().map(|j| j.backend.make_worker()).collect())
-                .collect();
-            let next = AtomicUsize::new(0);
-            let ctxs = &ctxs;
-            let items: &[(u32, u32)] = &items;
-            let batches: Vec<Result<Vec<(usize, usize, _)>, ServiceError>> =
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = worker_sets
-                        .into_iter()
-                        .map(|mut cws| {
-                            let next = &next;
-                            s.spawn(move || {
-                                let mut tws: Vec<Option<TileWorker>> = Vec::new();
-                                tws.resize_with(cws.len(), || None);
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= items.len() {
-                                        break;
-                                    }
-                                    let (ji, k) = (items[i].0 as usize, items[i].1 as usize);
-                                    let ctx = &ctxs[ji];
-                                    let tw = tws[ji]
-                                        .get_or_insert_with(|| TileWorker::new(ctx.config()));
-                                    if let Some(out) = ctx.compute_tile::<B>(k, tw, &mut cws[ji]) {
-                                        done.push((ji, k, out));
-                                    }
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().map_err(|_| ServiceError::WorkerPanicked))
-                        .collect()
-                });
-            for batch in batches {
-                for (ji, k, out) in batch? {
-                    slots[ji][k] = Some(out);
-                }
-            }
-        }
-    }
+    // Phase 2, with a pool only: compute every session's fresh tiles
+    // ahead of the merge. With one worker each merge computes its own.
+    let pooled = if workers > 1 { compute_pooled(jobs, workers)? } else { None };
+    let mut pooled = pooled.map(Vec::into_iter);
 
     // Phase 3: merge every session, sequentially, in submission order.
     let mut stats = Vec::with_capacity(jobs.len());
-    for (ji, job) in jobs.iter_mut().enumerate() {
-        let (raster, coherence) = job.sim.merge_raster(
-            job.trace,
-            job.backend,
-            std::mem::take(&mut slots[ji]),
-            std::mem::take(&mut cos[ji]),
-        );
+    for ((job, geometry), co) in jobs.iter_mut().zip(geoms).zip(cos) {
+        let fresh = match pooled.as_mut() {
+            Some(slots) => FreshTiles::Pooled(slots.next().expect("one slot list per job")),
+            None => FreshTiles::Inline(job.backend.make_worker()),
+        };
+        let (raster, coherence) = job.sim.merge_raster(job.trace, job.mode, job.backend, fresh, co);
         let governor = job.sim.governor_frame_stats();
         let broadphase = job.sim.broadphase_frame_stats();
-        let s =
-            FrameStats { geometry: geoms[ji], raster, coherence, governor, broadphase, frames: 1 };
+        let s = FrameStats { geometry, raster, coherence, governor, broadphase, frames: 1 };
         if let Some(t) = job.sim.tracer.as_deref_mut() {
             t.end_frame(s.total_cycles());
         }
         stats.push(s);
     }
     Ok(stats)
+}
+
+/// The compute phase: one interleaved work list across all sessions,
+/// drained by a pool of `workers` threads into per-session slot lists.
+/// `None` when the whole batch has at most one tile to compute — a pool
+/// would have nothing to overlap.
+fn compute_pooled<B: ParallelCollision>(
+    jobs: &[BatchJob<'_, B>],
+    workers: usize,
+) -> Result<Option<Vec<TileSlots<B>>>, ServiceError> {
+    let ctxs: Vec<_> = jobs.iter().map(|j| j.sim.compute_ctx(j.trace, j.mode)).collect();
+    // Round-robin by tile position: (session, tile) pairs cycle through
+    // the sessions so every session makes progress at the same rate
+    // regardless of scene size (fairness), and the claim order is
+    // deterministic even though completion order is not.
+    let max_tiles = ctxs.iter().map(|c| c.tiles()).max().unwrap_or(0);
+    let mut items: Vec<(u32, u32)> = Vec::new();
+    for pos in 0..max_tiles {
+        for (ji, ctx) in ctxs.iter().enumerate() {
+            if pos < ctx.tiles() {
+                items.push((ji as u32, pos as u32));
+            }
+        }
+    }
+    if items.len() <= 1 {
+        return Ok(None);
+    }
+
+    // Each pool thread owns one collision worker per session (collision
+    // workers are not shareable across sessions: a backend's worker may
+    // be sized by its config) plus lazy per-session raster scratches.
+    let worker_sets: Vec<Vec<B::Worker>> =
+        (0..workers).map(|_| jobs.iter().map(|j| j.backend.make_worker()).collect()).collect();
+    let next = AtomicUsize::new(0);
+    let ctxs = &ctxs;
+    let items: &[(u32, u32)] = &items;
+    let batches: Vec<Result<Vec<(usize, usize, _)>, ServiceError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = worker_sets
+            .into_iter()
+            .map(|mut cws| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut tws: Vec<Option<TileWorker>> = Vec::new();
+                    tws.resize_with(cws.len(), || None);
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let (ji, k) = (items[i].0 as usize, items[i].1 as usize);
+                        let ctx = &ctxs[ji];
+                        let tw = tws[ji].get_or_insert_with(|| TileWorker::new(ctx.config()));
+                        if let Some(out) = ctx.compute_tile::<B>(k, tw, &mut cws[ji]) {
+                            done.push((ji, k, out));
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().map_err(|_| ServiceError::WorkerPanicked)).collect()
+    });
+    let mut slots: Vec<TileSlots<B>> = ctxs
+        .iter()
+        .map(|c| {
+            let mut v = Vec::new();
+            v.resize_with(c.tiles(), || None);
+            v
+        })
+        .collect();
+    for batch in batches {
+        for (ji, k, out) in batch? {
+            slots[ji][k] = Some(out);
+        }
+    }
+    Ok(Some(slots))
 }
 
 #[cfg(test)]

@@ -4,16 +4,15 @@ use crate::broadphase::{BroadPhase, DrawBounds, SweepScratch};
 use crate::cache::CacheModel;
 use crate::clip::clip_near;
 use crate::coherence::{self, MeshHashMemo, TileResultCache};
-use crate::collision_unit::{CollisionFragment, CollisionUnit, TileCoord};
+use crate::collision_unit::{CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
+use crate::parallel::{FreshTiles, ParallelCollision};
 use crate::raster::{
     rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Fragment, ScreenTriangle,
 };
-use crate::stats::{
-    BroadphaseStats, CoherenceStats, FrameStats, GeometryStats, GovernorStats, RasterStats,
-};
+use crate::stats::{BroadphaseStats, FrameStats, GeometryStats, GovernorStats, RasterStats};
 use rbcd_math::{viewport as viewport_map, Vec3, Vec4};
 use rbcd_trace::{TileZebRecord, TraceBuffer};
 use std::collections::BTreeSet;
@@ -140,8 +139,8 @@ pub(crate) struct TileWorker {
     /// Per-tile depth buffer.
     zbuf: Vec<f32>,
     frag_scratch: Vec<Fragment>,
-    /// Collisionable fragments of the last processed tile, in the exact
-    /// order the sequential pipeline would feed them to the unit.
+    /// Collisionable fragments of the last processed tile, in
+    /// rasterization order.
     pub(crate) coll_frags: Vec<CollisionFragment>,
 }
 
@@ -171,14 +170,6 @@ impl TileWorker {
             frag_scratch: Vec::with_capacity(tile_pixels),
             coll_frags: Vec::new(),
         }
-    }
-
-    /// An allocation-free placeholder, used to lend the simulator's
-    /// resident worker out across an immutable borrow of the rest of
-    /// the simulator (`std::mem::replace` in the compute phase). Must
-    /// never process a tile: its z-buffer is empty.
-    pub(crate) fn empty() -> Self {
-        Self { zbuf: Vec::new(), frag_scratch: Vec::new(), coll_frags: Vec::new() }
     }
 
     /// Rasterizes one tile's polygon list: fragment generation, Early-Z
@@ -368,7 +359,8 @@ pub struct Simulator {
     pub(crate) tile_cache: CacheModel,
     /// The frame's binned polygon lists (reused across frames).
     pub(crate) bins: BinnedTiles,
-    /// Resident raster worker for sequential execution.
+    /// Resident raster worker: one-worker frames compute every tile on
+    /// it, inside the merge phase.
     pub(crate) worker: TileWorker,
     /// Structured event recorder; `None` (the default) costs nothing on
     /// the hot path. Boxed so the simulator stays small and `Send`.
@@ -446,7 +438,7 @@ struct DrawPlan {
 /// Replays tile `ti`'s Tile Fetcher accesses (bin entry + shared
 /// primitive record per primitive) against the shared tile cache. The
 /// cache model's stats are access-order dependent, so the merge phase
-/// replays tiles in index order — identical to the sequential walk.
+/// replays tiles in index order at any worker count.
 pub(crate) fn replay_tile_cache(
     tile_cache: &mut CacheModel,
     cfg: &GpuConfig,
@@ -603,16 +595,14 @@ impl Simulator {
 
     /// Enables or disables temporal tile reuse (off by default).
     ///
-    /// With reuse on, [`Simulator::render_frame_parallel`] computes a
-    /// deterministic signature per active tile; tiles whose signature
-    /// matches the previous frame skip rasterization, ZEB build and the
-    /// Z-overlap scan, replaying the cached result while the timing
-    /// model charges only the signature check. Workload and collision
-    /// counters (fragments, pairs, `rbcd.*`) are bit-identical either
-    /// way; only the timing counters (`raster.cycles`, idle/stall
-    /// cycles) and `coherence.*` reflect the reuse. The sequential
-    /// [`Simulator::render_frame`] path ignores this knob: its
-    /// `dyn CollisionUnit` protocol has no per-tile result capsule.
+    /// With reuse on, every render computes a deterministic signature
+    /// per active tile; tiles whose signature matches the previous
+    /// frame skip rasterization, ZEB build and the Z-overlap scan,
+    /// replaying the cached result while the timing model charges only
+    /// the signature check. Workload and collision counters (fragments,
+    /// pairs, `rbcd.*`) are bit-identical either way; only the timing
+    /// counters (`raster.cycles`, idle/stall cycles) and `coherence.*`
+    /// reflect the reuse.
     ///
     /// Disabling drops every cached tile, so a later re-enable starts
     /// cold instead of replaying stale results.
@@ -631,11 +621,11 @@ impl Simulator {
     /// Selects the screen-space broad phase ([`BroadPhase::Off`] by
     /// default, which keeps every golden counter pinned).
     ///
-    /// With [`BroadPhase::On`], [`Simulator::render_frame_parallel`]
-    /// computes per-draw screen AABBs + z-intervals, runs a
-    /// deterministic interval sweep for the pair-feasible object set,
-    /// and elides the image-side work (scenery raster, Early-Z,
-    /// shading, ZEB claim) of tiles where no feasible pair can occur.
+    /// With [`BroadPhase::On`], every render computes per-draw screen
+    /// AABBs + z-intervals, runs a deterministic interval sweep for the
+    /// pair-feasible object set, and elides the image-side work
+    /// (scenery raster, Early-Z, shading, ZEB claim) of tiles where no
+    /// feasible pair can occur.
     /// Reported pairs, every `rbcd.*` counter, and fault-ladder
     /// behaviour are bit-identical either way — skipped tiles'
     /// collisionable fragments still reach the unit unchanged; only
@@ -648,9 +638,7 @@ impl Simulator {
     /// decisions are merge-cursor driven, and pruning moves the cursor,
     /// so the governor takes precedence — a governed frame is never
     /// pruned and pruned tiles never count toward its budget
-    /// projection). The sequential [`Simulator::render_frame`] path
-    /// ignores the knob, like temporal reuse: its `dyn CollisionUnit`
-    /// protocol has no per-tile replay hook.
+    /// projection).
     ///
     /// Toggling drops the temporal-reuse result cache: cached capsules
     /// were recorded under the other mode's frame seed and could never
@@ -725,14 +713,10 @@ impl Simulator {
     /// default) every output is bit-identical to an ungoverned
     /// simulator. With a configuration installed:
     ///
-    /// * [`Simulator::render_frame_parallel`] walks the full policy
-    ///   ladder — forced temporal reuse for signature-stable tiles,
-    ///   scan coarsening on the heaviest tiles when the projected frame
-    ///   cost exceeds the budget, and tile shedding once the merge
-    ///   timeline crosses it;
-    /// * the sequential [`Simulator::render_frame`] applies only the
-    ///   shed rung and the blocked-object routing (its `dyn` unit
-    ///   protocol has no reuse capsule or coarsening hook);
+    /// * every render walks the full policy ladder — forced temporal
+    ///   reuse for signature-stable tiles, scan coarsening on the
+    ///   heaviest tiles when the projected frame cost exceeds the
+    ///   budget, and tile shedding once the merge timeline crosses it;
     /// * each frame leaves a [`GovernorFrameReport`] for
     ///   [`Simulator::take_governor_report`].
     ///
@@ -809,54 +793,29 @@ impl Simulator {
         }
     }
 
-    /// Renders one frame, returning its statistics. In
-    /// [`PipelineMode::Rbcd`], collisionable fragments are pushed into
-    /// `unit` and ZEB stalls are modelled through its timing protocol;
-    /// pass [`crate::NullCollisionUnit`] for baseline runs.
-    ///
-    /// For multi-threaded tile execution with identical results, see
-    /// [`Simulator::render_frame_parallel`].
-    pub fn render_frame(
+    /// Renders one frame on the calling thread, returning its
+    /// statistics: [`Simulator::render_frame_parallel`] with one worker,
+    /// so every [`crate::FramePolicy`] knob — reuse, broad phase, the
+    /// whole governor ladder — applies. In [`PipelineMode::Rbcd`],
+    /// collisionable fragments reach `backend` and ZEB stalls are
+    /// modelled through its timing protocol; pass
+    /// [`crate::NullCollisionUnit`] for baseline runs.
+    pub fn render_frame<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
-        unit: &mut dyn CollisionUnit,
+        backend: &mut B,
     ) -> FrameStats {
-        let geometry = self.geometry_pipeline(trace, mode);
-        let raster = self.raster_pipeline(trace, mode, unit);
-        let governor = self.governor_frame_stats();
-        let stats = FrameStats {
-            geometry,
-            raster,
-            coherence: CoherenceStats::default(),
-            governor,
-            broadphase: BroadphaseStats::default(),
-            frames: 1,
-        };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.end_frame(stats.total_cycles());
-        }
-        stats
+        self.render_frame_parallel(trace, mode, backend, 1)
     }
 
     /// Geometry Pipeline: vertex processing, primitive assembly,
     /// clipping, (deferred) face culling, and binning into `self.bins`.
-    /// Single-threaded entry point; the parallel render path calls
-    /// [`Simulator::geometry_pipeline_with`] so the incremental
-    /// front-end can shade changed draws on the worker pool.
+    /// `threads` sizes the incremental front-end's parallel shading
+    /// stage. Results are bit-identical at any `threads` (and to the
+    /// rebuild front-end); the thread count affects host wall-clock
+    /// only.
     pub(crate) fn geometry_pipeline(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-    ) -> GeometryStats {
-        self.geometry_pipeline_with(trace, mode, 1)
-    }
-
-    /// Geometry Pipeline with an explicit worker-thread count for the
-    /// incremental front-end's parallel shading stage. Results are
-    /// bit-identical at any `threads` (and to the rebuild front-end);
-    /// the thread count affects host wall-clock only.
-    pub(crate) fn geometry_pipeline_with(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
@@ -1231,99 +1190,24 @@ impl Simulator {
     /// `rbcd-bench`, which isolates host wall-clock of the raster/scan
     /// hot path from per-frame geometry work.
     pub fn bench_bin_frame(&mut self, trace: &FrameTrace, mode: PipelineMode) -> GeometryStats {
-        self.geometry_pipeline(trace, mode)
+        self.geometry_pipeline(trace, mode, 1)
     }
 
     /// Benchmark support: one Raster Pipeline pass over the polygon
-    /// lists binned by the last [`Simulator::bench_bin_frame`] call.
-    /// The caller is responsible for resetting `unit` between passes
-    /// (e.g. `RbcdUnit::new_frame` + draining contacts) so each pass
-    /// starts from the same state.
-    pub fn bench_raster_pass(
+    /// lists binned by the last [`Simulator::bench_bin_frame`] call —
+    /// the plan and one-worker merge of a normal frame. The caller is
+    /// responsible for resetting `backend` between passes (e.g.
+    /// `RbcdUnit::new_frame` + draining contacts) so each pass starts
+    /// from the same state.
+    pub fn bench_raster_pass<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
-        unit: &mut dyn CollisionUnit,
+        backend: &mut B,
     ) -> RasterStats {
-        self.raster_pipeline(trace, mode, unit)
-    }
-
-    /// Raster Pipeline: per tile — fetch, rasterize, (RBCD insert),
-    /// Early-Z, shade — with the ZEB stall protocol of §3.5.
-    fn raster_pipeline(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-        unit: &mut dyn CollisionUnit,
-    ) -> RasterStats {
-        let cfg = self.config.clone();
-        let mut r = RasterStats::default();
-        self.tile_cache.reset_stats();
-        let tiles_x = cfg.tiles_x();
-        let gov = self.governor;
-        let budget = gov.map_or(0, |g| g.frame_budget_cycles);
-        let shed_overhead = gov.map_or(0, |g| g.shed_overhead_cycles);
-        let Simulator { bins, worker, tile_cache, tracer, governor_blocked, governor_report, .. } =
-            self;
-        let mut report = gov
-            .map(|g| GovernorFrameReport { budget_cycles: g.frame_budget_cycles, ..Default::default() });
-        let mut max_tile_cycles = 0u64;
-
-        let mut cursor: u64 = 0; // rasterizer timeline, cycles
-        for &ti in bins.active() {
-            let ti = ti as usize;
-            let prims = bins.tile(ti);
-            let tile = TileCoord { x: ti as u32 % tiles_x, y: ti as u32 / tiles_x };
-
-            // Policy rung 3: once the merge timeline crosses the
-            // budget, every remaining tile is shed — its collision work
-            // dropped and its objects reported for CPU recovery.
-            if budget > 0 && cursor >= budget {
-                let rep = report.as_mut().expect("a budget implies a governed frame");
-                rep.shed_tiles.push((tile.x, tile.y));
-                for prim in prims {
-                    if let Some(id) = trace.draws[prim.draw as usize].collidable {
-                        rep.shed_objects.insert(id);
-                    }
-                }
-                cursor += shed_overhead;
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.record_tile_shed(tile.x, tile.y, cursor);
-                }
-                continue;
-            }
-
-            let mut out = worker.process_tile(&cfg, trace, tile, prims, mode, false);
-            if !governor_blocked.is_empty() {
-                // Circuit-breaker routing: blocked objects' fragments
-                // never reach the collision backend.
-                worker.coll_frags.retain(|f| !governor_blocked.contains(&f.object));
-                out.coll_frags = worker.coll_frags.len() as u64;
-            }
-            replay_tile_cache(tile_cache, &cfg, ti, prims);
-
-            // Wait for a free ZEB (no-op for the null unit / baseline).
-            let start = cursor.max(unit.next_free());
-            unit.begin_tile(tile, start);
-            unit.insert_batch(&worker.coll_frags);
-            let end = accumulate_tile(&mut r, &cfg, &out, cursor, start);
-            unit.finish_tile(end);
-            if let Some(t) = tracer.as_deref_mut() {
-                t.record_tile_raster(tile.x, tile.y, start, end, out.frags);
-            }
-            max_tile_cycles = max_tile_cycles.max(end - cursor);
-            cursor = end;
-        }
-        if let Some(rep) = &mut report {
-            rep.used_cycles = cursor;
-            rep.max_tile_cycles = max_tile_cycles;
-        }
-        *governor_report = report;
-        // The frame is complete once the last Z-overlap scan drains.
-        cursor = cursor.max(unit.idle_at());
-        r.tile_cache_loads = tile_cache.stats();
-        finalize_raster_timing(&mut r, &cfg, cursor);
-        r
+        let co = self.plan_raster(trace, mode, &*backend);
+        let fresh = FreshTiles::Inline(backend.make_worker());
+        self.merge_raster(trace, mode, backend, fresh, co).0
     }
 }
 

@@ -1,9 +1,16 @@
 #!/usr/bin/env bash
-# Full local gate: lint, build, test, and two end-to-end smoke runs.
+# Full local gate: lint, build, test, the end-to-end benchmark build, and
+# the repro smoke runs.
+#
+# The benchmark crate (perf/, its own workspace) is built and listed so a
+# library change that breaks it fails here, not at benchmark time. Every
+# smoke runs inside a fresh temporary directory and its greps and cmps
+# read the artifacts written there: the committed full-length
+# BENCH_*.json files are never overwritten by 2-frame smoke numbers.
 #
 # The parallel smoke exercises the threaded tile pipeline end to end
-# (repro --smoke --threads 2), which cross-checks that parallel and
-# sequential simulation produce bit-identical results and writes
+# (repro --smoke --threads 2), which cross-checks that one worker and a
+# worker pool produce bit-identical results and writes
 # BENCH_tile_pipeline.json with measured host throughput. The fault
 # smoke (repro --smoke --faults all --threads 2) injects every fault
 # class at tiny M and fails on panics or silent pair losses, writing
@@ -40,31 +47,40 @@ cargo test --workspace --quiet
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+echo "== benchmark build (perf/) =="
+cargo build --release --frozen --manifest-path perf/Cargo.toml
+cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf -- --list > /dev/null
+
+# Smokes write their artifacts into the working directory: run them all
+# in a scratch directory so the committed artifacts stay untouched.
+repro="$PWD/target/release/repro"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
 echo "== parallel pipeline smoke (repro --smoke --threads 2) =="
-./target/release/repro --smoke --threads 2
+"$repro" --smoke --threads 2
 
 echo "== fault injection smoke (repro --smoke --faults all --threads 2) =="
-./target/release/repro --smoke --faults all --threads 2
+"$repro" --smoke --faults all --threads 2
 
 echo "== trace smoke (repro --smoke --frames 2 --trace) =="
 # Renders two traced frames, re-parses the Chrome JSON with the crate's
 # own parser, and cross-checks heatmap totals against the unit's
 # counters; repro exits non-zero if anything disagrees. Then make sure
 # the artifacts actually landed and are non-empty.
-trace_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir"' EXIT
-./target/release/repro --smoke --frames 2 --trace "$trace_dir/trace.json"
+"$repro" --smoke --frames 2 --trace trace.json
 for f in trace.json trace.occupancy.csv trace.overflows.csv trace.scan_cycles.csv trace.pairs.csv trace.rung.csv trace.reuse.csv trace.scan_skipped.csv trace.shed.csv trace.splice.csv trace.broadphase.csv; do
-  [ -s "$trace_dir/$f" ] || { echo "trace smoke: missing or empty $f"; exit 1; }
+  [ -s "$f" ] || { echo "trace smoke: missing or empty $f"; exit 1; }
 done
-grep -q '"traceEvents"' "$trace_dir/trace.json" || { echo "trace smoke: no traceEvents key"; exit 1; }
+grep -q '"traceEvents"' trace.json || { echo "trace smoke: no traceEvents key"; exit 1; }
 
 echo "== temporal coherence smoke (repro --smoke temporal --threads 2) =="
 # Renders the static clips twice (reuse off, then on); repro exits
 # non-zero if reuse changes a pair set or an rbcd.* counter. On top of
 # that, assert the cache actually fired: a static scene rendered twice
 # must replay tiles.
-./target/release/repro --smoke temporal --threads 2
+"$repro" --smoke temporal --threads 2
 [ -s BENCH_temporal_coherence.json ] || { echo "coherence smoke: missing BENCH_temporal_coherence.json"; exit 1; }
 grep -q '"identical_results": true' BENCH_temporal_coherence.json \
   || { echo "coherence smoke: reuse-on run was not result-identical"; exit 1; }
@@ -79,7 +95,7 @@ echo "== hot-path smoke (repro --smoke hotpath) =="
 # BENCH_raster_hotpath.json. On top of that, guard against a wall-clock
 # regression: the mask hot path must never be slower than the scalar
 # reference it replaced.
-./target/release/repro --smoke hotpath
+"$repro" --smoke hotpath
 [ -s BENCH_raster_hotpath.json ] || { echo "hotpath smoke: missing BENCH_raster_hotpath.json"; exit 1; }
 grep -q '"identical_results": true' BENCH_raster_hotpath.json \
   || { echo "hotpath smoke: mask run was not result-identical"; exit 1; }
@@ -97,7 +113,7 @@ echo "== geometry front-end smoke (repro --smoke frontend) =="
 # writes BENCH_geometry_frontend.json. On top of that, guard against a
 # wall-clock regression: the cached front-end must never be slower than
 # the rebuild it skips.
-./target/release/repro --smoke frontend
+"$repro" --smoke frontend
 [ -s BENCH_geometry_frontend.json ] || { echo "frontend smoke: missing BENCH_geometry_frontend.json"; exit 1; }
 grep -q '"identical_results": true' BENCH_geometry_frontend.json \
   || { echo "frontend smoke: incremental run was not result-identical"; exit 1; }
@@ -115,7 +131,7 @@ echo "== broad-phase smoke (repro --smoke broadphase) =="
 # sparse-swarm clips and writes BENCH_broadphase.json. On top of that,
 # guard against a wall-clock regression: pruning must never be slower
 # than rendering everything.
-./target/release/repro --smoke broadphase
+"$repro" --smoke broadphase
 [ -s BENCH_broadphase.json ] || { echo "broadphase smoke: missing BENCH_broadphase.json"; exit 1; }
 grep -q '"identical_results": true' BENCH_broadphase.json \
   || { echo "broadphase smoke: pruned run was not result-identical"; exit 1; }
@@ -132,16 +148,16 @@ echo "== overload governor smoke (repro --smoke overload) =="
 # from the exact partition). On top of that, the governed sweep must be
 # deterministic: 1, 2, and 4 worker threads must land byte-identical
 # artifacts.
-./target/release/repro --smoke overload --threads 1
+"$repro" --smoke overload --threads 1
 [ -s BENCH_overload.json ] || { echo "overload smoke: missing BENCH_overload.json"; exit 1; }
 grep -q '"budget_violations": 0' BENCH_overload.json \
   || { echo "overload smoke: a frame blew its cycle budget"; exit 1; }
 grep -q '"oracle_misses": 0' BENCH_overload.json \
   || { echo "overload smoke: silent oracle misses in the exact partition"; exit 1; }
-cp BENCH_overload.json "$trace_dir/overload.1.json"
+cp BENCH_overload.json overload.1.json
 for t in 2 4; do
-  ./target/release/repro --smoke overload --threads "$t"
-  cmp -s "$trace_dir/overload.1.json" BENCH_overload.json \
+  "$repro" --smoke overload --threads "$t"
+  cmp -s overload.1.json BENCH_overload.json \
     || { echo "overload smoke: governed sweep diverged at $t threads"; exit 1; }
 done
 
@@ -153,17 +169,17 @@ echo "== multi-session service smoke (repro serve --smoke) =="
 # ledger leak. On top of that, the report itself must be deterministic:
 # after stripping host_* wall-clock lines, runs at 1, 2, and 4 threads
 # must land byte-identical BENCH_multi_session.json artifacts.
-./target/release/repro serve --smoke --threads 1
+"$repro" serve --smoke --threads 1
 [ -s BENCH_multi_session.json ] || { echo "serve smoke: missing BENCH_multi_session.json"; exit 1; }
 grep -q '"interference_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: cross-session interference detected"; exit 1; }
 grep -q '"leak_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: admission ledger leaked a session"; exit 1; }
-grep -v '"host_' BENCH_multi_session.json > "$trace_dir/serve.1.json"
+grep -v '"host_' BENCH_multi_session.json > serve.1.json
 for t in 2 4; do
-  ./target/release/repro serve --smoke --threads "$t"
-  grep -v '"host_' BENCH_multi_session.json > "$trace_dir/serve.$t.json"
-  cmp -s "$trace_dir/serve.1.json" "$trace_dir/serve.$t.json" \
+  "$repro" serve --smoke --threads "$t"
+  grep -v '"host_' BENCH_multi_session.json > "serve.$t.json"
+  cmp -s serve.1.json "serve.$t.json" \
     || { echo "serve smoke: session report diverged at $t threads"; exit 1; }
 done
 
