@@ -56,7 +56,7 @@ use crate::config::GpuConfig;
 use crate::raster::ScreenTriangle;
 use crate::sim::PipelineMode;
 use rbcd_math::{viewport as viewport_map, Mat4, Vec4};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Which geometry front-end arrangement the simulator runs.
@@ -235,6 +235,10 @@ struct GeomEntry {
 /// an evicted draw simply misses and is shaded from scratch.
 pub(crate) struct GeomCache {
     map: HashMap<u64, GeomEntry>,
+    /// Recency index: stamp → key, one entry per cached draw, so the
+    /// least-recently-used draw is the first entry. A miss into a full
+    /// cache pops it instead of scanning the whole map.
+    by_stamp: BTreeMap<u64, u64>,
     stamp: u64,
     capacity: usize,
 }
@@ -247,7 +251,12 @@ impl std::fmt::Debug for GeomCache {
 
 impl GeomCache {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Self { map: HashMap::new(), stamp: 0, capacity: capacity.max(1) }
+        Self {
+            map: HashMap::new(),
+            by_stamp: BTreeMap::new(),
+            stamp: 0,
+            capacity: capacity.max(1),
+        }
     }
 
     /// Number of cached draws.
@@ -259,6 +268,8 @@ impl GeomCache {
     pub(crate) fn get(&mut self, key: u64) -> Option<Arc<CachedDrawGeom>> {
         let entry = self.map.get_mut(&key)?;
         self.stamp += 1;
+        self.by_stamp.remove(&entry.stamp);
+        self.by_stamp.insert(self.stamp, key);
         entry.stamp = self.stamp;
         Some(entry.geom.clone())
     }
@@ -266,32 +277,37 @@ impl GeomCache {
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// draw if the cache is full.
     pub(crate) fn insert(&mut self, key: u64, geom: Arc<CachedDrawGeom>) {
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(&victim) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
+        match self.map.get(&key) {
+            Some(old) => {
+                self.by_stamp.remove(&old.stamp);
             }
+            None if self.map.len() >= self.capacity => self.evict_lru(),
+            None => {}
         }
         self.stamp += 1;
+        self.by_stamp.insert(self.stamp, key);
         self.map.insert(key, GeomEntry { stamp: self.stamp, geom });
     }
 
     /// Drops every cached draw.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
+        self.by_stamp.clear();
     }
 
     /// Changes the bound, evicting least-recently-used draws down to it.
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
         while self.map.len() > self.capacity {
-            if let Some(&victim) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k)
-            {
-                self.map.remove(&victim);
-            }
+            self.evict_lru();
         }
+    }
+
+    /// Removes the draw with the minimum stamp. The index holds exactly
+    /// one stamp per cached draw, so a non-empty cache always has one.
+    fn evict_lru(&mut self) {
+        let (_, victim) = self.by_stamp.pop_first().expect("the recency index mirrors the map");
+        self.map.remove(&victim);
     }
 }
 
@@ -350,6 +366,89 @@ mod tests {
         assert!(cache.len() <= 1);
         cache.insert(8, geom());
         assert_eq!(cache.len(), 1, "capacity 0 clamps to 1");
+    }
+
+    /// The eviction rule without the recency index: a `min_by_key` scan
+    /// over every cached key. The reference [`GeomCache`] must match.
+    struct ScanLru {
+        stamps: HashMap<u64, u64>,
+        stamp: u64,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn with_capacity(capacity: usize) -> Self {
+            Self { stamps: HashMap::new(), stamp: 0, capacity: capacity.max(1) }
+        }
+
+        fn evict_lru(&mut self) {
+            if let Some(&victim) = self.stamps.iter().min_by_key(|(_, &s)| s).map(|(k, _)| k) {
+                self.stamps.remove(&victim);
+            }
+        }
+
+        fn get(&mut self, key: u64) -> bool {
+            let Some(stamp) = self.stamps.get_mut(&key) else { return false };
+            self.stamp += 1;
+            *stamp = self.stamp;
+            true
+        }
+
+        fn insert(&mut self, key: u64) {
+            if !self.stamps.contains_key(&key) && self.stamps.len() >= self.capacity {
+                self.evict_lru();
+            }
+            self.stamp += 1;
+            self.stamps.insert(key, self.stamp);
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity.max(1);
+            while self.stamps.len() > self.capacity {
+                self.evict_lru();
+            }
+        }
+    }
+
+    fn survivors<V>(map: &HashMap<u64, V>) -> Vec<u64> {
+        let mut keys: Vec<u64> = map.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn indexed_eviction_matches_the_scan_reference() {
+        for seed in 0..64u64 {
+            let mut rng = rbcd_math::Rng::seed_from_u64(0x6E0C_AC4E ^ seed);
+            let capacity = rng.gen_range(0usize..12);
+            let mut cache = GeomCache::with_capacity(capacity);
+            let mut reference = ScanLru::with_capacity(capacity);
+            for step in 0..400 {
+                let key = rng.gen_range(0u64..24);
+                match rng.gen_range(0u32..10) {
+                    0..=4 => assert_eq!(
+                        cache.get(key).is_some(),
+                        reference.get(key),
+                        "seed {seed}, step {step}: get({key})"
+                    ),
+                    5..=8 => {
+                        cache.insert(key, geom());
+                        reference.insert(key);
+                    }
+                    _ => {
+                        let capacity = rng.gen_range(0usize..16);
+                        cache.set_capacity(capacity);
+                        reference.set_capacity(capacity);
+                    }
+                }
+                assert_eq!(
+                    survivors(&cache.map),
+                    survivors(&reference.stamps),
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(cache.by_stamp.len(), cache.map.len(), "index mirrors the map");
+            }
+        }
     }
 
     #[test]
