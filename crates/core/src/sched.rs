@@ -14,8 +14,9 @@
 //!   [`AdmissionError`] rejection) plus the round-based run loop
 //!   ([`Scheduler::run`]): each round renders the next frame of every
 //!   live session as one batch over a single shared scoped-thread pool
-//!   (`rbcd_gpu::render_batch`), interleaving all sessions' tiles on
-//!   one work list.
+//!   (`rbcd_gpu::render_batch`): the pool plans the sessions one per
+//!   claim, drains one work list interleaving all sessions' tiles, then
+//!   merges the sessions one per claim.
 //! * [`SessionReport`] — per-session results: frame statistics,
 //!   contacts, escalations, governor reports, fault accounting, and an
 //!   optional structured trace.
@@ -24,8 +25,9 @@
 //!
 //! Every session's simulator, collision unit, coherence cache, governor
 //! timeline, and tracer are session-private; the only shared resource
-//! is host CPU time. The batch service's compute phase is order-free
-//! and its plan/merge phases run per session in submission order, so a
+//! is host CPU time. Each of the batch service's plan and merge phases
+//! reads and writes only its own session's simulator and unit, whichever
+//! pool thread runs it, and its compute phase is order-free, so a
 //! session's [`SessionReport::artifact`] is **bit-identical to running
 //! that session alone** — at any worker count, under any co-tenant mix,
 //! any admission stagger, any fault plan. Scheduling metadata (rounds)
@@ -449,8 +451,11 @@ impl Scheduler {
     ///
     /// Each round batches the next frame of every live session (one
     /// whose clip is unfinished and whose `start_round` has arrived)
-    /// through `rbcd_gpu::render_batch` on the shared pool; a session
-    /// joining at round R simply sits out rounds 0..R.
+    /// through `rbcd_gpu::render_batch` on the shared pool, which
+    /// spreads the sessions' plans, tiles, and merges across its
+    /// threads; a session joining at round R simply sits out rounds
+    /// 0..R. Fault injection before the batch and per-session
+    /// bookkeeping after it run on the calling thread.
     ///
     /// # Errors
     ///

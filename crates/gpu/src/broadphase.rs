@@ -8,7 +8,7 @@
 //! contribute a collision, and its *image-side* work (scenery
 //! rasterization, Early-Z, fragment shading) exists only to produce a
 //! picture the collision unit never reads. This module computes, per
-//! frame on the main thread:
+//! frame on the session's planning thread:
 //!
 //! 1. **Per-draw screen bounds.** Each draw's binned triangles fold
 //!    into an integer pixel AABB (from the binner's own

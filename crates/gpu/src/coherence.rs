@@ -20,9 +20,10 @@
 //! patterns, so any numeric change — including one injected by the
 //! fault harness — changes the signature and invalidates the tile.
 //! Quarantined draws never reach binning and therefore never reach a
-//! signature. Signatures are computed on the main thread before the
-//! parallel compute phase, so the reuse decision is thread-count
-//! invariant by construction (like the deterministic merge order).
+//! signature. Signatures are computed in the session's plan phase,
+//! before the parallel compute phase, so the reuse decision is
+//! thread-count invariant by construction (like the deterministic merge
+//! order).
 
 use crate::command::{CullMode, DrawCommand, Facing, FrameTrace};
 use crate::config::GpuConfig;
@@ -102,7 +103,7 @@ pub(crate) fn hash_draw(draw: &DrawCommand) -> u64 {
 }
 
 /// Hashes every draw of `trace` into `out` (indexed by draw position).
-/// Runs once per frame on the main thread; quarantined draws still get
+/// Runs once per frame in the plan phase; quarantined draws still get
 /// a hash (harmless — they are never binned, so no tile folds it).
 #[cfg(test)]
 pub(crate) fn hash_draws(trace: &FrameTrace, out: &mut Vec<u64>) {

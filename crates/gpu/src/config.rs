@@ -33,9 +33,9 @@ pub enum HotPathMode {
 /// before tiles are scheduled / after the last tile retires, so no
 /// per-tile decision can claw them back.
 ///
-/// All decisions are taken on the main thread from the binned frame
-/// alone (never from worker scheduling), so a governed run is
-/// bit-identical at any thread count.
+/// All decisions are taken in the session's plan and merge phases from
+/// the binned frame alone (never from worker scheduling), so a governed
+/// run is bit-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorConfig {
     /// Per-frame merge-timeline budget in simulated cycles. `0` means

@@ -11,7 +11,8 @@
 //! skips vertex shading, near-clipping, and face culling entirely; its
 //! post-transform screen triangles and per-tile bin lists are *spliced*
 //! back into [`crate::sim::BinnedTiles`] in draw order. Draws that
-//! changed are shaded fresh — in parallel on the caller's worker pool —
+//! changed are shaded fresh — on the worker pool when the frame renders
+//! alone, on the session's planning thread in a multi-session batch —
 //! and merged deterministically.
 //!
 //! ## Exactness contract
@@ -34,7 +35,7 @@
 //! 3. **Shading a missed draw is a pure function** of
 //!    (draw, view-projection, config, mode) — no shared mutable state —
 //!    so the parallel shading stage is thread-count invariant, and its
-//!    ordered merge on the main thread reproduces the sequential
+//!    ordered merge on the planning thread reproduces the sequential
 //!    emission order.
 //!
 //! Only the `geom.*` accounting counters (`reuse_draws`,
@@ -154,7 +155,7 @@ pub(crate) fn geom_seed(cfg: &GpuConfig, mode: PipelineMode, view_proj: &Mat4) -
 /// (both replayed at splice time). Pure with respect to the simulator:
 /// reads only its arguments, so missed draws can shade on any thread.
 /// `clip_scratch` is caller-owned scratch for the post-transform
-/// positions (zero steady-state allocations per worker).
+/// positions, reused across the draws one thread shades.
 pub(crate) fn shade_draw(
     draw: &DrawCommand,
     view_proj: &Mat4,

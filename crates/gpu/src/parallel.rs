@@ -7,24 +7,25 @@
 //! or many sessions at once through [`crate::render_batch`] — runs the
 //! same three phases:
 //!
-//! 1. **Plan phase** (`plan_raster`) — the main thread computes the
-//!    temporal-coherence reuse plan, the broad-phase skip mask, and the
-//!    governor's coarsening plan from the binned frame alone, so all
-//!    three are thread-count invariant by construction.
+//! 1. **Plan phase** (`plan_raster`) — one thread per session (the
+//!    caller for a lone frame, a pool thread in a multi-session batch)
+//!    computes the temporal-coherence reuse plan, the broad-phase skip
+//!    mask, and the governor's coarsening plan from the binned frame
+//!    alone, so all three are thread-count invariant by construction.
 //! 2. **Compute phase** (worker pools only) — workers claim tiles from
 //!    the shared binned list via an atomic cursor. Each worker owns a
 //!    private [`TileWorker`] (z-buffer + fragment scratch) and a private
 //!    collision worker ([`ParallelCollision::Worker`], e.g. a software
 //!    ZEB + FF-Stack), and produces an *owned* per-tile result through
 //!    [`TileComputeCtx`], an immutable `Sync` view of the planned frame.
-//! 3. **Merge phase** (`merge_raster`) — the main thread walks tiles in
-//!    ascending tile index (the hardware's dispatch order), replays the
-//!    shared tile-cache accesses, folds per-tile stats, and replays the
-//!    timing protocol (ZEB claim, scan-unit serialization) against the
-//!    backend. With one worker there is no compute phase: the merge
-//!    computes each fresh tile when it reaches it, on the simulator's
-//!    resident [`TileWorker`], so a frame holds one tile's results at a
-//!    time.
+//! 3. **Merge phase** (`merge_raster`) — one thread per session walks
+//!    tiles in ascending tile index (the hardware's dispatch order),
+//!    replays the shared tile-cache accesses, folds per-tile stats, and
+//!    replays the timing protocol (ZEB claim, scan-unit serialization)
+//!    against the backend. With one worker there is no compute phase:
+//!    the merge computes each fresh tile when it reaches it, on the
+//!    simulator's resident [`TileWorker`], so a frame holds one tile's
+//!    results at a time.
 //!
 //! Everything order-dependent — cache hit/miss sequences, the cycle
 //! timeline, ZEB double-buffer claims, contact emission order — happens
@@ -66,7 +67,11 @@ use crate::stats::{BroadphaseStats, CoherenceStats, FrameStats, RasterStats};
 /// depends only on the tile's fragments — never on which worker ran it
 /// or what that worker ran before — so results are identical at any
 /// worker count.
-pub trait ParallelCollision {
+///
+/// `Send` because [`crate::render_batch`] plans and merges each session
+/// on whichever pool thread claims it, handing that thread the
+/// session's `&mut` backend.
+pub trait ParallelCollision: Send {
     /// Per-thread collision state (e.g. one software ZEB + FF-Stack).
     type Worker: Send;
     /// Owned per-tile result (e.g. contact points + per-tile stats).
@@ -238,8 +243,9 @@ impl Simulator {
     /// Renders one frame with up to `threads` worker threads: a
     /// one-job [`render_batch`]. Results are **bit-identical** for any
     /// thread count — same frame statistics, cache stats, cycle counts,
-    /// and contacts in the same order. `threads <= 1` (or a frame with
-    /// a single active tile) runs on the calling thread with no pool.
+    /// and contacts in the same order. Plan and merge run on the
+    /// calling thread; the pool shades missed draws and computes tiles.
+    /// `threads <= 1` runs everything on the calling thread.
     ///
     /// # Panics
     ///
@@ -257,12 +263,12 @@ impl Simulator {
     }
 
     /// Plan phase: temporal-coherence reuse decisions, the broad-phase
-    /// skip mask, and the governor's coarsening plan, computed on the
-    /// main thread *before* any tile is, so they depend only on the
-    /// binned frame — never on worker scheduling — and are thread-count
-    /// invariant by construction. The overload governor's policy rung 1
-    /// forces the reuse machinery on, so signature-stable tiles replay
-    /// cheaply while the frame is under deadline pressure.
+    /// skip mask, and the governor's coarsening plan, computed by the
+    /// session's planning thread *before* any tile is, so they depend
+    /// only on the binned frame — never on worker scheduling — and are
+    /// thread-count invariant by construction. The overload governor's
+    /// policy rung 1 forces the reuse machinery on, so signature-stable
+    /// tiles replay cheaply while the frame is under deadline pressure.
     pub(crate) fn plan_raster<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,

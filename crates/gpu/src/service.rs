@@ -5,27 +5,30 @@
 //! multi-session scheduler (`rbcd_core::sched`) submits one frame from
 //! each of N independent sessions — each a [`BatchJob`] wrapping its own
 //! [`Simulator`] and collision backend. Every batch runs the phases of
-//! `crate::parallel`:
+//! `crate::parallel` on one pool of scoped threads, with a barrier
+//! between phases:
 //!
-//! 1. **Plan** — each session's geometry pipeline and raster plan run
-//!    sequentially on the calling thread, in submission order. Plans
-//!    depend only on the session's own state, never on the pool.
+//! 1. **Plan** — each session's geometry pipeline and raster plan, one
+//!    session per claim. A lone job's front-end shades its missed draws
+//!    on the whole pool instead, since there are no other sessions to
+//!    plan.
 //! 2. **Compute** (with more than one worker) — every live session
 //!    exposes an immutable [`TileComputeCtx`](crate::parallel); their
 //!    tiles are interleaved round-robin by tile position into one work
-//!    list that a single scoped pool drains via an atomic cursor.
-//!    Per-tile work is order-free and session-private (each worker
-//!    keeps one raster scratch and one collision worker *per session*),
-//!    so the interleaving affects only wall-clock, never results.
-//! 3. **Merge** — each session's results are folded back on its own
-//!    timeline, in submission order, in tile-index order. With one
-//!    worker there is no compute phase: each merge computes its
-//!    session's fresh tiles itself, one at a time.
+//!    list that the pool drains. Each pool thread keeps one raster
+//!    scratch and one collision worker *per session*.
+//! 3. **Merge** — each session's results folded back on its own
+//!    timeline in tile-index order, plus its frame stats and trace
+//!    frame end, one session per claim. With one worker there is no
+//!    compute phase: each merge computes its session's fresh tiles
+//!    itself, one at a time.
 //!
-//! Because phase 2 is the only concurrent phase and it is pure with
-//! respect to every session's mutable state, each session's frame
-//! statistics, cache counters, contacts, governor reports, and traces
-//! are **bit-identical to rendering that session solo** — at any worker
+//! Results come back in submission order. Every phase reads and writes
+//! only its own session's simulator and backend, and per-tile compute
+//! is order-free, so which thread claims what — and in what order —
+//! affects only wall-clock. Each session's frame statistics, cache
+//! counters, contacts, governor reports, and traces are therefore
+//! **bit-identical to rendering that session solo** — at any worker
 //! count, under any co-tenant mix. That is the service determinism
 //! contract; `rbcd_core::sched` and the `session_isolation` property
 //! test enforce it end to end.
@@ -33,6 +36,7 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::command::FrameTrace;
 use crate::parallel::{FreshTiles, ParallelCollision, TileSlots};
@@ -44,8 +48,9 @@ use crate::stats::FrameStats;
 #[must_use = "a service error reports lost work and must be handled"]
 #[non_exhaustive]
 pub enum ServiceError {
-    /// A pool worker panicked mid-batch; per-session state may be
-    /// mid-frame and the whole batch's results are void.
+    /// A pool thread panicked mid-batch — while planning, computing
+    /// tiles, merging, or shading a lone job's missed draws. Per-session
+    /// state may be mid-frame and the whole batch's results are void.
     WorkerPanicked,
 }
 
@@ -82,129 +87,177 @@ pub struct BatchJob<'a, B: ParallelCollision> {
 /// threads, returning per-job frame statistics in submission order.
 ///
 /// Equivalent to calling `render_frame_parallel` on each job in order —
-/// bit-identically so, for any `workers` — except that the compute
-/// phases overlap: a single tile work list interleaves all jobs' tiles
-/// round-robin, so one session's long tail doesn't idle the pool while
-/// another session still has tiles to grind.
+/// bit-identically so, for any `workers` — except that the jobs share
+/// the pool in every phase: plans and merges run one session per claim,
+/// and a single tile work list interleaves all jobs' tiles round-robin,
+/// so one session's long tail doesn't idle the pool while another
+/// session still has work.
+///
+/// # Errors
+///
+/// [`ServiceError::WorkerPanicked`] if a pool thread panicked in any
+/// phase; the batch's results are void.
 pub fn render_batch<B: ParallelCollision>(
     jobs: &mut [BatchJob<'_, B>],
     workers: usize,
 ) -> Result<Vec<FrameStats>, ServiceError> {
     let workers = workers.max(1);
+    // A lone job's front-end shades its missed draws on the whole pool;
+    // in a bigger batch the pool is already busy planning the others.
+    let shade_threads = if jobs.len() == 1 { workers } else { 1 };
 
-    // Phase 1: plan every session, sequentially, in submission order.
-    let mut geoms = Vec::with_capacity(jobs.len());
-    let mut cos = Vec::with_capacity(jobs.len());
-    for job in jobs.iter_mut() {
-        geoms.push(job.sim.geometry_pipeline(job.trace, job.mode, workers));
-        cos.push(job.sim.plan_raster(job.trace, job.mode, &*job.backend));
-    }
+    // Phase 1: plan every session, one session per claim.
+    let plans = fan_out(
+        jobs.iter_mut().collect(),
+        workers,
+        || (),
+        |_, job| {
+            let geometry = job.sim.geometry_pipeline(job.trace, job.mode, shade_threads)?;
+            let co = job.sim.plan_raster(job.trace, job.mode, &*job.backend);
+            Ok((geometry, co))
+        },
+    )?
+    .into_iter()
+    .collect::<Result<Vec<_>, ServiceError>>()?;
 
     // Phase 2, with a pool only: compute every session's fresh tiles
     // ahead of the merge. With one worker each merge computes its own.
-    let pooled = if workers > 1 { compute_pooled(jobs, workers)? } else { None };
-    let mut pooled = pooled.map(Vec::into_iter);
+    let fresh: Vec<FreshTiles<B>> = if workers > 1 {
+        compute_pooled(jobs, workers)?.into_iter().map(FreshTiles::Pooled).collect()
+    } else {
+        jobs.iter().map(|j| FreshTiles::Inline(j.backend.make_worker())).collect()
+    };
 
-    // Phase 3: merge every session, sequentially, in submission order.
-    let mut stats = Vec::with_capacity(jobs.len());
-    for ((job, geometry), co) in jobs.iter_mut().zip(geoms).zip(cos) {
-        let fresh = match pooled.as_mut() {
-            Some(slots) => FreshTiles::Pooled(slots.next().expect("one slot list per job")),
-            None => FreshTiles::Inline(job.backend.make_worker()),
-        };
-        let (raster, coherence) = job.sim.merge_raster(job.trace, job.mode, job.backend, fresh, co);
-        let governor = job.sim.governor_frame_stats();
-        let broadphase = job.sim.broadphase_frame_stats();
-        let s = FrameStats { geometry, raster, coherence, governor, broadphase, frames: 1 };
-        if let Some(t) = job.sim.tracer.as_deref_mut() {
-            t.end_frame(s.total_cycles());
-        }
-        stats.push(s);
-    }
-    Ok(stats)
+    // Phase 3: merge every session, one session per claim.
+    fan_out(
+        jobs.iter_mut().zip(plans).zip(fresh).collect(),
+        workers,
+        || (),
+        |_, ((job, (geometry, co)), fresh)| {
+            let (raster, coherence) =
+                job.sim.merge_raster(job.trace, job.mode, job.backend, fresh, co);
+            let governor = job.sim.governor_frame_stats();
+            let broadphase = job.sim.broadphase_frame_stats();
+            let s = FrameStats { geometry, raster, coherence, governor, broadphase, frames: 1 };
+            if let Some(t) = job.sim.tracer.as_deref_mut() {
+                t.end_frame(s.total_cycles());
+            }
+            s
+        },
+    )
 }
 
 /// The compute phase: one interleaved work list across all sessions,
-/// drained by a pool of `workers` threads into per-session slot lists.
-/// `None` when the whole batch has at most one tile to compute — a pool
-/// would have nothing to overlap.
+/// drained by the pool into per-session slot lists.
 fn compute_pooled<B: ParallelCollision>(
     jobs: &[BatchJob<'_, B>],
     workers: usize,
-) -> Result<Option<Vec<TileSlots<B>>>, ServiceError> {
+) -> Result<Vec<TileSlots<B>>, ServiceError> {
     let ctxs: Vec<_> = jobs.iter().map(|j| j.sim.compute_ctx(j.trace, j.mode)).collect();
     // Round-robin by tile position: (session, tile) pairs cycle through
     // the sessions so every session makes progress at the same rate
     // regardless of scene size (fairness), and the claim order is
     // deterministic even though completion order is not.
     let max_tiles = ctxs.iter().map(|c| c.tiles()).max().unwrap_or(0);
-    let mut items: Vec<(u32, u32)> = Vec::new();
+    let mut items: Vec<(usize, usize)> = Vec::new();
     for pos in 0..max_tiles {
         for (ji, ctx) in ctxs.iter().enumerate() {
             if pos < ctx.tiles() {
-                items.push((ji as u32, pos as u32));
+                items.push((ji, pos));
             }
         }
-    }
-    if items.len() <= 1 {
-        return Ok(None);
     }
 
     // Each pool thread owns one collision worker per session (collision
     // workers are not shareable across sessions: a backend's worker may
     // be sized by its config) plus lazy per-session raster scratches.
-    let worker_sets: Vec<Vec<B::Worker>> =
-        (0..workers).map(|_| jobs.iter().map(|j| j.backend.make_worker()).collect()).collect();
+    let outs = fan_out(
+        items.clone(),
+        workers,
+        || {
+            let cws: Vec<B::Worker> = jobs.iter().map(|j| j.backend.make_worker()).collect();
+            let tws: Vec<Option<TileWorker>> = jobs.iter().map(|_| None).collect();
+            (cws, tws)
+        },
+        |(cws, tws), (ji, k)| {
+            let ctx = &ctxs[ji];
+            let tw = tws[ji].get_or_insert_with(|| TileWorker::new(ctx.config()));
+            ctx.compute_tile::<B>(k, tw, &mut cws[ji])
+        },
+    )?;
+    let mut slots: Vec<TileSlots<B>> =
+        ctxs.iter().map(|c| (0..c.tiles()).map(|_| None).collect()).collect();
+    for ((ji, k), out) in items.into_iter().zip(outs) {
+        slots[ji][k] = out;
+    }
+    Ok(slots)
+}
+
+/// The service's one worker pool: runs `work` over every item on up to
+/// `workers` scoped threads, which claim items in order through an
+/// atomic cursor, and returns the results by item index. Each thread
+/// owns a state built by `init` on the calling thread before the pool
+/// starts. With one item or one worker everything runs inline on the
+/// caller, on a single state.
+///
+/// Results are independent of the thread count as long as `work`'s
+/// result for an item does not depend on which state it ran on.
+pub(crate) fn fan_out<I: Send, S: Send, R: Send>(
+    items: Vec<I>,
+    workers: usize,
+    mut init: impl FnMut() -> S,
+    work: impl Fn(&mut S, I) -> R + Sync,
+) -> Result<Vec<R>, ServiceError> {
+    let threads = workers.min(items.len());
+    if threads <= 1 {
+        let mut state = init();
+        return Ok(items.into_iter().map(|item| work(&mut state, item)).collect());
+    }
+    let n = items.len();
+    // One lock per item, taken exactly once by the thread whose claim
+    // drew its index: the cursor hands out indices, the locks move the
+    // items to the claiming threads.
+    let items: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let states: Vec<S> = (0..threads).map(|_| init()).collect();
     let next = AtomicUsize::new(0);
-    let ctxs = &ctxs;
-    let items: &[(u32, u32)] = &items;
-    let batches: Vec<Result<Vec<(usize, usize, _)>, ServiceError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = worker_sets
+    let (items, work, next) = (&items, &work, &next);
+    let batches: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = states
             .into_iter()
-            .map(|mut cws| {
-                let next = &next;
+            .map(|mut state| {
                 s.spawn(move || {
-                    let mut tws: Vec<Option<TileWorker>> = Vec::new();
-                    tws.resize_with(cws.len(), || None);
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
+                        if i >= n {
                             break;
                         }
-                        let (ji, k) = (items[i].0 as usize, items[i].1 as usize);
-                        let ctx = &ctxs[ji];
-                        let tw = tws[ji].get_or_insert_with(|| TileWorker::new(ctx.config()));
-                        if let Some(out) = ctx.compute_tile::<B>(k, tw, &mut cws[ji]) {
-                            done.push((ji, k, out));
-                        }
+                        let item = items[i]
+                            .lock()
+                            .expect("an item lock is never held across a panic")
+                            .take()
+                            .expect("each index is claimed once");
+                        done.push((i, work(&mut state, item)));
                     }
                     done
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().map_err(|_| ServiceError::WorkerPanicked)).collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut slots: Vec<TileSlots<B>> = ctxs
-        .iter()
-        .map(|c| {
-            let mut v = Vec::new();
-            v.resize_with(c.tiles(), || None);
-            v
-        })
-        .collect();
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for batch in batches {
-        for (ji, k, out) in batch? {
-            slots[ji][k] = Some(out);
+        for (i, r) in batch.map_err(|_| ServiceError::WorkerPanicked)? {
+            out[i] = Some(r);
         }
     }
-    Ok(Some(slots))
+    Ok(out.into_iter().map(|r| r.expect("every item was claimed and finished")).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collision_unit::NullCollisionUnit;
+    use crate::collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
     use crate::command::{Camera, DrawCommand, ObjectId};
     use crate::config::GpuConfig;
     use rbcd_geometry::shapes;
@@ -282,6 +335,60 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A backend with a bug in the plan phase (`coherence_key`, read
+    /// when reuse is on) or in the merge phase (`merge_tile`).
+    struct Panics {
+        in_plan: bool,
+    }
+
+    impl ParallelCollision for Panics {
+        type Worker = ();
+        type TileOut = ();
+
+        fn make_worker(&self) {}
+
+        fn process_tile(_: &mut (), _: TileCoord, _: &[CollisionFragment]) {}
+
+        fn next_free(&self) -> u64 {
+            0
+        }
+
+        fn merge_tile(&mut self, _: TileCoord, _: (), _: u64, _: u64) {
+            assert!(self.in_plan, "merge_tile bug");
+        }
+
+        fn idle_at(&self) -> u64 {
+            0
+        }
+
+        fn coherence_key(&self) -> u64 {
+            assert!(!self.in_plan, "coherence_key bug");
+            0
+        }
+    }
+
+    #[test]
+    fn a_panic_in_plan_or_merge_is_a_service_error() {
+        for in_plan in [false, true] {
+            let traces = [scene(0.6), scene(1.4)];
+            let mut sims = [Simulator::new(cfg(128)), Simulator::new(cfg(96))];
+            let mut units = [Panics { in_plan }, Panics { in_plan }];
+            let mut jobs: Vec<BatchJob<'_, Panics>> = sims
+                .iter_mut()
+                .zip(units.iter_mut())
+                .zip(traces.iter())
+                .map(|((sim, backend), trace)| {
+                    sim.set_reuse(true);
+                    BatchJob { sim, backend, trace, mode: PipelineMode::Rbcd }
+                })
+                .collect();
+            assert!(
+                matches!(render_batch(&mut jobs, 2), Err(ServiceError::WorkerPanicked)),
+                "in_plan {in_plan}"
+            );
         }
     }
 

@@ -12,11 +12,11 @@ use crate::parallel::{FreshTiles, ParallelCollision};
 use crate::raster::{
     rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Fragment, ScreenTriangle,
 };
+use crate::service::{self, ServiceError};
 use crate::stats::{BroadphaseStats, FrameStats, GeometryStats, GovernorStats, RasterStats};
 use rbcd_math::{viewport as viewport_map, Vec3, Vec4};
 use rbcd_trace::{TileZebRecord, TraceBuffer};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Whether the pipeline renders plain (baseline) or with the RBCD
@@ -380,8 +380,8 @@ pub struct Simulator {
     pub(crate) governor: Option<GovernorConfig>,
     /// Objects the circuit breaker routes straight to the CPU this
     /// frame: their fragments are filtered out before the collision
-    /// backend sees them. Set per frame on the main thread, so the
-    /// filtering is thread-count invariant.
+    /// backend sees them. Set per frame by the host before rendering,
+    /// so the filtering is thread-count invariant.
     pub(crate) governor_blocked: BTreeSet<ObjectId>,
     /// Per-tile coarsening plan of the current frame (scratch, reused):
     /// capacity boost per *active-list position*, empty when ungoverned.
@@ -672,11 +672,14 @@ impl Simulator {
     /// (plus camera/viewport/mode seed) matches a cached entry skip
     /// vertex shading, near-clipping, and face culling; their screen
     /// triangles and bin records are spliced from the per-draw geometry
-    /// cache, and changed draws are shaded in parallel on the caller's
-    /// worker pool. Every result — bins, pairs, event counters, energy,
-    /// traces — is bit-identical to the rebuild front-end; only host
-    /// wall-clock and the `geom.*` accounting counters differ (see
-    /// `crate::frontend`).
+    /// cache. Changed draws are shaded on the whole worker pool when
+    /// the frame is the only job of its batch (as in
+    /// [`Simulator::render_frame_parallel`]), and on the thread that
+    /// plans this session otherwise, since the pool is then busy with
+    /// the other sessions. Every result — bins, pairs, event counters,
+    /// energy, traces — is bit-identical to the rebuild front-end, at
+    /// any thread count; only host wall-clock and the `geom.*`
+    /// accounting counters differ (see `crate::frontend`).
     ///
     /// Switching back to [`FrontendMode::Rebuild`] drops the cache, so
     /// a later re-enable starts cold.
@@ -720,8 +723,9 @@ impl Simulator {
     /// * each frame leaves a [`GovernorFrameReport`] for
     ///   [`Simulator::take_governor_report`].
     ///
-    /// Every decision is taken on the main thread from the binned frame
-    /// alone, so governed runs stay bit-identical at any thread count.
+    /// Every decision is taken in the session's plan and merge phases
+    /// from the binned frame alone, so governed runs stay bit-identical
+    /// at any thread count.
     pub fn set_governor(&mut self, governor: Option<GovernorConfig>) {
         self.governor = governor;
     }
@@ -811,20 +815,26 @@ impl Simulator {
 
     /// Geometry Pipeline: vertex processing, primitive assembly,
     /// clipping, (deferred) face culling, and binning into `self.bins`.
-    /// `threads` sizes the incremental front-end's parallel shading
-    /// stage. Results are bit-identical at any `threads` (and to the
-    /// rebuild front-end); the thread count affects host wall-clock
+    /// `threads` sizes the incremental front-end's miss-shading stage,
+    /// which runs on the calling thread when `threads <= 1` (the batch
+    /// service passes its worker count for a one-job batch and 1
+    /// otherwise). Results are bit-identical at any `threads` (and to
+    /// the rebuild front-end); the thread count affects host wall-clock
     /// only.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::WorkerPanicked`] if a shading thread panicked.
     pub(crate) fn geometry_pipeline(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
         threads: usize,
-    ) -> GeometryStats {
+    ) -> Result<GeometryStats, ServiceError> {
         match self.frontend {
             FrontendMode::Rebuild => {
                 self.draw_hashes_ready = false;
-                self.geometry_rebuild(trace, mode)
+                Ok(self.geometry_rebuild(trace, mode))
             }
             FrontendMode::Incremental => self.geometry_incremental(trace, mode, threads),
         }
@@ -962,8 +972,8 @@ impl Simulator {
     }
 
     /// The incremental front-end: classify every draw against the
-    /// per-draw geometry cache, shade the misses (in parallel when
-    /// `threads > 1`), then merge in draw order — splicing cached
+    /// per-draw geometry cache, shade the misses (on `threads` pool
+    /// threads), then merge in draw order — splicing cached
     /// triangles and replaying each draw's exact cache-model access
     /// sequence so every counter matches the rebuild path bit for bit
     /// (see `crate::frontend` for the full contract).
@@ -972,7 +982,7 @@ impl Simulator {
         trace: &FrameTrace,
         mode: PipelineMode,
         threads: usize,
-    ) -> GeometryStats {
+    ) -> Result<GeometryStats, ServiceError> {
         let tiles_x = self.config.tiles_x();
         let tiles_y = self.config.tiles_y();
         self.bins.begin_frame((tiles_x * tiles_y) as usize);
@@ -995,7 +1005,7 @@ impl Simulator {
         self.draw_hashes_ready = true;
         let seed = frontend::geom_seed(&self.config, mode, &view_proj);
 
-        // Classify on the main thread: mode skips, quarantine, and
+        // Classify on the planning thread: mode skips, quarantine, and
         // cache lookups happen in draw order (LRU touch order is part
         // of the deterministic state), independent of `threads`.
         let mut plan: Vec<DrawPlan> = Vec::with_capacity(trace.draws.len());
@@ -1014,63 +1024,19 @@ impl Simulator {
 
         // Shade the misses. Each is a pure function of (draw,
         // view-projection, config, mode), so the fan-out is free of
-        // shared state; results merge back by plan position.
-        let missing: Vec<(usize, u32)> =
-            plan.iter().enumerate().filter(|(_, p)| !p.hit).map(|(i, p)| (i, p.draw)).collect();
-        if !missing.is_empty() {
-            let cfg = &self.config;
-            if threads <= 1 || missing.len() <= 1 {
-                for &(pi, di) in &missing {
-                    plan[pi].geom = Some(Arc::new(frontend::shade_draw(
-                        &trace.draws[di as usize],
-                        &view_proj,
-                        cfg,
-                        mode,
-                        &mut self.vertex_scratch,
-                    )));
-                }
-            } else {
-                let next = AtomicUsize::new(0);
-                let missing = &missing[..];
-                let view_proj = &view_proj;
-                let batches: Vec<Vec<(usize, Arc<CachedDrawGeom>)>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads.min(missing.len()))
-                        .map(|_| {
-                            let next = &next;
-                            s.spawn(move || {
-                                let mut scratch: Vec<Vec4> = Vec::new();
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= missing.len() {
-                                        break;
-                                    }
-                                    let (pi, di) = missing[i];
-                                    let geom = frontend::shade_draw(
-                                        &trace.draws[di as usize],
-                                        view_proj,
-                                        cfg,
-                                        mode,
-                                        &mut scratch,
-                                    );
-                                    done.push((pi, Arc::new(geom)));
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("geometry shading worker panicked"))
-                        .collect()
-                });
-                for batch in batches {
-                    for (pi, geom) in batch {
-                        plan[pi].geom = Some(geom);
-                    }
-                }
-            }
-        }
+        // shared state; each result lands in its own plan entry.
+        let cfg = &self.config;
+        let view_proj = &view_proj;
+        service::fan_out(
+            plan.iter_mut().filter(|p| !p.hit).collect(),
+            threads,
+            Vec::new,
+            |scratch, p: &mut DrawPlan| {
+                let draw = &trace.draws[p.draw as usize];
+                let geom = frontend::shade_draw(draw, view_proj, cfg, mode, scratch);
+                p.geom = Some(Arc::new(geom));
+            },
+        )?;
 
         // Ordered merge: draw order, exactly the rebuild path's
         // emission sequence. Cache-model traffic is replayed with the
@@ -1139,7 +1105,7 @@ impl Simulator {
                 self.geom_cache.insert(p.key, geom.clone());
             }
         }
-        self.seal_geometry(g, &draw_log)
+        Ok(self.seal_geometry(g, &draw_log))
     }
 
     /// Shared closing of both front-ends: bin layout, cache-stat
@@ -1190,7 +1156,7 @@ impl Simulator {
     /// `rbcd-bench`, which isolates host wall-clock of the raster/scan
     /// hot path from per-frame geometry work.
     pub fn bench_bin_frame(&mut self, trace: &FrameTrace, mode: PipelineMode) -> GeometryStats {
-        self.geometry_pipeline(trace, mode, 1)
+        self.geometry_pipeline(trace, mode, 1).expect("one thread shades on the caller, never a pool")
     }
 
     /// Benchmark support: one Raster Pipeline pass over the polygon

@@ -3,10 +3,12 @@
 # the repro smoke runs.
 #
 # The benchmark crate (perf/, its own workspace) is built and listed so a
-# library change that breaks it fails here, not at benchmark time. Every
-# smoke runs inside a fresh temporary directory and its greps and cmps
-# read the artifacts written there: the committed full-length
-# BENCH_*.json files are never overwritten by 2-frame smoke numbers.
+# library change that breaks it fails here, not at benchmark time, and
+# each of its workloads runs briefly so a batch-path bug that perf would
+# report as "correct": false fails here too. Every repro smoke runs
+# inside a fresh temporary directory and its greps and cmps read the
+# artifacts written there: the committed full-length BENCH_*.json files
+# are never overwritten by 2-frame smoke numbers.
 #
 # The parallel smoke exercises the threaded tile pipeline end to end
 # (repro --smoke --threads 2), which cross-checks that one worker and a
@@ -50,6 +52,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== benchmark build (perf/) =="
 cargo build --release --frozen --manifest-path perf/Cargo.toml
 cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf -- --list > /dev/null
+
+echo "== benchmark correctness smoke (perf --frames 8, every workload) =="
+# Short runs of every workload: perf exits non-zero when a step fails,
+# when a sampled frame reports a pair the software oracle lacks, or when
+# a later pass does not reproduce the first pass's per-step simulated
+# fingerprint. Only the checks matter here, not the timings.
+for w in paper swarm overflow service; do
+  cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf -- \
+    --workload "$w" --seed 1 --frames 8 --seconds 0 --trace 0 > /dev/null \
+    || { echo "perf smoke: workload $w failed its correctness checks"; exit 1; }
+done
 
 # Smokes write their artifacts into the working directory: run them all
 # in a scratch directory so the committed artifacts stay untouched.
