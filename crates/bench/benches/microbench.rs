@@ -195,9 +195,8 @@ fn bench_full_frame() {
 fn bench_rbcd_unit_tile() {
     let frags: Vec<_> = (0..1024)
         .map(|i| rbcd_gpu::CollisionFragment {
-            x: (i % 16) as u32,
-            y: ((i / 16) % 16) as u32,
-            z: ((i * 29) % 101) as f32 / 101.0,
+            pixel: (i % 256) as u32,
+            z: rbcd_gpu::quantize_depth(((i * 29) % 101) as f32 / 101.0),
             object: ObjectId::new((i % 6) as u16 + 1),
             facing: if i % 2 == 0 { Facing::Front } else { Facing::Back },
         })

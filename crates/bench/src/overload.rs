@@ -292,7 +292,7 @@ fn run_cell(
         let mut oracle_sim = Simulator::new(opts.gpu.clone());
         oracle_sim.render_frame(&trace, PipelineMode::Rbcd, &mut oracle);
         let shed: BTreeSet<(u32, u32)> = report.shed_tiles.iter().copied().collect();
-        for pair in oracle.pairs_outside_tiles(opts.gpu.tile_size, &shed) {
+        for pair in oracle.pairs_outside_tiles(&shed) {
             cell.oracle_pairs += 1;
             if result.exact.contains(&pair) || result.cpu_verified.contains(&pair) {
                 continue;

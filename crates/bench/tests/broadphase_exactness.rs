@@ -166,8 +166,8 @@ fn broadphase_matches_off_on_random_motion_scripts() {
                     assert_eq!(off.len(), on.len());
                     for (f, (a, b)) in off.iter().zip(&on).enumerate() {
                         assert_eq!(
-                            no_image_side(a.clone()),
-                            no_image_side(b.clone()),
+                            no_image_side(*a),
+                            no_image_side(*b),
                             "{tag}: frame {f} FrameStats diverged outside the image side"
                         );
                     }

@@ -152,7 +152,7 @@ fn incremental_matches_rebuild_on_random_motion_scripts() {
                     for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
                         assert_eq!(
                             *a,
-                            no_geom_accounting(b.clone()),
+                            no_geom_accounting(*b),
                             "{tag}: frame {f} FrameStats diverged"
                         );
                     }
@@ -189,7 +189,7 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
         for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
             assert_eq!(
                 *a,
-                no_geom_accounting(b.clone()),
+                no_geom_accounting(*b),
                 "governed frame {f} diverged at {threads} threads"
             );
         }
@@ -222,10 +222,10 @@ fn bounded_cache_evicts_without_changing_results() {
     let (roomy, roomy_pairs) = run_capped(64);
     let (tiny, tiny_pairs) = run_capped(2);
     for (f, (a, b)) in base.iter().zip(&roomy).enumerate() {
-        assert_eq!(*a, no_geom_accounting(b.clone()), "roomy cache diverged at frame {f}");
+        assert_eq!(*a, no_geom_accounting(*b), "roomy cache diverged at frame {f}");
     }
     for (f, (a, b)) in base.iter().zip(&tiny).enumerate() {
-        assert_eq!(*a, no_geom_accounting(b.clone()), "tiny cache diverged at frame {f}");
+        assert_eq!(*a, no_geom_accounting(*b), "tiny cache diverged at frame {f}");
     }
     assert_eq!(base_pairs, roomy_pairs);
     assert_eq!(base_pairs, tiny_pairs);

@@ -21,9 +21,10 @@ pub struct ZebElement {
 
 impl ZebElement {
     /// Quantizes a `[0, 1]` window depth to the 16-bit hardware format.
-    /// Values outside the range are clamped.
+    /// Values outside the range are clamped. Forwards to
+    /// [`rbcd_gpu::quantize_depth`], the pipeline's one depth quantizer.
     pub fn quantize_depth(z: f32) -> u16 {
-        (z.clamp(0.0, 1.0) * u16::MAX as f32).round() as u16
+        rbcd_gpu::quantize_depth(z)
     }
 
     /// Creates an element from a floating-point window depth.

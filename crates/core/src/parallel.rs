@@ -19,7 +19,6 @@ use crate::software::OracleUnit;
 use crate::stats::RbcdStats;
 use crate::unit::{ladder_zeb_tile, ContactPoint, RbcdConfig};
 use crate::zeb::Zeb;
-use crate::ZebElement;
 use rbcd_gpu::{CollisionFragment, ObjectId, ParallelCollision, TileCoord};
 
 /// One worker's private collision state: a software ZEB and FF-Stack,
@@ -28,11 +27,11 @@ use rbcd_gpu::{CollisionFragment, ObjectId, ParallelCollision, TileCoord};
 pub struct ZebTileWorker {
     config: RbcdConfig,
     tile_size: u32,
+    /// Shaped to the unit's geometry for a plain tile; a coarsened tile
+    /// and the ladder's rescans re-form it (and `stack`) in place at a
+    /// larger capacity, so no tile allocates collision state.
     zeb: Zeb,
     stack: FfStack,
-    /// The tile's fragments, buffered so the degradation ladder can
-    /// re-insert them at a larger capacity if the tile overflows.
-    pending: Vec<(u32, ZebElement)>,
 }
 
 /// Owned per-tile collision results, merged in tile order by
@@ -64,41 +63,16 @@ impl ZebTileWorker {
                 .expect("worker mirrors a validated unit config"),
             stack: FfStack::new(config.ff_stack_capacity)
                 .expect("worker mirrors a validated unit config"),
-            pending: Vec::new(),
             config,
             tile_size,
         }
     }
 
-    /// Buffers `frags` (in pipeline order) as tile-local ZEB insertions.
-    fn buffer(&mut self, tile: TileCoord, frags: &[CollisionFragment]) {
-        let (bx, by) = (tile.x * self.tile_size, tile.y * self.tile_size);
-        self.pending.clear();
-        self.pending.extend(frags.iter().map(|f| {
-            let index = (f.y - by) * self.tile_size + (f.x - bx);
-            (index, ZebElement::new(f.z, f.object, f.facing))
-        }));
-    }
-
-    /// Inserts `frags` (in pipeline order) and scans the tile, running
-    /// the degradation ladder over the buffered fragment stream when
-    /// the tile overflows.
+    /// Inserts `frags` (the tile's tile-local stream, in pipeline order)
+    /// straight into the ZEB and scans the tile, running the degradation
+    /// ladder over the same slice when the tile overflows.
     pub fn process_tile(&mut self, tile: TileCoord, frags: &[CollisionFragment]) -> TileCollisions {
-        let mut out = TileCollisions::default();
-        out.stats.tiles = 1;
-        self.buffer(tile, frags);
-        out.stats.scan_cycles = ladder_zeb_tile(
-            &mut self.zeb,
-            &mut self.stack,
-            &self.config,
-            tile,
-            self.tile_size,
-            &self.pending,
-            &mut out.stats,
-            &mut out.contacts,
-            &mut out.escalated,
-        );
-        out
+        self.run(tile, frags, self.config)
     }
 
     /// Like [`ZebTileWorker::process_tile`], but with the effective list
@@ -117,36 +91,30 @@ impl ZebTileWorker {
             return self.process_tile(tile, frags);
         }
         let m = self.config.list_capacity.saturating_mul(1usize << (boost.min(24) as usize));
-        let config = RbcdConfig { list_capacity: m, ..self.config };
-        let mut out = TileCollisions::default();
-        out.stats.tiles = 1;
-        self.buffer(tile, frags);
-        let lists = (self.tile_size * self.tile_size) as usize;
         // The boosted geometry mirrors the ladder's own rescan rung: the
         // scan stack widens alongside the lists, preserving the
         // "stack capacity >= list capacity" soundness structure.
-        let mut zeb = Zeb::with_spares(lists, m, self.config.spare_entries)
-            .expect("boosted capacity is positive");
-        let mut stack = FfStack::new(m.max(self.config.ff_stack_capacity))
-            .expect("widened FF-Stack capacity is positive");
-        out.stats.scan_cycles = ladder_zeb_tile(
-            &mut zeb,
-            &mut stack,
-            &config,
-            tile,
-            self.tile_size,
-            &self.pending,
-            &mut out.stats,
-            &mut out.contacts,
-            &mut out.escalated,
-        );
-        out
+        let ff_stack_capacity = m.max(self.config.ff_stack_capacity);
+        self.run(tile, frags, RbcdConfig { list_capacity: m, ff_stack_capacity, ..self.config })
+    }
+
+    /// Re-forms the ZEB and FF-Stack to `config`'s geometry and runs the
+    /// tile through the ladder.
+    fn run(
+        &mut self,
+        tile: TileCoord,
+        frags: &[CollisionFragment],
+        config: RbcdConfig,
+    ) -> TileCollisions {
+        self.zeb.reshape(config.list_capacity, config.spare_entries);
+        self.stack.set_capacity(config.ff_stack_capacity);
+        ladder_zeb_tile(&mut self.zeb, &mut self.stack, &config, tile, self.tile_size, frags)
     }
 }
 
 /// The software oracle has no per-tile state or timing: workers copy
-/// the fragments out and the merge replays them into the shared
-/// pixel map in tile order (its results are order-insensitive anyway).
+/// the fragments out and the merge files them under their tile, in
+/// tile order (its results are order-insensitive anyway).
 impl ParallelCollision for OracleUnit {
     type Worker = ();
     type TileOut = Vec<CollisionFragment>;
@@ -165,10 +133,8 @@ impl ParallelCollision for OracleUnit {
         0
     }
 
-    fn merge_tile(&mut self, _tile: TileCoord, out: Self::TileOut, _start: u64, _end: u64) {
-        for frag in out {
-            self.add_fragment(frag);
-        }
+    fn merge_tile(&mut self, tile: TileCoord, out: Self::TileOut, _start: u64, _end: u64) {
+        self.add_tile(tile, out);
     }
 
     fn idle_at(&self) -> u64 {
@@ -182,19 +148,22 @@ mod tests {
     use crate::unit::RbcdUnit;
     use rbcd_gpu::{Facing, ObjectId};
 
+    /// A fragment at tile-local pixel `(x, y)` of a 16×16 tile.
     fn frag(x: u32, y: u32, z: f32, id: u16, facing: Facing) -> CollisionFragment {
-        CollisionFragment { x, y, z, object: ObjectId::new(id), facing }
+        let z = rbcd_gpu::quantize_depth(z);
+        CollisionFragment { pixel: y * 16 + x, z, object: ObjectId::new(id), facing }
     }
 
-    fn tile_frags(tile: TileCoord, tile_size: u32) -> Vec<CollisionFragment> {
-        let (bx, by) = (tile.x * tile_size, tile.y * tile_size);
+    const T0: TileCoord = TileCoord { x: 0, y: 0 };
+
+    fn tile_frags() -> Vec<CollisionFragment> {
         vec![
-            frag(bx + 3, by + 4, 0.10, 1, Facing::Front),
-            frag(bx + 3, by + 4, 0.20, 2, Facing::Front),
-            frag(bx + 3, by + 4, 0.30, 1, Facing::Back),
-            frag(bx + 3, by + 4, 0.40, 2, Facing::Back),
-            frag(bx + 9, by + 1, 0.50, 1, Facing::Front),
-            frag(bx + 9, by + 1, 0.60, 1, Facing::Back),
+            frag(3, 4, 0.10, 1, Facing::Front),
+            frag(3, 4, 0.20, 2, Facing::Front),
+            frag(3, 4, 0.30, 1, Facing::Back),
+            frag(3, 4, 0.40, 2, Facing::Back),
+            frag(9, 1, 0.50, 1, Facing::Front),
+            frag(9, 1, 0.60, 1, Facing::Back),
         ]
     }
 
@@ -206,7 +175,7 @@ mod tests {
         let config = RbcdConfig::default();
         let tile = TileCoord { x: 0, y: 0 };
         let mut worker = ZebTileWorker::new(config, 16);
-        let out = worker.process_tile(tile, &tile_frags(tile, 16));
+        let out = worker.process_tile(tile, &tile_frags());
 
         let mut merged = RbcdUnit::new(config, 16).unwrap();
         ParallelCollision::merge_tile(&mut merged, tile, out.clone(), 0, 40);
@@ -245,16 +214,72 @@ mod tests {
         }
     }
 
-    /// A worker's ZEB is clean after every tile, so reuse across many
-    /// tiles cannot leak state.
+    /// `n` objects whose depth ranges all overlap at pixel `(x, 0)`:
+    /// `2n` fragments in one list.
+    fn deep_stack(x: u32, n: u16) -> Vec<CollisionFragment> {
+        (0..n)
+            .flat_map(|i| {
+                let dz = 0.01 * f32::from(i);
+                [
+                    frag(x, 0, 0.10 + dz, i + 1, Facing::Front),
+                    frag(x, 0, 0.60 + dz, i + 1, Facing::Back),
+                ]
+            })
+            .collect()
+    }
+
+    /// A worker's ZEB and FF-Stack are clean after every tile, and are
+    /// re-formed to each tile's geometry, so reuse across plain,
+    /// coarsened and laddered tiles in any order cannot leak state: each
+    /// tile's contacts, stats and escalations equal a fresh worker's.
     #[test]
     fn worker_is_reusable_across_tiles() {
-        let mut worker = ZebTileWorker::new(RbcdConfig::default(), 16);
-        let tile = TileCoord { x: 0, y: 0 };
-        let first = worker.process_tile(tile, &tile_frags(tile, 16));
-        let second = worker.process_tile(tile, &tile_frags(tile, 16));
-        assert_eq!(first.contacts, second.contacts);
-        assert_eq!(first.stats, second.stats);
+        let config = RbcdConfig {
+            list_capacity: 2,
+            spare_entries: 3,
+            ladder_rescans: 2,
+            ladder_cpu_fallback: true,
+            ..RbcdConfig::default()
+        };
+        let mixed: Vec<_> = tile_frags().into_iter().chain(deep_stack(7, 3)).collect();
+        // (fragments, boost): clean, spare-absorbed, rescued by a
+        // rescan, escalated to the CPU, and coarsened variants of each.
+        let cases = [
+            (tile_frags(), 0),
+            (deep_stack(0, 2), 0),
+            (deep_stack(5, 3), 0),
+            (deep_stack(0, 8), 0),
+            (mixed.clone(), 0),
+            (deep_stack(5, 3), 1),
+            (deep_stack(0, 8), 2),
+            (mixed, 3),
+            (tile_frags(), 1),
+        ];
+        let fresh: Vec<TileCollisions> = cases
+            .iter()
+            .map(|(frags, boost)| {
+                ZebTileWorker::new(config, 16).process_tile_boosted(T0, frags, *boost)
+            })
+            .collect();
+        let rungs = fresh.iter().fold(RbcdStats::default(), |mut acc, out| {
+            acc.accumulate(&out.stats);
+            acc
+        });
+        assert!(
+            rungs.rung_spare > 0 && rungs.rung_rescan > 0 && rungs.rung_cpu > 0,
+            "the cases must climb every ladder rung: {rungs:?}"
+        );
+
+        let mut worker = ZebTileWorker::new(config, 16);
+        // Forward, then backward: every case follows every other kind.
+        let order = (0..cases.len()).chain((0..cases.len()).rev());
+        for (step, k) in order.enumerate() {
+            let (frags, boost) = &cases[k];
+            let out = worker.process_tile_boosted(T0, frags, *boost);
+            assert_eq!(out.contacts, fresh[k].contacts, "step {step}, case {k}");
+            assert_eq!(out.stats, fresh[k].stats, "step {step}, case {k}");
+            assert_eq!(out.escalated, fresh[k].escalated, "step {step}, case {k}");
+        }
     }
 
     /// Workers must be shippable to threads.

@@ -56,6 +56,15 @@ impl FfStack {
         self.capacity
     }
 
+    /// Empties the stack and sets its capacity to `capacity`, keeping
+    /// its allocation and its `dropped` count (the worker's stack is
+    /// widened in place for coarsened tiles and ladder rescans).
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+        debug_assert!(capacity > 0, "stack capacity is positive");
+        self.entries.clear();
+        self.capacity = capacity;
+    }
+
     /// Clears the stack for the next list.
     pub fn clear(&mut self) {
         self.entries.clear();

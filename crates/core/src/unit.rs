@@ -377,17 +377,16 @@ pub(crate) fn scan_zeb_tile(
     scan_cycles
 }
 
-/// Runs one tile's buffered fragments through the degradation ladder and
-/// scans the result, returning the scan's cycle count. The caller
-/// ([`crate::ZebTileWorker`]) buffers the tile's whole fragment stream
-/// first, so the ladder can replay it at a larger capacity.
+/// Runs one tile's fragment slice through the degradation ladder and
+/// scans the result. The slice is the rasterizer's per-tile capture in
+/// arrival order, so the ladder can replay it at a larger capacity.
 ///
 /// Rungs, in escalation order (§5.3 overflow handling, extended):
 ///
 /// 0. **clean** — the tile fits in the base `M`; plain insert + scan.
 /// 1. **spare** — full lists were absorbed entirely by the spare pool.
 /// 2. **re-scan** — the tile overflowed; its fragments are re-inserted
-///    from the buffered stream into a scratch ZEB at `M·2^attempt`, up
+///    from the slice into the same ZEB, re-formed at `M·2^attempt`, up
 ///    to [`RbcdConfig::ladder_rescans`] passes (each pass charges its
 ///    insertion events honestly). The FF-Stack is widened alongside so
 ///    the deeper lists scan without drops.
@@ -395,77 +394,57 @@ pub(crate) fn scan_zeb_tile(
 ///    distinct object ids are reported through `escalated` for an exact
 ///    software detector, and the best (largest-`M`) attempt is still
 ///    scanned so partial pairs are not thrown away.
-// Takes the worker's fields as split borrows so a boosted tile can
-// bring its own ZEB and FF-Stack.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn ladder_zeb_tile(
     zeb: &mut Zeb,
     stack: &mut FfStack,
     config: &RbcdConfig,
     tile: TileCoord,
     tile_size: u32,
-    pending: &[(u32, ZebElement)],
-    stats: &mut RbcdStats,
-    contacts: &mut Vec<ContactPoint>,
-    escalated: &mut Vec<ObjectId>,
-) -> u64 {
+    frags: &[CollisionFragment],
+) -> TileCollisions {
+    let mut out = TileCollisions::default();
+    let stats = &mut out.stats;
+    stats.tiles = 1;
     // Rungs 0/1: base capacity, with the spare pool absorbing pressure.
-    let overflows_before = stats.overflows;
-    let spares_before = stats.spare_allocations;
-    zeb.insert_many(pending, stats);
-    stats.insert_cycles += pending.len() as u64;
-    if stats.overflows == overflows_before {
-        if stats.spare_allocations > spares_before {
+    zeb.insert_many(frags, stats);
+    stats.insert_cycles += frags.len() as u64;
+    if stats.overflows == 0 {
+        if stats.spare_allocations > 0 {
             stats.rung_spare += 1;
         }
-        return scan_zeb_tile(zeb, stack, config, tile, tile_size, stats, contacts);
-    }
-
-    // Rung 2: re-insert the buffered fragment stream at doubled capacity.
-    let mut best: Option<(Zeb, usize)> = None;
-    let mut recovered = false;
-    for attempt in 1..=config.ladder_rescans {
-        let m = config.list_capacity.saturating_mul(1usize << attempt.min(24));
-        let mut scratch =
-            Zeb::new(zeb.list_count(), m).expect("rescan capacity is positive");
-        stats.rescan_passes += 1;
-        let retry_before = stats.overflows;
-        scratch.insert_many(pending, stats);
-        stats.insert_cycles += pending.len() as u64;
-        let clean = stats.overflows == retry_before;
-        best = Some((scratch, m));
-        if clean {
-            recovered = true;
-            break;
+    } else {
+        // Rung 2: replay the slice at doubled capacity. Each pass
+        // supersedes the previous content, so the ZEB is re-formed in
+        // place.
+        let mut recovered = false;
+        for attempt in 1..=config.ladder_rescans {
+            let m = config.list_capacity.saturating_mul(1usize << attempt.min(24));
+            zeb.reshape(m, 0);
+            stack.set_capacity(m.max(config.ff_stack_capacity));
+            stats.rescan_passes += 1;
+            let retry_before = stats.overflows;
+            zeb.insert_many(frags, stats);
+            stats.insert_cycles += frags.len() as u64;
+            if stats.overflows == retry_before {
+                recovered = true;
+                break;
+            }
         }
-    }
-
-    if let Some((mut scratch, m)) = best {
         if recovered {
             stats.rung_rescan += 1;
         } else if config.ladder_cpu_fallback {
             stats.rung_cpu += 1;
-            escalate_pending(pending, escalated);
+            escalate(frags, &mut out.escalated);
         }
-        // The base ZEB's partial content is superseded by the re-scan.
-        zeb.clear();
-        let mut wide_stack = FfStack::new(m.max(config.ff_stack_capacity))
-            .expect("widened FF-Stack capacity is positive");
-        return scan_zeb_tile(&mut scratch, &mut wide_stack, config, tile, tile_size, stats, contacts);
     }
-
-    // No re-scans configured: scan what survived at the base capacity.
-    if config.ladder_cpu_fallback {
-        stats.rung_cpu += 1;
-        escalate_pending(pending, escalated);
-    }
-    scan_zeb_tile(zeb, stack, config, tile, tile_size, stats, contacts)
+    stats.scan_cycles = scan_zeb_tile(zeb, stack, config, tile, tile_size, stats, &mut out.contacts);
+    out
 }
 
 /// Records the distinct objects of an overflowing tile, in ascending id
 /// order (deterministic regardless of fragment order).
-fn escalate_pending(pending: &[(u32, ZebElement)], escalated: &mut Vec<ObjectId>) {
-    let ids: BTreeSet<ObjectId> = pending.iter().map(|&(_, e)| e.object).collect();
+fn escalate(frags: &[CollisionFragment], escalated: &mut Vec<ObjectId>) {
+    let ids: BTreeSet<ObjectId> = frags.iter().map(|f| f.object).collect();
     escalated.extend(ids);
 }
 
@@ -639,8 +618,10 @@ mod tests {
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};
 
+    /// A fragment at tile-local pixel `(x, y)` of a 16×16 tile.
     fn frag(x: u32, y: u32, z: f32, id: u16, facing: Facing) -> CollisionFragment {
-        CollisionFragment { x, y, z, object: ObjectId::new(id), facing }
+        let z = rbcd_gpu::quantize_depth(z);
+        CollisionFragment { pixel: y * 16 + x, z, object: ObjectId::new(id), facing }
     }
 
     const T0: TileCoord = TileCoord { x: 0, y: 0 };
@@ -733,9 +714,7 @@ mod tests {
         assert_eq!(unit.next_free(), 0);
         // But the single scan unit serializes: a second tile finishing at
         // cycle 101 scans only after the first scan ends (116).
-        let shifted: Vec<_> =
-            frags.iter().map(|f| CollisionFragment { x: f.x + 16, ..*f }).collect();
-        drive_tile(&mut unit, TileCoord { x: 1, y: 0 }, &shifted, 50, 101);
+        drive_tile(&mut unit, TileCoord { x: 1, y: 0 }, &frags, 50, 101);
         assert_eq!(unit.idle_at(), 116 + 16);
     }
 
@@ -930,7 +909,7 @@ mod tests {
         let mut unit = RbcdUnit::new(cfg, 16).unwrap();
         drive_tile(&mut unit, T0, &frags, 0, 100);
         // A clean second tile for contrast.
-        let clean = [frag(16, 0, 0.1, 1, Facing::Front), frag(16, 0, 0.2, 1, Facing::Back)];
+        let clean = [frag(0, 0, 0.1, 1, Facing::Front), frag(0, 0, 0.2, 1, Facing::Back)];
         drive_tile(&mut unit, TileCoord { x: 1, y: 0 }, &clean, 1000, 1100);
         let s = unit.stats();
         assert_eq!(s.tiles, 2);

@@ -3,6 +3,7 @@
 use crate::element::ZebElement;
 use crate::error::RbcdError;
 use crate::stats::RbcdStats;
+use rbcd_gpu::CollisionFragment;
 
 /// Result of inserting one element into a ZEB list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,15 +26,31 @@ pub enum InsertOutcome {
 /// List-Register, `M` less-than comparators locate the insertion point in
 /// parallel, the MUX network shifts, and the list is written back — one
 /// element per cycle.
+///
+/// Storage is one flat slot array at a fixed stride of `M` slots per
+/// list, with per-list lengths and a parallel `u32` sort key per slot
+/// (`z << 1 | back`), so the insertion search compares integers. A list
+/// that claims a spare entry (§5.3) moves to a spill arena past the
+/// fixed region, so a large spare pool costs memory only as lists
+/// actually grow past `M`.
 #[derive(Debug, Clone)]
 pub struct Zeb {
     m: usize,
-    lists: Vec<Vec<ZebElement>>,
+    /// Elements; list `i` occupies `slots[i * m..]` while it holds at
+    /// most `m` of them, and `spill[i]` of the arena past `lens.len() *
+    /// m` once it holds more.
+    slots: Vec<ZebElement>,
+    /// Sort key of every slot, parallel to `slots` (see [`sort_key`]).
+    keys: Vec<u32>,
+    /// Elements held by each list.
+    lens: Vec<usize>,
+    /// Arena placement of each list longer than `m`; stale otherwise.
+    spill: Vec<Spill>,
     /// Lists touched since the last clear, in insertion-touch order —
     /// the deterministic scan order.
     dirty: Vec<u32>,
     /// Per-list dirty bitmask: bit `i % 64` of word `i / 64` set ⇔
-    /// list `i` holds ≥ 1 element. Drives tile teardown.
+    /// list `i` holds ≥ 1 element.
     touched: Vec<u64>,
     /// Per-list skip bitmask, maintained incrementally at insert time:
     /// bit clear ⇒ every element of the list shares the object id of
@@ -50,6 +67,27 @@ pub struct Zeb {
     spare_used: usize,
 }
 
+/// Where a list grown past `M` lives in the spill arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spill {
+    start: usize,
+    cap: usize,
+}
+
+/// The insertion comparators' key: quantized depth, then front faces
+/// before back faces at equal depth. The facing bit extends the
+/// comparator by one gate and makes the list order — and therefore the
+/// Z-overlap result — independent of fragment arrival order even under
+/// 16-bit depth ties (grazing surfaces).
+fn sort_key(e: &ZebElement) -> u32 {
+    u32::from(e.z) << 1 | u32::from(!e.is_front())
+}
+
+/// Filler for slots no list occupies.
+fn vacant() -> ZebElement {
+    ZebElement::decode(0)
+}
+
 impl Zeb {
     /// Creates a ZEB with `lists` pixel lists of capacity `m`.
     ///
@@ -64,10 +102,14 @@ impl Zeb {
         if lists == 0 {
             return Err(RbcdError::ZeroLists);
         }
+        let slots = lists.checked_mul(m).expect("ZEB slot count overflows usize");
         let words = lists.div_ceil(64);
         Ok(Self {
             m,
-            lists: vec![Vec::with_capacity(m); lists],
+            slots: vec![vacant(); slots],
+            keys: vec![0; slots],
+            lens: vec![0; lists],
+            spill: vec![Spill::default(); lists],
             dirty: Vec::new(),
             touched: vec![0; words],
             scan_worthy: vec![0; words],
@@ -87,6 +129,22 @@ impl Zeb {
         Ok(Self { spare_capacity: spares, ..Self::new(lists, m)? })
     }
 
+    /// Clears the ZEB and re-forms it in place with list capacity `m`
+    /// and a pool of `spares` spare entries, keeping its allocations:
+    /// the degradation ladder's rescans and the governor's coarsened
+    /// tiles reuse one worker ZEB this way.
+    pub(crate) fn reshape(&mut self, m: usize, spares: usize) {
+        debug_assert!(m > 0, "list capacity is positive");
+        self.clear();
+        self.spare_capacity = spares;
+        if m != self.m {
+            self.m = m;
+            let slots = self.lens.len().checked_mul(m).expect("ZEB slot count overflows usize");
+            self.slots.resize(slots, vacant());
+            self.keys.resize(slots, 0);
+        }
+    }
+
     /// Spare entries currently claimed by overlong lists.
     pub fn spares_used(&self) -> usize {
         self.spare_used
@@ -99,13 +157,22 @@ impl Zeb {
 
     /// Number of pixel lists.
     pub fn list_count(&self) -> usize {
-        self.lists.len()
+        self.lens.len()
     }
 
     /// Total storage in bytes (32-bit elements, as in Table 1),
     /// including the spare pool.
     pub fn size_bytes(&self) -> usize {
-        (self.lists.len() * self.m + self.spare_capacity) * 4
+        (self.lens.len() * self.m + self.spare_capacity) * 4
+    }
+
+    /// First slot of list `index` when it holds `len` elements.
+    fn start(&self, index: usize, len: usize) -> usize {
+        if len <= self.m {
+            index * self.m
+        } else {
+            self.spill[index].start
+        }
     }
 
     /// The list for pixel `index`.
@@ -114,7 +181,9 @@ impl Zeb {
     ///
     /// Panics if `index` is out of range.
     pub fn list(&self, index: usize) -> &[ZebElement] {
-        &self.lists[index]
+        let len = self.lens[index];
+        let start = self.start(index, len);
+        &self.slots[start..start + len]
     }
 
     /// Indices of non-empty lists, in insertion-touch order.
@@ -174,108 +243,140 @@ impl Zeb {
         self.insert_uncharged(index, element, stats)
     }
 
-    /// Inserts a whole fragment stream, charging the per-insertion
-    /// hardware events in bulk: each [`Zeb::insert`] charges the same
-    /// five unconditional events, so `n` insertions charge exactly
-    /// `n ×` those constants — summed up front instead of per element.
-    /// Conditional events (spares, overflows) stay per-element inside
-    /// the core. Bit-identical totals, one pass over the stream.
-    pub fn insert_many(&mut self, pending: &[(u32, ZebElement)], stats: &mut RbcdStats) {
-        let n = pending.len() as u64;
+    /// Inserts a tile's fragment stream (tile-local, in arrival order),
+    /// charging the per-insertion hardware events in bulk: each
+    /// [`Zeb::insert`] charges the same five unconditional events, so
+    /// `n` insertions charge exactly `n ×` those constants — summed up
+    /// front instead of per element. Conditional events (spares,
+    /// overflows) stay per-element inside the core. Bit-identical
+    /// totals, one pass over the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fragment's `pixel` is out of range.
+    pub fn insert_many(&mut self, frags: &[CollisionFragment], stats: &mut RbcdStats) {
+        let n = frags.len() as u64;
         stats.insertions += n;
         stats.zeb_list_reads += n;
         stats.zeb_list_writes += n;
         stats.lt_comparisons += n * self.m as u64;
         stats.mux_shifts += n;
-        for &(index, element) in pending {
-            self.insert_uncharged(index as usize, element, stats);
+        for f in frags {
+            let element = ZebElement { z: f.z, object: f.object, facing: f.facing };
+            self.insert_uncharged(f.pixel as usize, element, stats);
         }
     }
 
     /// [`Zeb::insert`] minus the five unconditional event charges —
-    /// the shared core of the single and bulk entry points.
+    /// the shared core of the single and bulk entry points. Inlined into
+    /// [`Zeb::insert_many`]'s per-fragment loop; the rare spill path
+    /// stays out of line ([`Zeb::make_room`]) to keep it small.
+    #[inline(always)]
     fn insert_uncharged(
         &mut self,
         index: usize,
         element: ZebElement,
         stats: &mut RbcdStats,
     ) -> InsertOutcome {
-        let list = &mut self.lists[index];
+        let len = self.lens[index];
+        let key = sort_key(&element);
+        if len == 0 {
+            // The list's first element: it becomes occupied.
+            self.dirty.push(index as u32);
+            self.touched[index / 64] |= 1u64 << (index % 64);
+            let at = index * self.m;
+            self.keys[at] = key;
+            self.slots[at] = element;
+            self.lens[index] = 1;
+            return InsertOutcome::Stored;
+        }
+        let mut start = self.start(index, len);
         // First-element object id, read before any mutation: if the new
         // element is stored and differs, the list can now hold two
         // distinct objects and must be scanned in full.
-        let first_obj = list.first().map(|e| e.object);
-        if list.is_empty() {
-            self.dirty.push(index as u32);
-            self.touched[index / 64] |= 1u64 << (index % 64);
-        }
-
-        // Position: sorted by (z, facing) with front faces ordered
-        // before back faces at equal quantized depth. The facing bit
-        // extends the comparator by one gate and makes the list order —
-        // and therefore the Z-overlap result — independent of fragment
-        // arrival order even under 16-bit depth ties (grazing surfaces).
-        let key = |e: &ZebElement| (e.z, !e.is_front());
-        let new_key = key(&element);
-        let pos = list.partition_point(|e| key(e) <= new_key);
-        let limit = self.m + if list.len() >= self.m { list.len() - self.m } else { 0 };
-        let len = list.len();
-        // Single-pass store, mirroring the hardware: decide the outcome,
-        // then one tail shift (the MUX network) opens the slot and one
-        // write fills it — no per-branch memmove variants.
-        let (outcome, ins) = if len < self.m {
-            list.push(element); // grows the list; the copy is shifted over below
-            (InsertOutcome::Stored, pos)
+        let first_obj = self.slots[start].object;
+        let (outcome, new_len) = if len < self.m {
+            (InsertOutcome::Stored, len + 1)
         } else if self.spare_used < self.spare_capacity {
             // Claim a spare entry: the list grows past M.
             self.spare_used += 1;
             stats.spare_allocations += 1;
-            list.push(element);
-            (InsertOutcome::StoredInSpare, pos.min(limit))
+            start = self.make_room(index, start, len);
+            (InsertOutcome::StoredInSpare, len + 1)
         } else {
             stats.overflows += 1;
-            if pos >= len {
+            if self.keys[start + len - 1] <= key {
                 // The new element is itself the farthest: dropped outright.
                 return InsertOutcome::Overflow;
             }
-            // Nearer than the current farthest: the shift network pushes
-            // the last element out (it is overwritten by the tail shift).
-            (InsertOutcome::Overflow, pos)
+            // Nearer than the current farthest: the shift below pushes
+            // the last element out.
+            (InsertOutcome::Overflow, len)
         };
-        let tail = list.len() - 1;
-        list.copy_within(ins..tail, ins + 1);
-        list[ins] = element;
+        // The MUX network's tail shift, fused with the comparators:
+        // walking back from the list's last slot, every element whose
+        // key exceeds the new one moves one slot farther, and the new
+        // element fills the gap — after every element with a key <= its
+        // own, so equal keys stay in arrival order.
+        let keys = &mut self.keys[start..start + new_len];
+        let slots = &mut self.slots[start..start + new_len];
+        let mut at = new_len - 1;
+        while at > 0 && keys[at - 1] > key {
+            keys[at] = keys[at - 1];
+            slots[at] = slots[at - 1];
+            at -= 1;
+        }
+        keys[at] = key;
+        slots[at] = element;
+        self.lens[index] = new_len;
         // Only reached when the element was actually stored (the
         // dropped-outright overflow returned above and left the list —
         // and therefore the mask — untouched).
-        if first_obj.is_some_and(|first| first != element.object) {
+        if first_obj != element.object {
             self.scan_worthy[index / 64] |= 1u64 << (index % 64);
         }
         outcome
     }
 
-    /// Clears every touched list for the next tile and releases the
-    /// spare pool. Teardown is driven by the `touched` bitmask: only
-    /// words with set bits walk their lists, and both masks are zeroed
-    /// word-at-a-time.
-    pub fn clear(&mut self) {
-        for (w, word) in self.touched.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                self.lists[i].clear();
-                bits &= bits - 1;
-            }
-            *word = 0;
+    /// Makes room for one more element in the full list `index` (`len`
+    /// elements from slot `start`) by moving it to a fresh spill-arena
+    /// chunk of twice its length when its current storage is full.
+    /// Returns the list's start slot.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self, index: usize, start: usize, len: usize) -> usize {
+        let cap = if len <= self.m { self.m } else { self.spill[index].cap };
+        if len < cap {
+            return start;
         }
-        self.scan_worthy.fill(0);
+        let (to, cap) = (self.slots.len(), 2 * len);
+        self.slots.extend_from_within(start..start + len);
+        self.slots.resize(to + cap, vacant());
+        self.keys.extend_from_within(start..start + len);
+        self.keys.resize(to + cap, 0);
+        self.spill[index] = Spill { start: to, cap };
+        to
+    }
+
+    /// Clears every occupied list for the next tile and releases the
+    /// spare pool and its spill arena. Only occupied lists are reset,
+    /// and both masks are zeroed word-at-a-time.
+    pub fn clear(&mut self) {
+        for &i in &self.dirty {
+            self.lens[i as usize] = 0;
+        }
         self.dirty.clear();
+        self.touched.fill(0);
+        self.scan_worthy.fill(0);
         self.spare_used = 0;
+        let fixed = self.lens.len() * self.m;
+        self.slots.truncate(fixed);
+        self.keys.truncate(fixed);
     }
 
     /// Total elements currently stored.
     pub fn len(&self) -> usize {
-        self.dirty.iter().map(|&i| self.lists[i as usize].len()).sum()
+        self.dirty.iter().map(|&i| self.lens[i as usize]).sum()
     }
 
     /// `true` when no list holds an element.
@@ -288,6 +389,7 @@ impl Zeb {
 mod tests {
     use super::*;
     use rbcd_gpu::{Facing, ObjectId};
+    use rbcd_math::Rng;
 
     fn el(z: f32, id: u16, facing: Facing) -> ZebElement {
         ZebElement::new(z, ObjectId::new(id), facing)
@@ -416,52 +518,207 @@ mod tests {
         );
     }
 
-    /// Micro-assert for the single-pass insert: against a naive
-    /// `Vec::insert` reference using the same `(z, facing)` key, every
-    /// stored list must match element-for-element — same sorted order,
-    /// same front-before-back tie-breaking, same stable arrival order
-    /// within equal keys, same element dropped on overflow.
-    #[test]
-    fn shift_based_insert_matches_naive_reference() {
-        // Deterministic pseudo-random stream (no external RNG).
-        let mut state = 0x1234_5678u32;
-        let mut next = || {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            state
-        };
-        for (m, spares) in [(1, 0), (2, 0), (4, 0), (4, 3), (8, 0), (8, 5)] {
-            let mut zeb = Zeb::with_spares(2, m, spares).unwrap();
-            let mut stats = RbcdStats::default();
-            let mut reference: Vec<Vec<ZebElement>> = vec![Vec::new(); 2];
-            let mut ref_spares = 0usize;
-            for _ in 0..64 {
-                let r = next();
-                // Coarse depths force plenty of quantized ties.
-                let z = (r % 5) as f32 * 0.2;
-                let id = 1 + (r >> 8) as u16 % 7;
-                let facing = if r & 0x40 == 0 { Facing::Front } else { Facing::Back };
-                let index = (r >> 16) as usize % 2;
-                let e = el(z, id, facing);
-                zeb.insert(index, e, &mut stats);
+    /// The per-list `Vec` ZEB this flat layout replaced, kept as the
+    /// reference it must match: same outcomes, lists, occupancy order,
+    /// masks, spare accounting and stats.
+    struct VecZeb {
+        m: usize,
+        lists: Vec<Vec<ZebElement>>,
+        dirty: Vec<u32>,
+        touched: Vec<u64>,
+        scan_worthy: Vec<u64>,
+        spare_capacity: usize,
+        spare_used: usize,
+    }
 
-                let list = &mut reference[index];
-                let key = |e: &ZebElement| (e.z, !e.is_front());
-                let pos = list.partition_point(|x| key(x) <= key(&e));
-                if list.len() < m {
-                    list.insert(pos, e);
-                } else if ref_spares < spares {
-                    ref_spares += 1;
-                    list.insert(pos, e);
-                } else if pos < list.len() {
-                    list.pop();
-                    list.insert(pos, e);
-                }
-            }
-            for (i, expected) in reference.iter().enumerate() {
-                assert_eq!(zeb.list(i), &expected[..], "M={m} spares={spares} list {i}");
-                assert!(sorted(&zeb, i));
+    impl VecZeb {
+        fn new(lists: usize, m: usize, spares: usize) -> Self {
+            let words = lists.div_ceil(64);
+            Self {
+                m,
+                lists: vec![Vec::new(); lists],
+                dirty: Vec::new(),
+                touched: vec![0; words],
+                scan_worthy: vec![0; words],
+                spare_capacity: spares,
+                spare_used: 0,
             }
         }
+
+        fn insert(
+            &mut self,
+            index: usize,
+            element: ZebElement,
+            stats: &mut RbcdStats,
+        ) -> InsertOutcome {
+            stats.insertions += 1;
+            stats.zeb_list_reads += 1;
+            stats.zeb_list_writes += 1;
+            stats.lt_comparisons += self.m as u64;
+            stats.mux_shifts += 1;
+            let list = &mut self.lists[index];
+            let first_obj = list.first().map(|e| e.object);
+            if list.is_empty() {
+                self.dirty.push(index as u32);
+                self.touched[index / 64] |= 1u64 << (index % 64);
+            }
+            let key = |e: &ZebElement| (e.z, !e.is_front());
+            let pos = list.partition_point(|e| key(e) <= key(&element));
+            let outcome = if list.len() < self.m {
+                InsertOutcome::Stored
+            } else if self.spare_used < self.spare_capacity {
+                self.spare_used += 1;
+                stats.spare_allocations += 1;
+                InsertOutcome::StoredInSpare
+            } else {
+                stats.overflows += 1;
+                if pos == list.len() {
+                    return InsertOutcome::Overflow;
+                }
+                list.pop();
+                InsertOutcome::Overflow
+            };
+            list.insert(pos, element);
+            if first_obj.is_some_and(|first| first != element.object) {
+                self.scan_worthy[index / 64] |= 1u64 << (index % 64);
+            }
+            outcome
+        }
+
+        fn clear(&mut self) {
+            for &i in &self.dirty {
+                self.lists[i as usize].clear();
+            }
+            self.dirty.clear();
+            self.touched.fill(0);
+            self.scan_worthy.fill(0);
+            self.spare_used = 0;
+        }
+    }
+
+    /// A random fragment: a few hot lists take most insertions, so
+    /// lists overflow and claim spares at every shape, and coarse depths
+    /// force plenty of quantized ties.
+    fn random_frag(rng: &mut Rng, lists: usize) -> CollisionFragment {
+        let span = if rng.gen_bool(0.6) { lists.min(3) } else { lists };
+        let pixel = rng.gen_range(0..span as u32);
+        let coarse = rng.gen_bool(0.5);
+        let z = if coarse { rng.gen_range(0u16..5) * 4096 } else { rng.next_u32() as u16 };
+        let object = ObjectId::new(rng.gen_range(1u16..5));
+        let facing = if rng.gen_bool(0.5) { Facing::Front } else { Facing::Back };
+        CollisionFragment { pixel, z, object, facing }
+    }
+
+    fn element(f: &CollisionFragment) -> ZebElement {
+        ZebElement { z: f.z, object: f.object, facing: f.facing }
+    }
+
+    /// Drives the flat ZEB and the `Vec` reference through one seeded
+    /// script of `insert`, `insert_many` and `clear`, comparing every
+    /// observable after each step.
+    fn run_script(lists: usize, m: usize, spares: usize) {
+        let case = format!("lists={lists} M={m} spares={spares}");
+        let mut rng = Rng::seed_from_u64((lists * 1000 + m) as u64 ^ spares as u64);
+        let mut zeb = Zeb::with_spares(lists, m, spares).unwrap();
+        let mut reference = VecZeb::new(lists, m, spares);
+        let (mut stats, mut ref_stats) = (RbcdStats::default(), RbcdStats::default());
+        for step in 0..400 {
+            match rng.gen_range(0u32..20) {
+                0 => {
+                    zeb.clear();
+                    reference.clear();
+                }
+                1..=4 => {
+                    let n = rng.gen_range(0usize..48);
+                    let frags: Vec<_> = (0..n).map(|_| random_frag(&mut rng, lists)).collect();
+                    zeb.insert_many(&frags, &mut stats);
+                    for f in &frags {
+                        reference.insert(f.pixel as usize, element(f), &mut ref_stats);
+                    }
+                }
+                _ => {
+                    let f = random_frag(&mut rng, lists);
+                    let (i, e) = (f.pixel as usize, element(&f));
+                    let outcome = zeb.insert(i, e, &mut stats);
+                    let expected = reference.insert(i, e, &mut ref_stats);
+                    assert_eq!(outcome, expected, "{case} step {step}: outcome");
+                }
+            }
+            for (i, expected) in reference.lists.iter().enumerate() {
+                assert_eq!(zeb.list(i), &expected[..], "{case} step {step}: list {i}");
+                assert!(sorted(&zeb, i));
+            }
+            assert_eq!(zeb.occupied(), &reference.dirty[..], "{case} step {step}");
+            assert_eq!(zeb.touched_words(), &reference.touched[..], "{case} step {step}");
+            assert_eq!(zeb.scan_worthy_words(), &reference.scan_worthy[..], "{case} step {step}");
+            assert_eq!(zeb.spares_used(), reference.spare_used, "{case} step {step}");
+            assert_eq!(stats, ref_stats, "{case} step {step}");
+        }
+        let pressure = if spares == 0 { stats.overflows } else { stats.spare_allocations };
+        assert!(pressure > 0, "{case}: the script must fill lists past M");
+    }
+
+    /// Seeded scripts drive the flat ZEB and the per-list `Vec`
+    /// reference side by side; after every step both must agree on
+    /// every list (sorted order, front-before-back ties, stable arrival
+    /// order within equal keys, the element dropped on overflow), the
+    /// occupancy order, both masks, the spare pool and every stat, and
+    /// every single insertion must report the same outcome.
+    #[test]
+    fn shift_based_insert_matches_naive_reference() {
+        for lists in [1, 7, 256] {
+            for m in [1, 2, 4, 8, 16] {
+                for spares in [0, 3, 64, 1 << 20] {
+                    run_script(lists, m, spares);
+                }
+            }
+        }
+    }
+
+    /// A spare pool costs no memory up front: only lists that actually
+    /// grow past `M` take spill-arena slots, and `clear` releases them.
+    #[test]
+    fn large_spare_pool_allocates_on_demand() {
+        let mut zeb = Zeb::with_spares(256, 8, 1 << 20).unwrap();
+        assert!(zeb.slots.capacity() <= 256 * 8 && zeb.keys.capacity() <= 256 * 8);
+        let mut stats = RbcdStats::default();
+        for i in 0..1000u16 {
+            zeb.insert(5, el(f32::from(i) / 1000.0, 1, Facing::Front), &mut stats);
+        }
+        assert_eq!(zeb.list(5).len(), 1000);
+        assert_eq!(zeb.spares_used(), 1000 - 8);
+        assert!(sorted(&zeb, 5));
+        // Doubling chunks: the arena holds at most 4× the grown list.
+        assert!(zeb.slots.len() <= 256 * 8 + 4 * 1000, "arena {}", zeb.slots.len());
+        zeb.clear();
+        assert_eq!(zeb.slots.len(), 256 * 8);
+        assert!(zeb.list(5).is_empty());
+    }
+
+    /// Re-forming keeps no stale element and honours the new capacity
+    /// and spare pool.
+    #[test]
+    fn reshape_clears_and_resizes_in_place() {
+        let mut zeb = Zeb::with_spares(4, 2, 1).unwrap();
+        let mut stats = RbcdStats::default();
+        for i in 0..4 {
+            zeb.insert(1, el(0.1 * i as f32, 1, Facing::Front), &mut stats);
+        }
+        zeb.reshape(8, 0);
+        assert!(zeb.is_empty() && zeb.list(1).is_empty());
+        assert_eq!((zeb.capacity(), zeb.spares_used()), (8, 0));
+        for i in 0..9 {
+            zeb.insert(3, el(0.1 * i as f32, 1, Facing::Back), &mut stats);
+        }
+        assert_eq!(zeb.list(3).len(), 8, "M = 8 and no spares after the reshape");
+        zeb.reshape(2, 1);
+        zeb.insert(0, el(0.5, 1, Facing::Front), &mut stats);
+        zeb.insert(0, el(0.6, 2, Facing::Front), &mut stats);
+        assert_eq!(
+            zeb.insert(0, el(0.7, 3, Facing::Front), &mut stats),
+            InsertOutcome::StoredInSpare
+        );
+        assert_eq!(zeb.list(0).len(), 3);
     }
 
     #[test]

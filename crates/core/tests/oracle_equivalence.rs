@@ -7,10 +7,12 @@
 
 use rbcd_core::software::OracleUnit;
 use rbcd_core::{RbcdConfig, RbcdUnit};
-use rbcd_gpu::{CollisionFragment, Facing, ObjectId, ParallelCollision, TileCoord};
+use rbcd_gpu::{quantize_depth, CollisionFragment, Facing, ObjectId, ParallelCollision, TileCoord};
 use rbcd_math::Rng;
 
 const CASES: usize = 256;
+
+const TILE: TileCoord = TileCoord { x: 0, y: 0 };
 
 /// Generates balanced per-pixel face lists: for each (pixel, object)
 /// pair, a set of [front, back] depth intervals.
@@ -23,19 +25,18 @@ fn interval_set(rng: &mut Rng) -> Vec<CollisionFragment> {
         let id = rng.gen_range(1u16..4);
         let z0 = rng.gen_range(0.0f32..1.0);
         let dz = rng.gen_range(0.01f32..0.5);
-        let (x, y) = (pix as u32 % 2, pix as u32 / 2);
+        // Pixels (0, 0), (1, 0), (0, 1), (1, 1) of a 16×16 tile.
+        let pixel = (pix as u32 / 2) * 16 + pix as u32 % 2;
         let z1 = (z0 + dz).min(1.0);
         frags.push(CollisionFragment {
-            x,
-            y,
-            z: z0,
+            pixel,
+            z: quantize_depth(z0),
             object: ObjectId::new(id),
             facing: Facing::Front,
         });
         frags.push(CollisionFragment {
-            x,
-            y,
-            z: z1,
+            pixel,
+            z: quantize_depth(z1),
             object: ObjectId::new(id),
             facing: Facing::Back,
         });
@@ -45,16 +46,15 @@ fn interval_set(rng: &mut Rng) -> Vec<CollisionFragment> {
 
 fn run_hardware(frags: &[CollisionFragment], config: RbcdConfig) -> RbcdUnit {
     let mut unit = RbcdUnit::new(config, 16).unwrap();
-    let tile = TileCoord { x: 0, y: 0 };
-    let out = unit.make_worker().process_tile(tile, frags);
-    unit.merge_tile(tile, out, 0, 1000);
+    let out = unit.make_worker().process_tile(TILE, frags);
+    unit.merge_tile(TILE, out, 0, 1000);
     unit
 }
 
 fn run_oracle(frags: &[CollisionFragment]) -> OracleUnit {
     let mut oracle = OracleUnit::new();
     for f in frags {
-        oracle.add_fragment(*f);
+        oracle.add_fragment(TILE, *f);
     }
     oracle
 }

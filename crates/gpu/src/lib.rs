@@ -71,7 +71,7 @@ pub use broadphase::BroadPhase;
 pub use builder::{GpuConfigError, SimulatorBuilder};
 pub use cache::{CacheConfig, CacheModel, CacheStats};
 pub use clip::clip_near;
-pub use collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
+pub use collision_unit::{quantize_depth, CollisionFragment, NullCollisionUnit, TileCoord};
 pub use command::{
     Camera, CullMode, DrawCommand, Facing, FrameTrace, ObjectId, SceneError, ShaderCost,
 };

@@ -83,7 +83,11 @@ pub trait ParallelCollision: Send {
     fn make_worker(&self) -> Self::Worker;
 
     /// Analyses one tile's collisionable fragments, on any thread.
-    /// `frags` arrive in rasterization order.
+    /// `frags` is the rasterizer's capture for `tile`, in rasterization
+    /// order and in the tile-local form the hardware forwards: each
+    /// fragment names its pixel within the tile and carries its depth
+    /// already quantized. The slice is the tile's arrival-order buffer,
+    /// so a backend may replay it (the degradation ladder does).
     fn process_tile(
         worker: &mut Self::Worker,
         tile: TileCoord,
@@ -830,7 +834,7 @@ mod tests {
                             inc.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
                         assert_eq!(
                             a,
-                            no_geom_accounting(b.clone()),
+                            no_geom_accounting(b),
                             "mode {mode:?}, reuse {reuse}, {threads} threads, frame {frame}"
                         );
                         if mode != PipelineMode::CollisionOnly && frame > 0 {
@@ -864,7 +868,7 @@ mod tests {
         // The timeline is simulated, so splicing must be invisible to
         // the event stream; only the splice heat plane may differ.
         assert_eq!(rebuild.events(), inc.events());
-        assert_eq!(inc.heat().total("splice") > 0, true, "warm frame splices bins");
+        assert!(inc.heat().total("splice") > 0, "warm frame splices bins");
         assert_eq!(rebuild.heat().total("splice"), 0);
     }
 
@@ -901,7 +905,7 @@ mod tests {
                 on.set_broadphase(BroadPhase::On);
                 let b = on.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
                 let tag = format!("mode {mode:?}, {threads} threads");
-                assert_eq!(strip_bp(a.clone()), strip_bp(b.clone()), "{tag}");
+                assert_eq!(strip_bp(a), strip_bp(b), "{tag}");
                 assert!(b.broadphase.tiles_skipped > 0, "{tag}: pair-free tiles must skip");
                 assert!(b.broadphase.sweep_cycles > 0, "{tag}");
                 if mode == PipelineMode::Rbcd {
@@ -989,7 +993,7 @@ mod tests {
                 4,
             );
             let b = both.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 4);
-            assert_eq!(strip_bp(a), strip_bp(b.clone()), "frame {frame}");
+            assert_eq!(strip_bp(a), strip_bp(b), "frame {frame}");
             if frame > 0 {
                 assert_eq!(
                     b.coherence.tiles_reused, b.coherence.tiles_checked,

@@ -4,7 +4,7 @@ use crate::broadphase::{BroadPhase, DrawBounds, SweepScratch};
 use crate::cache::CacheModel;
 use crate::clip::clip_near;
 use crate::coherence::{self, MeshHashMemo, TileResultCache};
-use crate::collision_unit::{CollisionFragment, TileCoord};
+use crate::collision_unit::{quantize_depth, CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
@@ -139,8 +139,9 @@ pub(crate) struct TileWorker {
     /// Per-tile depth buffer.
     zbuf: Vec<f32>,
     frag_scratch: Vec<Fragment>,
-    /// Collisionable fragments of the last processed tile, in
-    /// rasterization order.
+    /// Collisionable fragments of the last processed tile, tile-local
+    /// and in rasterization order: the tile's arrival-order stream,
+    /// which the RBCD worker inserts (and its ladder replays) directly.
     pub(crate) coll_frags: Vec<CollisionFragment>,
 }
 
@@ -229,9 +230,8 @@ impl TileWorker {
                         o.coll_frags += n;
                         for f in frag_scratch.iter() {
                             coll_frags.push(CollisionFragment {
-                                x: f.x,
-                                y: f.y,
-                                z: f.z,
+                                pixel: (f.y - tile_y0) * cfg.tile_size + (f.x - tile_x0),
+                                z: quantize_depth(f.z),
                                 object,
                                 facing: prim.facing,
                             });
@@ -277,15 +277,16 @@ impl TileWorker {
                         cfg.viewport.width,
                         cfg.viewport.height,
                         &mut |py: u32, s: u32, zs: &[f32]| {
+                            let row0 = (py - tile_y0) * cfg.tile_size + (s - tile_x0);
                             if let Some(object) = coll_object {
-                                coll_frags.extend(zs.iter().enumerate().map(|(i, &z)| {
-                                    CollisionFragment { x: s + i as u32, y: py, z, object, facing }
+                                coll_frags.extend(zs.iter().zip(row0..).map(|(&z, pixel)| {
+                                    let z = quantize_depth(z);
+                                    CollisionFragment { pixel, z, object, facing }
                                 }));
                             }
                             if early_z {
                                 tez += zs.len() as u64;
-                                let row0 =
-                                    ((py - tile_y0) * cfg.tile_size + (s - tile_x0)) as usize;
+                                let row0 = row0 as usize;
                                 for (slot, &z) in zbuf[row0..row0 + zs.len()].iter_mut().zip(zs) {
                                     if z < *slot {
                                         if *slot == 1.0 {

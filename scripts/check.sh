@@ -37,8 +37,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy, every target (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --workspace
