@@ -14,10 +14,11 @@ use rbcd_core::{scan_list, FfStack, RbcdConfig, RbcdStats, RbcdUnit, Zeb, ZebEle
 use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
-    rasterize_triangle_in_tile, Facing, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision,
-    PipelineMode, ScreenTriangle, Simulator, TileCoord,
+    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, Facing, FrameTrace,
+    FrontendMode, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision, PipelineMode,
+    ScreenTriangle, Simulator, TileCoord,
 };
-use rbcd_math::{Mat4, Vec3, Viewport};
+use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -140,6 +141,84 @@ fn bench_rasterizer() {
     });
 }
 
+/// Rasterizing small triangles, 1–8 pixels across, into every tile they
+/// overlap with the mask hot path. On `paper` a (triangle, tile)
+/// rasterization yields about 7 fragments, so per-call set-up (bounds,
+/// edge set-up, the row loop's first probes) weighs as much as the
+/// fragments do; the one large triangle above hides it.
+fn bench_small_triangles() {
+    let mut rng = Rng::seed_from_u64(0x5A11_7415);
+    let tris: Vec<ScreenTriangle> = (0..256)
+        .map(|_| {
+            let size = rng.gen_range(1.0f32..8.0);
+            let (x, y) = (rng.gen_range(0.0f32..56.0), rng.gen_range(0.0f32..56.0));
+            let mut corner = || {
+                Vec3::new(
+                    x + rng.gen_range(0.0..size),
+                    y + rng.gen_range(0.0..size),
+                    rng.gen_range(0.0f32..1.0),
+                )
+            };
+            ScreenTriangle::new(corner(), corner(), corner())
+        })
+        .collect();
+    bench("rasterize_256_small_triangles_masked", || {
+        let mut frags = 0;
+        for tri in &tris {
+            let Some((x0, y0, x1, y1)) = tri.pixel_bounds(64, 64) else { continue };
+            for ty in y0 / 16..=y1 / 16 {
+                for tx in x0 / 16..=x1 / 16 {
+                    frags += rasterize_triangle_in_tile_masked_rows(
+                        black_box(tri),
+                        tx * 16,
+                        ty * 16,
+                        16,
+                        64,
+                        64,
+                        &mut |_, _, zs| {
+                            black_box(zs);
+                        },
+                    )
+                    .fragments;
+                }
+            }
+        }
+        frags
+    });
+}
+
+/// The geometry front-end alone (`bench_bin_frame`, incremental, full
+/// 800×480 viewport) over a window of eight consecutive `cap` frames,
+/// each call binning the next frame of the window: once with `cap`'s
+/// fixed camera, where still draws hit the geometry cache, and once with
+/// a camera that moves every frame, where every draw is shaded.
+fn bench_frontend() {
+    let scene = rbcd_workloads::cap();
+    let window: Vec<FrameTrace> = (0..8).map(|f| scene.frame_trace(f)).collect();
+    let moving: Vec<FrameTrace> = window
+        .iter()
+        .enumerate()
+        .map(|(f, t)| {
+            let eye = Vec3::new(0.05 * f as f32, 2.6, 7.0);
+            let camera = Camera::perspective(eye, Vec3::new(0.0, 1.2, -3.0), 1.0, 0.1, 100.0);
+            FrameTrace::new(camera, t.draws.clone())
+        })
+        .collect();
+    for (name, frames) in
+        [("bin_frame_cap_window", &window), ("bin_frame_cap_window_moving_camera", &moving)]
+    {
+        let mut sim = Simulator::new(GpuConfig::default());
+        sim.set_frontend(FrontendMode::Incremental);
+        let mut f = 0;
+        bench(name, || {
+            let trace = black_box(&frames[f % frames.len()]);
+            let stats = sim.bench_bin_frame(trace, PipelineMode::Rbcd);
+            f += 1;
+            stats
+        });
+    }
+}
+
 /// Exact triangle–triangle intersection (the validation oracle).
 fn bench_tri_tri() {
     let t1 = rbcd_geometry::Triangle::new(
@@ -218,6 +297,8 @@ fn main() {
     bench_gjk();
     bench_broad_phase();
     bench_rasterizer();
+    bench_small_triangles();
+    bench_frontend();
     bench_tri_tri();
     bench_full_frame();
     bench_rbcd_unit_tile();

@@ -7,8 +7,9 @@
 //! overflow presets, and an active governor budget. Per-frame
 //! [`FrameStats`], collision pairs, and derived counters must match the
 //! rebuild run bit for bit; only the accounting-only `geom.*` counters
-//! may differ. A second arm pins the bounded cache: evicting down to a
-//! tiny capacity must change reuse rates, never results.
+//! may differ. A second arm pins the two-generation cache: a draw that
+//! skips a frame is re-shaded when it returns, results never change,
+//! and the cache never holds more than the last two frames' draws.
 
 use rbcd_core::{FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
@@ -196,46 +197,87 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
     }
 }
 
+/// A 30-frame script whose camera steps every five frames, with one
+/// mover, a still cast, and a draw that drops out of frame `GAP` and
+/// returns the frame after; the camera holds from `GAP - 2` to
+/// `GAP + 1`.
+const GAP: usize = 12;
+
+fn drop_out_script() -> Vec<FrameTrace> {
+    let cast: Vec<DrawCommand> = vec![
+        DrawCommand::scenery(shapes::ground_quad(16.0, 16.0))
+            .with_model(Mat4::translation(Vec3::new(0.0, -1.5, 0.0))),
+        DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(1)),
+        DrawCommand::collidable(shapes::cube(0.8), ObjectId::new(2))
+            .with_model(Mat4::translation(Vec3::new(0.6, 0.2, 0.0))),
+        DrawCommand::collidable(shapes::icosphere(0.8, 2), ObjectId::new(3))
+            .with_model(Mat4::translation(Vec3::new(-1.4, 0.0, 0.3))),
+        DrawCommand::scenery(shapes::uv_sphere(1.2, 10, 8))
+            .with_model(Mat4::translation(Vec3::new(1.8, 0.5, -1.0))),
+    ];
+    (0..30)
+        .map(|f| {
+            let eye = Vec3::new(0.15 * (f / 5) as f32, 1.0, 7.0);
+            let camera = Camera::perspective(eye, Vec3::ZERO, 1.0, 0.1, 100.0);
+            let mut draws = cast.clone();
+            // Object 1 moves every frame, so it misses every frame.
+            draws[1] = draws[1].clone().with_model(Mat4::translation(Vec3::new(
+                -0.5 + 0.04 * f as f32,
+                0.0,
+                0.0,
+            )));
+            if f == GAP {
+                draws.remove(3);
+            }
+            FrameTrace::new(camera, draws)
+        })
+        .collect()
+}
+
 #[test]
 fn bounded_cache_evicts_without_changing_results() {
-    let script = random_script(23, 4);
-    let (base, base_pairs) = run_script(&script, FrontendMode::Rebuild, 1, false, None, None);
-    let run_capped = |capacity: usize| {
+    let script = drop_out_script();
+    let (base, base_pairs) = run_script(&script, FrontendMode::Rebuild, 1, true, None, None);
+    for threads in [1, 2] {
         let mut sim = SimulatorBuilder::from_config(cfg())
-            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
+            .policy(
+                FramePolicy::new()
+                    .with_workers(threads)
+                    .with_reuse(true)
+                    .with_frontend(FrontendMode::Incremental),
+            )
             .build()
-            .unwrap();
-        sim.set_geom_cache_capacity(capacity);
-        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size).unwrap();
+            .expect("test configuration is valid");
+        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
+            .expect("default RBCD configuration is valid");
         let mut frames = Vec::new();
         let mut pairs = BTreeSet::new();
-        for trace in &script {
+        for (f, trace) in script.iter().enumerate() {
             unit.new_frame();
-            frames.push(sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, 1));
+            frames.push(sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, threads));
             for c in unit.take_contacts() {
                 pairs.insert(c.object_pair());
             }
-            assert!(sim.geom_cache_len() <= capacity, "cache exceeded its bound");
+            // The memory bound that replaces a capacity knob: the cache
+            // holds at most the draws of this frame and the last.
+            let recent = trace.draws.len() + f.checked_sub(1).map_or(0, |p| script[p].draws.len());
+            assert!(
+                sim.geom_cache_len() <= recent,
+                "{threads} threads, frame {f}: {} cached draws, bound {recent}",
+                sim.geom_cache_len()
+            );
         }
-        (frames, pairs)
-    };
-    let (roomy, roomy_pairs) = run_capped(64);
-    let (tiny, tiny_pairs) = run_capped(2);
-    for (f, (a, b)) in base.iter().zip(&roomy).enumerate() {
-        assert_eq!(*a, no_geom_accounting(*b), "roomy cache diverged at frame {f}");
+        assert_eq!(base_pairs, pairs, "{threads} threads: pair set diverged");
+        for (f, (a, b)) in base.iter().zip(&frames).enumerate() {
+            assert_eq!(*a, no_geom_accounting(*b), "{threads} threads: frame {f} diverged");
+        }
+        // Frames GAP - 1 and GAP + 1 share a camera and a cast; only
+        // the returning draw, absent for frame GAP, must shade again.
+        let (before, after) = (frames[GAP - 1].geometry, frames[GAP + 1].geometry);
+        assert_eq!(after.shaded_draws, before.shaded_draws + 1, "{threads} threads");
+        assert_eq!(after.reuse_draws + 1, before.reuse_draws, "{threads} threads");
+        assert!(before.reuse_draws > 0, "still draws under a still camera must hit");
+        // Camera steps invalidate every draw.
+        assert_eq!(frames[GAP + 3].geometry.reuse_draws, 0, "frame {}", GAP + 3);
     }
-    for (f, (a, b)) in base.iter().zip(&tiny).enumerate() {
-        assert_eq!(*a, no_geom_accounting(*b), "tiny cache diverged at frame {f}");
-    }
-    assert_eq!(base_pairs, roomy_pairs);
-    assert_eq!(base_pairs, tiny_pairs);
-    // Two entries cannot hold a six-draw cast: eviction must cost
-    // reuse — that it costs nothing else is the point of this test.
-    let reused = |frames: &[FrameStats]| frames.iter().map(|s| s.geometry.reuse_draws).sum::<u64>();
-    assert!(reused(&roomy) > reused(&tiny), "eviction must reduce the reuse rate");
-    assert!(
-        tiny.iter().map(|s| s.geometry.shaded_draws).sum::<u64>()
-            > roomy.iter().map(|s| s.geometry.shaded_draws).sum::<u64>(),
-        "evicted draws must be re-shaded"
-    );
 }

@@ -266,11 +266,14 @@ pub(crate) fn plan_frame(
     // binned into the tile (an object with no feasible partner anywhere
     // cannot form one here either), then test the survivors pairwise.
     skip.clear();
+    let records = bins.records();
     for &ti in bins.active() {
         scratch.present.clear();
         let mut unknown = false;
-        for prim in bins.tile(ti as usize) {
-            let Some(id) = trace.draws[prim.draw as usize].collidable else { continue };
+        for &rid in bins.tile(ti as usize) {
+            let Some(id) = trace.draws[records[rid as usize].draw as usize].collidable else {
+                continue;
+            };
             match scratch.objs.binary_search_by_key(&id, |e| e.id) {
                 Ok(oi) => {
                     let oi = oi as u32;
@@ -342,8 +345,8 @@ mod tests {
         db
     }
 
-    /// One tile per draw listed, binning each draw's single prim into
-    /// consecutive tiles; returns laid-out bins with one active tile
+    /// Hand-binned frame: one record per (tile, draw) listed, binned
+    /// into that tile only; returns laid-out bins with one active tile
     /// per entry of `tiles` (tile i gets the draw indices in
     /// `tiles[i]`).
     fn bins_for(tiles: &[&[u32]]) -> BinnedTiles {
@@ -351,16 +354,15 @@ mod tests {
         bins.begin_frame(tiles.len().max(1));
         for (ti, draws) in tiles.iter().enumerate() {
             for &d in *draws {
-                bins.push(
-                    ti,
-                    crate::sim::BinnedPrim {
-                        tri: tri(0.5),
-                        facing: crate::command::Facing::Front,
-                        draw: d,
-                        record: 0,
-                        tagged_cull: false,
-                    },
-                );
+                let id = bins.push_record(crate::sim::PrimRecord {
+                    tri: tri(0.5),
+                    bounds: (1, 1, 8, 8),
+                    digest: 0,
+                    draw: d,
+                    facing: crate::command::Facing::Front,
+                    tagged_cull: false,
+                });
+                bins.push(ti, id);
             }
         }
         bins.layout();

@@ -11,45 +11,95 @@ use rbcd_math::Vec4;
 
 const EPS: f32 = 1e-7;
 
+/// The 0, 1 or 2 triangles [`clip_near`] returns, stored inline so
+/// clipping never touches the heap. Derefs to a slice of the surviving
+/// triangles and iterates them in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClippedTris {
+    tris: [[Vec4; 3]; 2],
+    len: usize,
+}
+
+impl ClippedTris {
+    const NONE: Self = Self { tris: [[Vec4::ZERO; 3]; 2], len: 0 };
+
+    fn one(t: [Vec4; 3]) -> Self {
+        Self { tris: [t, [Vec4::ZERO; 3]], len: 1 }
+    }
+}
+
+impl std::ops::Deref for ClippedTris {
+    type Target = [[Vec4; 3]];
+
+    fn deref(&self) -> &[[Vec4; 3]] {
+        &self.tris[..self.len]
+    }
+}
+
+impl IntoIterator for ClippedTris {
+    type Item = [Vec4; 3];
+    type IntoIter = std::iter::Take<std::array::IntoIter<[Vec4; 3], 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.tris.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a ClippedTris {
+    type Item = &'a [Vec4; 3];
+    type IntoIter = std::slice::Iter<'a, [Vec4; 3]>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Clips the triangle `(a, b, c)` (clip-space positions) against the
 /// near plane `z + w >= 0`.
 ///
 /// Returns 0, 1, or 2 triangles. Winding (and therefore facing) is
 /// preserved.
-pub fn clip_near(a: Vec4, b: Vec4, c: Vec4) -> Vec<[Vec4; 3]> {
+pub fn clip_near(a: Vec4, b: Vec4, c: Vec4) -> ClippedTris {
     let dist = |v: Vec4| v.z + v.w;
     let verts = [a, b, c];
     let d = [dist(a), dist(b), dist(c)];
 
-    let inside: Vec<usize> = (0..3).filter(|&i| d[i] >= -EPS).collect();
-    match inside.len() {
-        3 => vec![[a, b, c]],
-        0 => Vec::new(),
-        n => {
+    let n = d.iter().filter(|&&di| di >= -EPS).count();
+    match n {
+        3 => ClippedTris::one([a, b, c]),
+        0 => ClippedTris::NONE,
+        _ => {
             // Sutherland–Hodgman against the single plane, preserving order.
-            let mut poly: Vec<Vec4> = Vec::with_capacity(4);
+            let mut poly = [Vec4::ZERO; 4];
+            let mut len = 0;
             for i in 0..3 {
                 let j = (i + 1) % 3;
                 let (vi, vj) = (verts[i], verts[j]);
                 let (di, dj) = (d[i], d[j]);
                 if di >= -EPS {
-                    poly.push(vi);
+                    poly[len] = vi;
+                    len += 1;
                 }
                 if (di >= -EPS) != (dj >= -EPS) {
                     let t = di / (di - dj);
-                    poly.push(Vec4::new(
+                    poly[len] = Vec4::new(
                         vi.x + (vj.x - vi.x) * t,
                         vi.y + (vj.y - vi.y) * t,
                         vi.z + (vj.z - vi.z) * t,
                         vi.w + (vj.w - vi.w) * t,
-                    ));
+                    );
+                    len += 1;
                 }
             }
-            debug_assert_eq!(poly.len(), if n == 1 { 3 } else { 4 });
-            match poly.len() {
-                3 => vec![[poly[0], poly[1], poly[2]]],
-                4 => vec![[poly[0], poly[1], poly[2]], [poly[0], poly[2], poly[3]]],
-                _ => Vec::new(), // numerically degenerate sliver
+            // One vertex inside yields a triangle, two yield a quad: each
+            // inside vertex is kept and each of the two crossing edges
+            // adds one point, so `len` is `n + 2`.
+            debug_assert_eq!(len, n + 2);
+            if len == 3 {
+                ClippedTris::one([poly[0], poly[1], poly[2]])
+            } else {
+                let tris = [[poly[0], poly[1], poly[2]], [poly[0], poly[2], poly[3]]];
+                ClippedTris { tris, len: 2 }
             }
         }
     }

@@ -27,7 +27,8 @@
 
 use crate::command::{CullMode, DrawCommand, Facing, FrameTrace};
 use crate::config::GpuConfig;
-use crate::sim::{BinnedPrim, PipelineMode, TileRasterOut};
+use crate::raster::ScreenTriangle;
+use crate::sim::{PipelineMode, PrimRecord, TileRasterOut};
 use rbcd_geometry::Mesh;
 use std::any::Any;
 use std::collections::HashMap;
@@ -102,9 +103,10 @@ pub(crate) fn hash_draw(draw: &DrawCommand) -> u64 {
     fold_draw(draw, hash_mesh(&draw.mesh))
 }
 
-/// Hashes every draw of `trace` into `out` (indexed by draw position).
-/// Runs once per frame in the plan phase; quarantined draws still get
-/// a hash (harmless — they are never binned, so no tile folds it).
+/// Hashes every draw of `trace` into `out` (indexed by draw position);
+/// quarantined draws still get a hash (harmless — they are never
+/// binned, so no tile folds it). The unmemoized reference for
+/// [`hash_draws_memo`], which the geometry front-end runs once per frame.
 #[cfg(test)]
 pub(crate) fn hash_draws(trace: &FrameTrace, out: &mut Vec<u64>) {
     out.clear();
@@ -196,26 +198,39 @@ pub(crate) fn frame_seed(
     mix(h, backend_key)
 }
 
-/// Signature of one tile's binned polygon list: for each primitive in
-/// emission order, the owning draw's content hash, the screen-space
-/// triangle's nine coordinate bit patterns, the facing, and the
-/// tagged-to-be-culled bit. The primitive's global record id is
-/// deliberately *excluded*: record ids shift when earlier draws change,
-/// but the tile-cache replay always runs against the current frame's
-/// records, so they never feed the cached result.
-pub(crate) fn tile_signature(seed: u64, prims: &[BinnedPrim], draw_hashes: &[u64]) -> u64 {
-    let mut h = mix(seed, prims.len() as u64);
-    for prim in prims {
-        h = mix(h, draw_hashes[prim.draw as usize]);
-        for v in prim.tri.v {
-            h = mix(h, (v.x.to_bits() as u64) << 32 | v.y.to_bits() as u64);
-            h = mix_f32(h, v.z);
-        }
-        let flags = match prim.facing {
-            Facing::Front => 0u64,
-            Facing::Back => 1,
-        } | (prim.tagged_cull as u64) << 1;
-        h = mix(h, flags);
+/// Signature digest of one binned primitive: the owning draw's content
+/// hash, the screen-space triangle's nine coordinate bit patterns, the
+/// facing, and the tagged-to-be-culled bit. The front-end computes it
+/// once per shaded triangle and stores it in the primitive's record
+/// (cached with the draw), so a tile signature folds one word per
+/// entry however many tiles the primitive overlaps.
+pub(crate) fn prim_digest(
+    draw_hash: u64,
+    tri: &ScreenTriangle,
+    facing: Facing,
+    tagged_cull: bool,
+) -> u64 {
+    let mut h = mix(0x0D16_E570_F7A1_u64, draw_hash);
+    for v in tri.v {
+        h = mix(h, (v.x.to_bits() as u64) << 32 | v.y.to_bits() as u64);
+        h = mix_f32(h, v.z);
+    }
+    let flags = match facing {
+        Facing::Front => 0u64,
+        Facing::Back => 1,
+    } | (tagged_cull as u64) << 1;
+    mix(h, flags)
+}
+
+/// Signature of one tile's binned polygon list: the list length, then
+/// each entry's record digest ([`prim_digest`]) in emission order. The
+/// record id itself is deliberately *excluded*: ids shift when earlier
+/// draws change, but the tile-cache replay always runs against the
+/// current frame's records, so they never feed the cached result.
+pub(crate) fn tile_signature(seed: u64, ids: &[u32], records: &[PrimRecord]) -> u64 {
+    let mut h = mix(seed, ids.len() as u64);
+    for &id in ids {
+        h = mix(h, records[id as usize].digest);
     }
     h
 }
@@ -422,29 +437,59 @@ mod tests {
 
     #[test]
     fn tile_signature_folds_triangles_and_flags() {
-        use crate::raster::ScreenTriangle;
         let tri = ScreenTriangle::new(
             Vec3::new(1.0, 1.0, 0.5),
             Vec3::new(9.0, 1.0, 0.5),
             Vec3::new(1.0, 9.0, 0.5),
         );
         let facing = tri.facing().unwrap();
-        let prim = BinnedPrim { tri, facing, draw: 0, record: 0, tagged_cull: false };
-        let hashes = vec![0xABCD];
-        let s = tile_signature(1, &[prim], &hashes);
-        assert_eq!(s, tile_signature(1, &[prim], &hashes));
+        // Records as the front-end builds them: the digest comes from
+        // the record's own fields and its draw's content hash.
+        let record = |draw_hash: u64, tri: ScreenTriangle, facing: Facing, tagged_cull: bool| {
+            PrimRecord {
+                tri,
+                bounds: tri.pixel_bounds(16, 16).unwrap(),
+                digest: prim_digest(draw_hash, &tri, facing, tagged_cull),
+                draw: 0,
+                facing,
+                tagged_cull,
+            }
+        };
+        let base = record(0xABCD, tri, facing, false);
+        let mut nudged = tri;
+        nudged.v[0].z += 1e-7;
+        let mut moved_x = tri;
+        moved_x.v[2].x += 0.25;
+        let mut moved_y = tri;
+        moved_y.v[1].y -= 0.25;
+        let records = vec![
+            base,
+            base,
+            record(0xABCD, tri, facing, true),
+            record(0xABCE, tri, facing, false),
+            record(0xABCD, tri, Facing::Back, false),
+            record(0xABCD, nudged, facing, false),
+            record(0xABCD, moved_x, facing, false),
+            record(0xABCD, moved_y, facing, false),
+        ];
+        let s = tile_signature(1, &[0], &records);
+        assert_eq!(s, tile_signature(1, &[0], &records));
         // Record ids are excluded by design: they shift when earlier
         // draws change, but never feed the cached result.
-        let renumbered = BinnedPrim { record: 99, ..prim };
-        assert_eq!(s, tile_signature(1, &[renumbered], &hashes));
-        let tagged = BinnedPrim { tagged_cull: true, ..prim };
-        assert_ne!(s, tile_signature(1, &[tagged], &hashes));
-        let other_draw_content = vec![0xABCE];
-        assert_ne!(s, tile_signature(1, &[prim], &other_draw_content));
-        assert_ne!(s, tile_signature(2, &[prim], &hashes));
-        let mut nudged = prim;
-        nudged.tri.v[0].z += 1e-7;
-        assert_ne!(s, tile_signature(1, &[nudged], &hashes));
+        assert_eq!(s, tile_signature(1, &[1], &records), "same content, other id");
+        // Every folded field changes the signature.
+        for (id, field) in
+            [(2, "tagged bit"), (3, "draw content"), (4, "facing"), (5, "z"), (6, "x"), (7, "y")]
+        {
+            assert_ne!(s, tile_signature(1, &[id], &records), "{field}");
+        }
+        assert_ne!(s, tile_signature(2, &[0], &records), "frame seed");
+        assert_ne!(s, tile_signature(1, &[0, 1], &records), "list length");
+        assert_ne!(
+            tile_signature(1, &[0, 2], &records),
+            tile_signature(1, &[2, 0], &records),
+            "emission order"
+        );
     }
 
     #[test]

@@ -86,6 +86,9 @@ impl ParallelCollision for NullCollisionUnit {
     }
 }
 
+// `f32::round` is the reference the quantizer must reproduce, so these
+// tests call it on purpose.
+#[allow(clippy::disallowed_methods)]
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,42 +1,47 @@
-//! The incremental geometry front-end: per-draw transform/clip/bin
-//! caching with delta binning.
+//! The geometry front-end's per-draw shading and the incremental
+//! front-end's geometry cache.
 //!
-//! The full-rebuild geometry pipeline re-transforms, re-clips,
-//! re-culls, and re-bins every draw of every frame — even when the
-//! temporal-coherence layer then discards most of the resulting tiles
-//! as unchanged. This module gives [`crate::Simulator`] a second
-//! front-end arrangement ([`FrontendMode::Incremental`]): a persistent
-//! per-draw geometry cache keyed by the coherence layer's draw content
-//! hash plus a viewport/config seed. A draw whose key hits the cache
-//! skips vertex shading, near-clipping, and face culling entirely; its
-//! post-transform screen triangles and per-tile bin lists are *spliced*
-//! back into [`crate::sim::BinnedTiles`] in draw order. Draws that
-//! changed are shaded fresh — on the worker pool when the frame renders
-//! alone, on the session's planning thread in a multi-session batch —
-//! and merged deterministically.
+//! Both front-ends set each triangle up once, in [`shade_draw`]:
+//! transform, near-clip, face cull or tag, pixel bounds, and the
+//! signature digest. The result is one [`PrimRecord`] per surviving
+//! triangle, which the binner copies into the frame's record table in
+//! [`crate::sim::BinnedTiles`] and bins by id into every tile it
+//! overlaps. The full-rebuild front-end ([`FrontendMode::Rebuild`])
+//! shades every draw of every frame, even when the temporal-coherence
+//! layer then discards most of the resulting tiles as unchanged. The
+//! incremental front-end ([`FrontendMode::Incremental`]) keeps a
+//! per-draw geometry cache ([`GeomCache`]) keyed by the coherence
+//! layer's draw content hash plus a camera/viewport/config seed. A draw
+//! whose key hits the cache skips vertex shading, near-clipping, face
+//! culling and bounds entirely; its cached records are *spliced* back
+//! into the record table in draw order. Draws that changed are shaded
+//! fresh — on the worker pool when the frame renders alone, on the
+//! session's planning thread in a multi-session batch — and merged
+//! deterministically.
 //!
 //! ## Exactness contract
 //!
-//! Bins, pairs, every event counter, energy, and traces are
-//! bit-identical to the full-rebuild front-end. Three facts make this
+//! Record tables, bins, pairs, every event counter, energy, and traces
+//! are bit-identical between the two front-ends. Three facts make this
 //! hold by construction:
 //!
 //! 1. **Cache-model sequences are replayed, not skipped.** The vertex
 //!    cache and tile cache are access-order-dependent models feeding
-//!    the energy estimate, so the splice path re-issues the exact
-//!    per-draw read/write sequence (vertex fetch sweep, primitive
-//!    record store, bin-entry store) the rebuild path would issue, with
-//!    the current frame's draw index and record ids. Only the *host*
-//!    arithmetic (transform, clip, cull, bounds) is skipped.
+//!    the energy estimate, so the binner issues the exact per-draw
+//!    read/write sequence (vertex fetch sweep, primitive record store,
+//!    bin-entry store) for cached and shaded draws alike, with the
+//!    current frame's draw index and record ids. Only the *host*
+//!    arithmetic (transform, clip, cull, bounds, digests) is skipped.
 //! 2. **Every frame re-emits every draw in draw order.** Retraction of
-//!    a draw's previous-frame records is implicit: bins are laid out
-//!    per frame, and cached splices occupy exactly the slots a rebuild
-//!    would fill, so record ids and per-tile emission order match.
-//! 3. **Shading a missed draw is a pure function** of
-//!    (draw, view-projection, config, mode) — no shared mutable state —
-//!    so the parallel shading stage is thread-count invariant, and its
-//!    ordered merge on the planning thread reproduces the sequential
-//!    emission order.
+//!    a draw's previous-frame records is implicit: the record table and
+//!    bins are laid out per frame, and cached splices occupy exactly
+//!    the slots a rebuild would fill, so record ids and per-tile
+//!    emission order match.
+//! 3. **Shading a draw is a pure function** of (draw, draw hash,
+//!    view-projection, config, mode) — no shared mutable state — so the
+//!    parallel shading stage is thread-count invariant, and its ordered
+//!    merge on the planning thread reproduces the sequential emission
+//!    order.
 //!
 //! Only the `geom.*` accounting counters (`reuse_draws`,
 //! `shaded_draws`, `bin_splices`) distinguish the two front-ends; they
@@ -51,13 +56,13 @@
 
 use crate::broadphase::DrawBounds;
 use crate::clip::clip_near;
-use crate::coherence::mix;
-use crate::command::{DrawCommand, Facing};
+use crate::coherence::{mix, prim_digest};
+use crate::command::DrawCommand;
 use crate::config::GpuConfig;
 use crate::raster::ScreenTriangle;
-use crate::sim::PipelineMode;
+use crate::sim::{PipelineMode, PrimRecord};
 use rbcd_math::{viewport as viewport_map, Mat4, Vec4};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which geometry front-end arrangement the simulator runs.
@@ -75,28 +80,9 @@ pub enum FrontendMode {
     Incremental,
 }
 
-/// Default bound on cached draws per simulator. Each entry holds one
-/// draw's surviving screen triangles and tile lists — small next to the
-/// frame's own binning buffers — so the default is generous; it exists
-/// to bound memory on pathological workloads (e.g. a fault storm
-/// minting endless unique draws), not to be hit by real scenes.
-pub(crate) const DEFAULT_GEOM_CACHE_DRAWS: usize = 4096;
-
-/// One surviving (binned) triangle of a cached draw, in emission order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CachedTri {
-    pub(crate) tri: ScreenTriangle,
-    pub(crate) facing: Facing,
-    pub(crate) tagged_cull: bool,
-    /// Exclusive end of this triangle's slice in
-    /// [`CachedDrawGeom::tiles`] (the start is the previous entry's
-    /// end), so per-triangle tile lists flatten into one allocation.
-    pub(crate) tiles_end: u32,
-}
-
-/// One draw's cached post-transform geometry: the stat deltas its
-/// processing produced and the surviving triangles with their tile
-/// lists, exactly as the rebuild front-end would emit them.
+/// One draw's shaded geometry: the stat deltas its processing produced
+/// and the primitive records of its surviving triangles, exactly as
+/// the binner stores them.
 #[derive(Debug, Default)]
 pub(crate) struct CachedDrawGeom {
     /// Vertices the draw shades (`mesh.positions().len()`); drives the
@@ -115,11 +101,11 @@ pub(crate) struct CachedDrawGeom {
     pub(crate) culled: u64,
     /// Collisionable triangles tagged-to-be-culled instead of dropped.
     pub(crate) tagged: u64,
-    /// Surviving triangles in emission order.
-    pub(crate) tris: Vec<CachedTri>,
-    /// Flattened per-triangle tile indices (see [`CachedTri::tiles_end`]),
-    /// in the rebuild path's row-major bbox walk order.
-    pub(crate) tiles: Vec<u32>,
+    /// One record per surviving triangle, in emission order, with its
+    /// pixel bounds and signature digest. `draw` is left 0: the binner
+    /// stamps the draw's index in the frame being binned, since a
+    /// cached draw may sit at another index than when it was shaded.
+    pub(crate) records: Vec<PrimRecord>,
     /// Screen-space bounds of the draw's binned triangles (pixel AABB +
     /// window z-interval), folded once at shade time so the broad phase
     /// pays nothing for cached draws.
@@ -150,21 +136,22 @@ pub(crate) fn geom_seed(cfg: &GpuConfig, mode: PipelineMode, view_proj: &Mat4) -
 }
 
 /// Shades one draw: transform, near-clip, face cull/tag, pixel bounds,
-/// and tile assignment — the exact per-draw computation of the rebuild
-/// front-end, minus its cache-model traffic and stat accumulation
-/// (both replayed at splice time). Pure with respect to the simulator:
-/// reads only its arguments, so missed draws can shade on any thread.
-/// `clip_scratch` is caller-owned scratch for the post-transform
-/// positions, reused across the draws one thread shades.
+/// and the signature digest of each surviving triangle (`draw_hash` is
+/// the draw's content hash). This is the whole per-triangle set-up of
+/// both front-ends, minus the cache-model traffic and stat
+/// accumulation the binner replays. Pure with respect to the
+/// simulator: reads only its arguments, so draws can shade on any
+/// thread. `clip_scratch` is caller-owned scratch for the
+/// post-transform positions, reused across the draws one thread shades.
 pub(crate) fn shade_draw(
     draw: &DrawCommand,
+    draw_hash: u64,
     view_proj: &Mat4,
     cfg: &GpuConfig,
     mode: PipelineMode,
     clip_scratch: &mut Vec<Vec4>,
 ) -> CachedDrawGeom {
     let (vw, vh) = (cfg.viewport.width, cfg.viewport.height);
-    let tiles_x = cfg.tiles_x();
     let mvp = *view_proj * draw.model;
     clip_scratch.clear();
     clip_scratch.extend(draw.mesh.positions().iter().map(|&p| mvp.transform_vec4(p.extend(1.0))));
@@ -204,111 +191,85 @@ pub(crate) fn shade_draw(
                     }
                 }
             }
-            let Some((x0, y0, x1, y1)) = tri.pixel_bounds(vw, vh) else {
+            let Some(bounds) = tri.pixel_bounds(vw, vh) else {
                 out.degenerate += 1;
                 continue;
             };
-            out.bounds.add_tri(&tri, (x0, y0, x1, y1));
-            let (tx0, tx1) = (x0 / cfg.tile_size, x1 / cfg.tile_size);
-            let (ty0, ty1) = (y0 / cfg.tile_size, y1 / cfg.tile_size);
-            for ty in ty0..=ty1 {
-                for tx in tx0..=tx1 {
-                    out.tiles.push(ty * tiles_x + tx);
-                }
-            }
-            out.tris.push(CachedTri { tri, facing, tagged_cull, tiles_end: out.tiles.len() as u32 });
+            out.bounds.add_tri(&tri, bounds);
+            out.records.push(PrimRecord {
+                tri,
+                bounds,
+                digest: prim_digest(draw_hash, &tri, facing, tagged_cull),
+                draw: 0,
+                facing,
+                tagged_cull,
+            });
         }
     }
     out
 }
 
-/// A cached draw plus its recency stamp.
-struct GeomEntry {
-    stamp: u64,
-    geom: Arc<CachedDrawGeom>,
-}
-
-/// Bounded LRU cache of per-draw geometry, keyed by
-/// `mix(geom_seed, draw_content_hash)`. Recency is a monotonic stamp
-/// (no wall clock), and eviction removes the unique minimum stamp, so
-/// the cache's behaviour is fully deterministic despite the hash map's
-/// unspecified iteration order. Eviction can never change results —
-/// an evicted draw simply misses and is shaded from scratch.
+/// The incremental front-end's per-draw geometry cache, keyed by
+/// `mix(geom_seed, draw_content_hash)` and kept in two generations:
+/// the draws requested or inserted this frame, and last frame's draws,
+/// which are the only other hit candidates. A lookup that hits last
+/// frame's generation moves the draw into this frame's, and
+/// [`GeomCache::begin_frame`] drops whatever last frame's generation
+/// still holds. The cache therefore holds at most two frames of draws,
+/// and a draw absent for one whole frame misses when it returns.
+/// Nothing depends on the hash maps' iteration order, so the cache is
+/// deterministic; a miss only re-shades a draw, so the generation rule
+/// can never change results.
+#[derive(Default)]
 pub(crate) struct GeomCache {
-    map: HashMap<u64, GeomEntry>,
-    /// Recency index: stamp → key, one entry per cached draw, so the
-    /// least-recently-used draw is the first entry. A miss into a full
-    /// cache pops it instead of scanning the whole map.
-    by_stamp: BTreeMap<u64, u64>,
-    stamp: u64,
-    capacity: usize,
+    current: HashMap<u64, Arc<CachedDrawGeom>>,
+    previous: HashMap<u64, Arc<CachedDrawGeom>>,
 }
 
 impl std::fmt::Debug for GeomCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "GeomCache {{ draws: {}, capacity: {} }}", self.map.len(), self.capacity)
+        write!(
+            f,
+            "GeomCache {{ current: {}, previous: {} }}",
+            self.current.len(),
+            self.previous.len()
+        )
     }
 }
 
 impl GeomCache {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            stamp: 0,
-            capacity: capacity.max(1),
-        }
+    /// Starts a frame: this frame's draws become the previous
+    /// generation, and the draws last frame did not request are dropped.
+    pub(crate) fn begin_frame(&mut self) {
+        std::mem::swap(&mut self.current, &mut self.previous);
+        self.current.clear();
     }
 
-    /// Number of cached draws.
+    /// Number of cached draws, both generations.
     pub(crate) fn len(&self) -> usize {
-        self.map.len()
+        self.current.len() + self.previous.len()
     }
 
-    /// The cached geometry for `key`, touching its recency.
+    /// The cached geometry for `key`, if this frame or last frame
+    /// requested or inserted it.
     pub(crate) fn get(&mut self, key: u64) -> Option<Arc<CachedDrawGeom>> {
-        let entry = self.map.get_mut(&key)?;
-        self.stamp += 1;
-        self.by_stamp.remove(&entry.stamp);
-        self.by_stamp.insert(self.stamp, key);
-        entry.stamp = self.stamp;
-        Some(entry.geom.clone())
+        if let Some(geom) = self.current.get(&key) {
+            return Some(geom.clone());
+        }
+        let geom = self.previous.remove(&key)?;
+        self.current.insert(key, geom.clone());
+        Some(geom)
     }
 
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// draw if the cache is full.
+    /// Caches a draw shaded this frame.
     pub(crate) fn insert(&mut self, key: u64, geom: Arc<CachedDrawGeom>) {
-        match self.map.get(&key) {
-            Some(old) => {
-                self.by_stamp.remove(&old.stamp);
-            }
-            None if self.map.len() >= self.capacity => self.evict_lru(),
-            None => {}
-        }
-        self.stamp += 1;
-        self.by_stamp.insert(self.stamp, key);
-        self.map.insert(key, GeomEntry { stamp: self.stamp, geom });
+        self.current.insert(key, geom);
     }
 
     /// Drops every cached draw.
     pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.by_stamp.clear();
-    }
-
-    /// Changes the bound, evicting least-recently-used draws down to it.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.map.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    /// Removes the draw with the minimum stamp. The index holds exactly
-    /// one stamp per cached draw, so a non-empty cache always has one.
-    fn evict_lru(&mut self) {
-        let (_, victim) = self.by_stamp.pop_first().expect("the recency index mirrors the map");
-        self.map.remove(&victim);
+        self.current.clear();
+        self.previous.clear();
     }
 }
 
@@ -321,135 +282,78 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut cache = GeomCache::with_capacity(2);
+    fn keys_hit_only_from_this_frame_or_the_last() {
+        let mut cache = GeomCache::default();
+        cache.begin_frame();
+        assert!(cache.get(1).is_none(), "a cold cache misses");
         cache.insert(1, geom());
         cache.insert(2, geom());
-        assert!(cache.get(1).is_some(), "touch key 1 so key 2 is the LRU");
+        assert!(cache.get(1).is_some(), "inserted this frame");
+
+        cache.begin_frame();
+        assert!(cache.get(1).is_some(), "inserted last frame");
+        assert!(cache.get(1).is_some(), "requested this frame");
         cache.insert(3, geom());
+        assert_eq!(cache.len(), 3, "key 2 waits in last frame's generation");
+
+        cache.begin_frame();
+        assert!(cache.get(2).is_none(), "key 2 was absent for a whole frame");
+        assert!(cache.get(1).is_some(), "key 1 was requested last frame");
+        assert!(cache.get(3).is_some(), "key 3 was inserted last frame");
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(2).is_none(), "key 2 was least recently used");
-        assert!(cache.get(3).is_some());
     }
 
     #[test]
     fn refreshing_an_existing_key_never_evicts() {
-        let mut cache = GeomCache::with_capacity(2);
+        let mut cache = GeomCache::default();
+        cache.begin_frame();
         cache.insert(1, geom());
         cache.insert(2, geom());
         cache.insert(2, geom());
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(1).is_some());
+        cache.begin_frame();
         assert!(cache.get(2).is_some());
+        cache.insert(2, geom());
+        assert_eq!(cache.len(), 2, "a refreshed key is held once");
+        assert!(cache.get(1).is_some());
     }
 
     #[test]
-    fn shrinking_capacity_evicts_down() {
-        let mut cache = GeomCache::with_capacity(8);
-        for k in 0..8 {
-            cache.insert(k, geom());
-        }
-        cache.get(5);
-        cache.get(0);
-        cache.set_capacity(2);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(5).is_some());
-        assert!(cache.get(0).is_some());
-    }
-
-    #[test]
-    fn capacity_floor_is_one() {
-        let mut cache = GeomCache::with_capacity(0);
+    fn a_draw_absent_for_one_frame_misses() {
+        let mut cache = GeomCache::default();
+        cache.begin_frame();
         cache.insert(7, geom());
-        assert_eq!(cache.len(), 1);
-        cache.set_capacity(0);
-        assert!(cache.len() <= 1);
         cache.insert(8, geom());
-        assert_eq!(cache.len(), 1, "capacity 0 clamps to 1");
-    }
-
-    /// The eviction rule without the recency index: a `min_by_key` scan
-    /// over every cached key. The reference [`GeomCache`] must match.
-    struct ScanLru {
-        stamps: HashMap<u64, u64>,
-        stamp: u64,
-        capacity: usize,
-    }
-
-    impl ScanLru {
-        fn with_capacity(capacity: usize) -> Self {
-            Self { stamps: HashMap::new(), stamp: 0, capacity: capacity.max(1) }
-        }
-
-        fn evict_lru(&mut self) {
-            if let Some(&victim) = self.stamps.iter().min_by_key(|(_, &s)| s).map(|(k, _)| k) {
-                self.stamps.remove(&victim);
-            }
-        }
-
-        fn get(&mut self, key: u64) -> bool {
-            let Some(stamp) = self.stamps.get_mut(&key) else { return false };
-            self.stamp += 1;
-            *stamp = self.stamp;
-            true
-        }
-
-        fn insert(&mut self, key: u64) {
-            if !self.stamps.contains_key(&key) && self.stamps.len() >= self.capacity {
-                self.evict_lru();
-            }
-            self.stamp += 1;
-            self.stamps.insert(key, self.stamp);
-        }
-
-        fn set_capacity(&mut self, capacity: usize) {
-            self.capacity = capacity.max(1);
-            while self.stamps.len() > self.capacity {
-                self.evict_lru();
-            }
-        }
-    }
-
-    fn survivors<V>(map: &HashMap<u64, V>) -> Vec<u64> {
-        let mut keys: Vec<u64> = map.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        // Key 8 skips a frame; key 7 stays.
+        cache.begin_frame();
+        assert!(cache.get(7).is_some());
+        cache.begin_frame();
+        assert!(cache.get(7).is_some());
+        assert!(cache.get(8).is_none(), "returning after a one-frame absence misses");
     }
 
     #[test]
-    fn indexed_eviction_matches_the_scan_reference() {
-        for seed in 0..64u64 {
-            let mut rng = rbcd_math::Rng::seed_from_u64(0x6E0C_AC4E ^ seed);
-            let capacity = rng.gen_range(0usize..12);
-            let mut cache = GeomCache::with_capacity(capacity);
-            let mut reference = ScanLru::with_capacity(capacity);
-            for step in 0..400 {
-                let key = rng.gen_range(0u64..24);
-                match rng.gen_range(0u32..10) {
-                    0..=4 => assert_eq!(
-                        cache.get(key).is_some(),
-                        reference.get(key),
-                        "seed {seed}, step {step}: get({key})"
-                    ),
-                    5..=8 => {
-                        cache.insert(key, geom());
-                        reference.insert(key);
-                    }
-                    _ => {
-                        let capacity = rng.gen_range(0usize..16);
-                        cache.set_capacity(capacity);
-                        reference.set_capacity(capacity);
-                    }
-                }
-                assert_eq!(
-                    survivors(&cache.map),
-                    survivors(&reference.stamps),
-                    "seed {seed}, step {step}"
-                );
-                assert_eq!(cache.by_stamp.len(), cache.map.len(), "index mirrors the map");
-            }
-        }
+    fn switching_to_rebuild_empties_the_cache() {
+        use crate::command::{Camera, DrawCommand, FrameTrace};
+        use crate::NullCollisionUnit;
+        use rbcd_math::{Vec3, Viewport};
+        let cfg = GpuConfig { viewport: Viewport::new(64, 64), ..GpuConfig::default() };
+        let camera = Camera::perspective(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, 1.0, 0.1, 100.0);
+        let trace = FrameTrace::new(
+            camera,
+            vec![DrawCommand::scenery(rbcd_geometry::shapes::cube(1.0))],
+        );
+        let mut sim = crate::Simulator::new(cfg);
+        sim.set_frontend(FrontendMode::Incremental);
+        sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
+        assert_eq!(sim.geom_cache_len(), 1);
+        sim.set_frontend(FrontendMode::Rebuild);
+        assert_eq!(sim.geom_cache_len(), 0);
+        sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
+        assert_eq!(sim.geom_cache_len(), 0, "the rebuild front-end never caches");
+        sim.set_frontend(FrontendMode::Incremental);
+        let cold = sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
+        assert_eq!(cold.geometry.reuse_draws, 0, "re-enabling starts cold");
     }
 
     #[test]

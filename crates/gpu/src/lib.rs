@@ -70,7 +70,7 @@ mod stats;
 pub use broadphase::BroadPhase;
 pub use builder::{GpuConfigError, SimulatorBuilder};
 pub use cache::{CacheConfig, CacheModel, CacheStats};
-pub use clip::clip_near;
+pub use clip::{clip_near, ClippedTris};
 pub use collision_unit::{quantize_depth, CollisionFragment, NullCollisionUnit, TileCoord};
 pub use command::{
     Camera, CullMode, DrawCommand, Facing, FrameTrace, ObjectId, SceneError, ShaderCost,

@@ -231,9 +231,17 @@ impl TileComputeCtx<'_> {
         let ti = self.bins.active()[k];
         let tiles_x = self.config.tiles_x();
         let tile = TileCoord { x: ti % tiles_x, y: ti / tiles_x };
-        let prims = self.bins.tile(ti as usize);
-        let mut out =
-            tw.process_tile(self.config, self.trace, tile, prims, self.mode, self.bp_skip(k));
+        let ids = self.bins.tile(ti as usize);
+        let records = self.bins.records();
+        let mut out = tw.process_tile(
+            self.config,
+            self.trace,
+            tile,
+            ids,
+            records,
+            self.mode,
+            self.bp_skip(k),
+        );
         if !self.governor_blocked.is_empty() {
             tw.coll_frags.retain(|f| !self.governor_blocked.contains(&f.object));
             out.coll_frags = tw.coll_frags.len() as u64;
@@ -308,15 +316,9 @@ impl Simulator {
 
         self.reuse_plan.clear();
         if reuse_on {
-            // The incremental front-end already hashed this frame's
-            // draws (its cache key shares the digest); reuse them
-            // instead of hashing twice. Host-side memoization only —
-            // the simulated per-draw hand-off charge below is the same
-            // either way.
-            if !self.draw_hashes_ready {
-                coherence::hash_draws_memo(trace, &mut self.draw_hashes, &mut self.mesh_memo);
-            }
-            self.draw_hashes_ready = false;
+            // The geometry front-end hashed this frame's draws and
+            // folded the hashes into every record's digest; the
+            // simulated per-draw hand-off is charged per hash here.
             co.draw_hashes = self.draw_hashes.len() as u64;
             // The blocked-object filter changes what the backend sees,
             // so the blocked set is folded into the frame seed: cached
@@ -331,8 +333,8 @@ impl Simulator {
             self.result_cache
                 .ensure_tiles((self.config.tiles_x() * self.config.tiles_y()) as usize);
             for (k, &ti) in self.bins.active().iter().enumerate() {
-                let raw =
-                    coherence::tile_signature(seed, self.bins.tile(ti as usize), &self.draw_hashes);
+                let ids = self.bins.tile(ti as usize);
+                let raw = coherence::tile_signature(seed, ids, self.bins.records());
                 // A tile's skip verdict depends on *other* draws'
                 // whole-frame bounds, so it can flip while the bin
                 // content (and therefore `raw`) stays equal; folding
@@ -488,9 +490,11 @@ impl Simulator {
             if budget > 0 && cursor >= budget {
                 let rep = report.as_mut().expect("a budget implies a governed frame");
                 rep.shed_tiles.push((tc.x, tc.y));
-                for prim in ctx.bins.tile(ti_us) {
-                    if let Some(id) = trace.draws[prim.draw as usize].collidable {
-                        rep.shed_objects.insert(id);
+                let records = ctx.bins.records();
+                for &id in ctx.bins.tile(ti_us) {
+                    let draw = &trace.draws[records[id as usize].draw as usize];
+                    if let Some(object) = draw.collidable {
+                        rep.shed_objects.insert(object);
                     }
                 }
                 if ctx.reused(k) {

@@ -45,8 +45,12 @@ impl ScreenTriangle {
     }
 
     /// Pixel-aligned bounding box `(x0, y0, x1, y1)`, inclusive, clamped
-    /// to the given bounds; `None` when entirely outside.
+    /// to the given bounds; `None` when entirely outside, or when either
+    /// bound is zero (an empty viewport has no pixels).
     pub fn pixel_bounds(&self, max_x: u32, max_y: u32) -> Option<(u32, u32, u32, u32)> {
+        if max_x == 0 || max_y == 0 {
+            return None;
+        }
         let xs = [self.v[0].x, self.v[1].x, self.v[2].x];
         let ys = [self.v[0].y, self.v[1].y, self.v[2].y];
         let min_x = xs.iter().fold(f32::INFINITY, |m, &v| m.min(v));
@@ -58,15 +62,40 @@ impl ScreenTriangle {
         }
         // A pixel (px, py) samples at centre (px+0.5, py+0.5); the
         // triangle can only cover centres in [min-0.5, max-0.5).
-        let x0 = (min_x - 0.5).ceil().max(0.0) as u32;
-        let y0 = (min_y - 0.5).ceil().max(0.0) as u32;
-        let x1 = ((max_xf - 0.5).floor().max(0.0) as u32).min(max_x - 1);
-        let y1 = ((max_yf - 0.5).floor().max(0.0) as u32).min(max_y - 1);
+        let x0 = ceil_u32(min_x - 0.5);
+        let y0 = ceil_u32(min_y - 0.5);
+        let x1 = floor_u32(max_xf - 0.5).min(max_x - 1);
+        let y1 = floor_u32(max_yf - 0.5).min(max_y - 1);
         if x0 > x1 || y0 > y1 {
             return None;
         }
         Some((x0, y0, x1, y1))
     }
+}
+
+/// `v.floor().max(0.0) as u32` without calling `f32::floor`, which
+/// baseline x86-64 (no SSE4.1 `roundss`) lowers to an out-of-line
+/// `floorf` call. The saturating cast truncates toward zero, which is
+/// the floor for every `v >= 0`; negative values, `-∞` and NaN cast to
+/// `0` and values past `u32::MAX` saturate, exactly as the clamped
+/// floor does.
+#[inline]
+pub(crate) fn floor_u32(v: f32) -> u32 {
+    v as u32
+}
+
+/// `v.ceil().max(0.0) as u32` without calling `f32::ceil` (see
+/// [`floor_u32`]). The cast truncates; one is added back when the
+/// truncation dropped a fraction, which `(t as f32) < v` detects
+/// exactly: the truncation of an `f32` is itself an `f32`, so `t`
+/// converts back exactly unless the cast saturated. Saturating low
+/// gives `0`, which never compares below a negative or NaN `v`;
+/// saturating high gives `u32::MAX`, whose conversion rounds up to
+/// `2³²`, and the saturating add keeps the result at `u32::MAX`.
+#[inline]
+pub(crate) fn ceil_u32(v: f32) -> u32 {
+    let t = v as u32;
+    t.saturating_add(((t as f32) < v) as u32)
 }
 
 /// One rasterized fragment.
@@ -259,6 +288,30 @@ pub fn rasterize_triangle_in_tile_masked_rows(
     vp_h: u32,
     row_sink: &mut impl FnMut(u32, u32, &[f32]),
 ) -> MaskRasterOut {
+    match tri.pixel_bounds(vp_w, vp_h) {
+        Some(bounds) => rasterize_rows_in_bounds(
+            tri, bounds, tile_x0, tile_y0, tile_size, vp_w, vp_h, row_sink,
+        ),
+        None => MaskRasterOut::default(),
+    }
+}
+
+/// [`rasterize_triangle_in_tile_masked_rows`] for a triangle whose
+/// viewport pixel bounds are already known: `bounds` must equal
+/// `tri.pixel_bounds(vp_w, vp_h)`. The simulator stores those bounds in
+/// each primitive record when it bins the triangle, so rasterizing a
+/// primitive into each of its tiles does not recompute them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rasterize_rows_in_bounds(
+    tri: &ScreenTriangle,
+    bounds: (u32, u32, u32, u32),
+    tile_x0: u32,
+    tile_y0: u32,
+    tile_size: u32,
+    vp_w: u32,
+    vp_h: u32,
+    row_sink: &mut impl FnMut(u32, u32, &[f32]),
+) -> MaskRasterOut {
     if !tri.v.iter().all(|p| {
         p.x.is_finite() && p.y.is_finite() && p.x.abs() <= SPAN_COORD_LIMIT && p.y.abs() <= SPAN_COORD_LIMIT
     }) {
@@ -290,9 +343,7 @@ pub fn rasterize_triangle_in_tile_masked_rows(
     let [a, b, c] = tri.v;
     let inv_area2 = 1.0 / area2;
 
-    let Some((bx0, by0, bx1, by1)) = tri.pixel_bounds(vp_w, vp_h) else {
-        return res;
-    };
+    let (bx0, by0, bx1, by1) = bounds;
     let tx1 = (tile_x0 + tile_size - 1).min(vp_w - 1);
     let ty1 = (tile_y0 + tile_size - 1).min(vp_h - 1);
     let x0 = bx0.max(tile_x0);
@@ -826,5 +877,83 @@ mod tests {
         );
         let (x0, y0, x1, y1) = t.pixel_bounds(16, 16).unwrap();
         assert_eq!((x0, y0, x1, y1), (0, 0, 15, 15));
+    }
+
+    #[test]
+    fn pixel_bounds_of_an_empty_viewport_is_none() {
+        // Straddles the origin, so the clamp to `max - 1` is reached on
+        // both axes when the viewport has pixels.
+        let t = ScreenTriangle::new(
+            Vec3::new(-5.0, -5.0, 0.0),
+            Vec3::new(40.0, -5.0, 0.0),
+            Vec3::new(-5.0, 40.0, 0.0),
+        );
+        assert_eq!(t.pixel_bounds(0, 16), None);
+        assert_eq!(t.pixel_bounds(16, 0), None);
+        assert_eq!(t.pixel_bounds(0, 0), None);
+        let mut out = Vec::new();
+        assert_eq!(rasterize_triangle_in_tile(&t, 0, 0, 16, 0, 16, &mut out), 0);
+        let m = rasterize_triangle_in_tile_masked(&t, 0, 0, 16, 16, 0, &mut out);
+        assert_eq!(m.fragments, 0);
+        assert!(out.is_empty());
+    }
+
+    // `f32::ceil` and `f32::floor` are the references the integer
+    // helpers must reproduce, so this test calls them on purpose.
+    #[allow(clippy::disallowed_methods)]
+    #[test]
+    fn integer_ceil_and_floor_match_the_libm_forms() {
+        let check = |v: f32| {
+            let bits = v.to_bits();
+            assert_eq!(ceil_u32(v), v.ceil().max(0.0) as u32, "ceil of {v:e} ({bits:#x})");
+            assert_eq!(floor_u32(v), v.floor().max(0.0) as u32, "floor of {v:e} ({bits:#x})");
+        };
+        let p23 = 8_388_608.0f32;
+        let p24 = 16_777_216.0f32;
+        let specials = [
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            p23 - 1.0,
+            p23 - 0.5,
+            p23,
+            p23 + 1.0,
+            p24 - 1.0,
+            p24,
+            p24 + 2.0,
+            4_294_967_040.0, // the last f32 below 2^32
+            4_294_967_296.0, // 2^32
+            4_294_967_808.0, // the first f32 above 2^32
+            f32::MAX,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1), // the smallest subnormal
+            f32::from_bits(0x007F_FFFF), // the largest subnormal
+            f32::EPSILON,
+            1.0 - f32::EPSILON / 2.0,
+        ];
+        for v in specials {
+            check(v);
+            check(-v);
+            check(f32::from_bits(v.to_bits() + 1));
+            check(-f32::from_bits(v.to_bits() + 1));
+            if v != 0.0 {
+                check(f32::from_bits(v.to_bits() - 1));
+                check(-f32::from_bits(v.to_bits() - 1));
+            }
+        }
+        check(f32::NAN);
+        check(-f32::NAN);
+        check(f32::from_bits(0x7F80_0001)); // a signalling NaN
+        let mut rng = rbcd_math::Rng::seed_from_u64(0xCE11_F100);
+        for _ in 0..1 << 20 {
+            check(f32::from_bits(rng.next_u32()));
+        }
+        // The window-space range the rasterizer actually sees, where
+        // fractions are dense.
+        for _ in 0..1 << 18 {
+            check(rng.gen_range(-64.0f32..4096.0));
+        }
     }
 }

@@ -2,19 +2,15 @@
 
 use crate::broadphase::{BroadPhase, DrawBounds, SweepScratch};
 use crate::cache::CacheModel;
-use crate::clip::clip_near;
 use crate::coherence::{self, MeshHashMemo, TileResultCache};
 use crate::collision_unit::{quantize_depth, CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
 use crate::parallel::{FreshTiles, ParallelCollision};
-use crate::raster::{
-    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Fragment, ScreenTriangle,
-};
+use crate::raster::{rasterize_rows_in_bounds, rasterize_triangle_in_tile, Fragment, ScreenTriangle};
 use crate::service::{self, ServiceError};
 use crate::stats::{BroadphaseStats, FrameStats, GeometryStats, GovernorStats, RasterStats};
-use rbcd_math::{viewport as viewport_map, Vec3, Vec4};
 use rbcd_trace::{TileZebRecord, TraceBuffer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -37,44 +33,55 @@ pub enum PipelineMode {
     CollisionOnly,
 }
 
-/// A primitive binned into a tile's polygon list.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BinnedPrim {
+/// One entry of the frame's primitive record table: what the Polygon
+/// List Builder stores once per binned triangle, however many tiles the
+/// triangle overlaps. Bins hold `u32` record ids, which are also the
+/// records' tile-cache addresses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PrimRecord {
     pub(crate) tri: ScreenTriangle,
-    pub(crate) facing: Facing,
+    /// Inclusive viewport pixel bounds, `tri.pixel_bounds(..)` as
+    /// binning computed them; the mask rasterizer clips them per tile.
+    pub(crate) bounds: (u32, u32, u32, u32),
+    /// Signature digest ([`coherence::prim_digest`]): each bin entry
+    /// contributes this one word to its tile's signature.
+    pub(crate) digest: u64,
     pub(crate) draw: u32,
-    /// Global record id (for tile-cache addressing).
-    pub(crate) record: u64,
+    pub(crate) facing: Facing,
     /// RBCD deferred culling: rasterize, forward to the collision unit,
     /// but never send to Early-Z.
     pub(crate) tagged_cull: bool,
 }
 
-/// The frame's binned polygon lists in a reusable flat layout.
+/// The frame's primitive records and binned polygon lists in a reusable
+/// flat layout.
 ///
-/// Binning appends `(tile, prim)` pairs to a scratch buffer in emission
-/// order; [`BinnedTiles::layout`] then groups them by tile with a stable
-/// counting sort. All buffers are retained across frames, so a warm
-/// simulator performs no per-frame binning allocations (the seed
-/// version rebuilt a `Vec<Vec<BinnedPrim>>` every frame).
+/// Binning stores each triangle once in the record table, then appends
+/// `(tile, record id)` pairs to a scratch buffer in emission order;
+/// [`BinnedTiles::layout`] groups the ids by tile with a stable counting
+/// sort. All buffers are retained across frames, so a warm simulator
+/// performs no per-frame binning allocations.
 #[derive(Debug, Default)]
 pub(crate) struct BinnedTiles {
-    /// `(tile index, primitive)` in emission order.
-    scratch: Vec<(u32, BinnedPrim)>,
+    /// The frame's primitive records; a record's id is its index.
+    records: Vec<PrimRecord>,
+    /// `(tile index, record id)` in emission order.
+    scratch: Vec<(u32, u32)>,
     /// Per-tile entry counts during binning; write cursors during layout.
     counters: Vec<u32>,
-    /// Prefix-sum offsets into `prims`; length `n_tiles + 1`.
+    /// Prefix-sum offsets into `ids`; length `n_tiles + 1`.
     offsets: Vec<u32>,
-    /// Primitives grouped by tile, each tile in emission order.
-    prims: Vec<BinnedPrim>,
+    /// Record ids grouped by tile, each tile in emission order.
+    ids: Vec<u32>,
     /// Indices of non-empty tiles, ascending.
     active: Vec<u32>,
 }
 
 impl BinnedTiles {
     pub(crate) fn begin_frame(&mut self, n_tiles: usize) {
+        self.records.clear();
         self.scratch.clear();
-        self.prims.clear();
+        self.ids.clear();
         self.active.clear();
         self.counters.clear();
         self.counters.resize(n_tiles, 0);
@@ -82,18 +89,25 @@ impl BinnedTiles {
         self.offsets.resize(n_tiles + 1, 0);
     }
 
-    /// Records `prim` for tile `ti` and returns the tile's entry index
-    /// (its running count before this push), which addresses the bin
-    /// entry in the tile cache.
-    pub(crate) fn push(&mut self, ti: usize, prim: BinnedPrim) -> u64 {
+    /// Stores `rec` in the record table and returns its id.
+    pub(crate) fn push_record(&mut self, rec: PrimRecord) -> u32 {
+        let id = u32::try_from(self.records.len()).expect("a frame holds fewer than 2^32 records");
+        self.records.push(rec);
+        id
+    }
+
+    /// Bins record `id` into tile `ti` and returns the tile's entry
+    /// index (its running count before this push), which addresses the
+    /// bin entry in the tile cache.
+    pub(crate) fn push(&mut self, ti: usize, id: u32) -> u64 {
         let entry = self.counters[ti];
         self.counters[ti] += 1;
-        self.scratch.push((ti as u32, prim));
+        self.scratch.push((ti as u32, id));
         entry as u64
     }
 
     /// Groups the emission-order scratch by tile index — a stable
-    /// counting sort, so each tile keeps its primitives in the exact
+    /// counting sort, so each tile keeps its record ids in the exact
     /// order the geometry pipeline emitted them.
     pub(crate) fn layout(&mut self) {
         let n_tiles = self.counters.len();
@@ -109,13 +123,10 @@ impl BinnedTiles {
             sum += count;
         }
         self.offsets[n_tiles] = sum;
-        let Some(&(_, filler)) = self.scratch.first() else {
-            return;
-        };
-        self.prims.resize(sum as usize, filler);
-        for &(ti, prim) in &self.scratch {
+        self.ids.resize(sum as usize, 0);
+        for &(ti, id) in &self.scratch {
             let cursor = &mut self.counters[ti as usize];
-            self.prims[*cursor as usize] = prim;
+            self.ids[*cursor as usize] = id;
             *cursor += 1;
         }
     }
@@ -126,9 +137,14 @@ impl BinnedTiles {
         &self.active
     }
 
-    /// The polygon list of tile `ti`, in emission order.
-    pub(crate) fn tile(&self, ti: usize) -> &[BinnedPrim] {
-        &self.prims[self.offsets[ti] as usize..self.offsets[ti + 1] as usize]
+    /// The polygon list of tile `ti` as record ids, in emission order.
+    pub(crate) fn tile(&self, ti: usize) -> &[u32] {
+        &self.ids[self.offsets[ti] as usize..self.offsets[ti + 1] as usize]
+    }
+
+    /// The frame's record table, indexed by record id.
+    pub(crate) fn records(&self) -> &[PrimRecord] {
+        &self.records
     }
 }
 
@@ -173,9 +189,10 @@ impl TileWorker {
         }
     }
 
-    /// Rasterizes one tile's polygon list: fragment generation, Early-Z
-    /// against the private depth buffer, and collisionable-fragment
-    /// capture into `self.coll_frags`. Pure per-tile work — no cache or
+    /// Rasterizes one tile's polygon list (record ids `ids` into the
+    /// frame's `records`): fragment generation, Early-Z against the
+    /// private depth buffer, and collisionable-fragment capture into
+    /// `self.coll_frags`. Pure per-tile work — no cache or
     /// collision-unit access — so tiles can run on any thread.
     ///
     /// With `bp_skip` set (a broad-phase-pruned tile), image-side work
@@ -183,12 +200,14 @@ impl TileWorker {
     /// never runs. Collidable primitives still rasterize in order, so
     /// `coll_frags` — captured before, and independent of, the depth
     /// test — is bit-identical to a full pass.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn process_tile(
         &mut self,
         cfg: &GpuConfig,
         trace: &FrameTrace,
         tile: TileCoord,
-        prims: &[BinnedPrim],
+        ids: &[u32],
+        records: &[PrimRecord],
         mode: PipelineMode,
         bp_skip: bool,
     ) -> TileRasterOut {
@@ -198,7 +217,7 @@ impl TileWorker {
         let tile_x0 = tile.x * cfg.tile_size;
         let tile_y0 = tile.y * cfg.tile_size;
 
-        let mut o = TileRasterOut { prim_count: prims.len() as u64, ..Default::default() };
+        let mut o = TileRasterOut { prim_count: ids.len() as u64, ..Default::default() };
         let TileWorker { zbuf, frag_scratch, coll_frags } = self;
         // Intra-tile timeline: the rasterizer feeds the fragment
         // processors in primitive order. The processors can only
@@ -206,7 +225,8 @@ impl TileWorker {
         // tagged-to-be-culled primitives (which produce no shadable
         // fragments) lets their queue run dry — the idle-cycle
         // mechanism of the paper's §5.2.
-        for prim in prims {
+        for &id in ids {
+            let prim = &records[id as usize];
             let draw = &trace.draws[prim.draw as usize];
             let coll_object =
                 if mode != PipelineMode::Baseline { draw.collidable } else { None };
@@ -269,8 +289,9 @@ impl TileWorker {
                     let (mut tez, mut covered, mut shaded) = (0u64, 0u64, 0u64);
                     let facing = prim.facing;
                     let frag_cycles = draw.shader.fragment_cycles as u64;
-                    let m = rasterize_triangle_in_tile_masked_rows(
+                    let m = rasterize_rows_in_bounds(
                         &prim.tri,
+                        prim.bounds,
                         tile_x0,
                         tile_y0,
                         cfg.tile_size,
@@ -369,7 +390,8 @@ pub struct Simulator {
     /// Temporal-coherence reuse knob (off by default; see
     /// [`Simulator::set_reuse`]).
     pub(crate) reuse: bool,
-    /// Per-draw content hashes of the current frame (scratch, reused).
+    /// Per-draw content hashes of the binned frame, computed by the
+    /// geometry front-end (scratch, reused).
     pub(crate) draw_hashes: Vec<u64>,
     /// Per-tile reuse decisions of the current frame (scratch, reused):
     /// `(signature, reused)` per *active-list position*.
@@ -392,17 +414,12 @@ pub struct Simulator {
     /// Geometry front-end arrangement (full rebuild by default; see
     /// [`Simulator::set_frontend`]).
     pub(crate) frontend: FrontendMode,
-    /// Persistent per-draw geometry cache of the incremental front-end.
+    /// Per-draw geometry cache of the incremental front-end: this
+    /// frame's and last frame's draws.
     pub(crate) geom_cache: GeomCache,
-    /// Pointer-keyed mesh content-hash memo shared by the incremental
-    /// front-end and the coherence layer's per-frame draw hashing.
+    /// Pointer-keyed mesh content-hash memo behind the per-frame draw
+    /// hashes.
     pub(crate) mesh_memo: MeshHashMemo,
-    /// Whether `draw_hashes` already holds this frame's hashes (set by
-    /// the incremental front-end so `plan_raster` does not re-hash).
-    pub(crate) draw_hashes_ready: bool,
-    /// Post-transform clip-space positions of the draw being shaded
-    /// (scratch, reused across draws and frames).
-    pub(crate) vertex_scratch: Vec<Vec4>,
     /// Screen-space broad-phase knob (off by default; see
     /// [`Simulator::set_broadphase`]).
     pub(crate) broadphase: BroadPhase,
@@ -426,9 +443,9 @@ pub struct Simulator {
 const RECORD_BASE: u64 = 1 << 40;
 const BIN_BASE: u64 = 2 << 40;
 
-/// One live draw's plan entry in the incremental front-end: its index,
-/// cache key, whether the geometry cache hit, and the geometry to
-/// splice (filled by the shading stage for misses).
+/// One live draw's plan entry in the geometry front-end: its index,
+/// cache key, whether the geometry cache hit, and the geometry to bin
+/// (filled by the shading stage for misses).
 struct DrawPlan {
     draw: u32,
     key: u64,
@@ -437,18 +454,19 @@ struct DrawPlan {
 }
 
 /// Replays tile `ti`'s Tile Fetcher accesses (bin entry + shared
-/// primitive record per primitive) against the shared tile cache. The
+/// primitive record per entry) against the shared tile cache. The
 /// cache model's stats are access-order dependent, so the merge phase
 /// replays tiles in index order at any worker count.
 pub(crate) fn replay_tile_cache(
     tile_cache: &mut CacheModel,
     cfg: &GpuConfig,
     ti: usize,
-    prims: &[BinnedPrim],
+    ids: &[u32],
 ) {
-    for prim in prims {
-        tile_cache.read_span(BIN_BASE + ((ti as u64) << 24) + prim.record * 8, 8);
-        tile_cache.read_span(RECORD_BASE + prim.record * cfg.prim_record_bytes, cfg.prim_record_bytes);
+    for &id in ids {
+        let record = id as u64;
+        tile_cache.read_span(BIN_BASE + ((ti as u64) << 24) + record * 8, 8);
+        tile_cache.read_span(RECORD_BASE + record * cfg.prim_record_bytes, cfg.prim_record_bytes);
     }
 }
 
@@ -552,10 +570,8 @@ impl Simulator {
             boost_plan: Vec::new(),
             governor_report: None,
             frontend: FrontendMode::default(),
-            geom_cache: GeomCache::with_capacity(frontend::DEFAULT_GEOM_CACHE_DRAWS),
+            geom_cache: GeomCache::default(),
             mesh_memo: MeshHashMemo::default(),
-            draw_hashes_ready: false,
-            vertex_scratch: Vec::new(),
             broadphase: BroadPhase::default(),
             draw_bounds: Vec::new(),
             bp_plan: Vec::new(),
@@ -682,13 +698,16 @@ impl Simulator {
     /// any thread count; only host wall-clock and the `geom.*`
     /// accounting counters differ (see `crate::frontend`).
     ///
-    /// Switching back to [`FrontendMode::Rebuild`] drops the cache, so
-    /// a later re-enable starts cold.
+    /// The cache holds this frame's and last frame's draws: a draw hits
+    /// only if the previous frame, or an earlier draw of this one,
+    /// submitted the same content under the same camera, and cached
+    /// geometry never exceeds two frames of input. Switching back to
+    /// [`FrontendMode::Rebuild`] drops the cache, so a later re-enable
+    /// starts cold.
     pub fn set_frontend(&mut self, mode: FrontendMode) {
         self.frontend = mode;
         if mode == FrontendMode::Rebuild {
             self.geom_cache.clear();
-            self.draw_hashes_ready = false;
         }
     }
 
@@ -697,18 +716,9 @@ impl Simulator {
         self.frontend
     }
 
-    /// Bounds the incremental front-end's per-draw geometry cache to
-    /// `draws` entries (least-recently-used draws are evicted first;
-    /// a floor of one entry is enforced). Eviction never changes
-    /// results — an evicted draw simply misses and is re-shaded — so
-    /// this knob trades memory for reuse rate only.
-    pub fn set_geom_cache_capacity(&mut self, draws: usize) {
-        self.geom_cache.set_capacity(draws);
-    }
-
-    /// Entries currently held by the incremental front-end's per-draw
-    /// geometry cache (zero under [`FrontendMode::Rebuild`]). Exposed
-    /// for tests and capacity tuning.
+    /// Draws currently held by the incremental front-end's per-draw
+    /// geometry cache, at most the draws of the last two frames (zero
+    /// under [`FrontendMode::Rebuild`]). Exposed for tests.
     pub fn geom_cache_len(&self) -> usize {
         self.geom_cache.len()
     }
@@ -816,12 +826,18 @@ impl Simulator {
 
     /// Geometry Pipeline: vertex processing, primitive assembly,
     /// clipping, (deferred) face culling, and binning into `self.bins`.
-    /// `threads` sizes the incremental front-end's miss-shading stage,
-    /// which runs on the calling thread when `threads <= 1` (the batch
-    /// service passes its worker count for a one-job batch and 1
-    /// otherwise). Results are bit-identical at any `threads` (and to
-    /// the rebuild front-end); the thread count affects host wall-clock
-    /// only.
+    ///
+    /// Each live draw is classified in draw order: under
+    /// [`FrontendMode::Incremental`] a draw whose cache key hits the
+    /// geometry cache reuses its cached records, and every other draw
+    /// is shaded ([`frontend::shade_draw`]). Misses shade on up to
+    /// `threads` pool threads in incremental mode (the batch service
+    /// passes its worker count for a one-job batch and 1 otherwise) and
+    /// on the calling thread in rebuild mode. The ordered merge then
+    /// bins every draw in draw order, replaying the exact cache-model
+    /// access sequence, so results are bit-identical at any `threads`
+    /// and between the two front-ends; only host wall-clock and the
+    /// `geom.*` accounting counters differ (see `crate::frontend`).
     ///
     /// # Errors
     ///
@@ -832,158 +848,7 @@ impl Simulator {
         mode: PipelineMode,
         threads: usize,
     ) -> Result<GeometryStats, ServiceError> {
-        match self.frontend {
-            FrontendMode::Rebuild => {
-                self.draw_hashes_ready = false;
-                Ok(self.geometry_rebuild(trace, mode))
-            }
-            FrontendMode::Incremental => self.geometry_incremental(trace, mode, threads),
-        }
-    }
-
-    /// The full-rebuild front-end: every draw transformed, clipped,
-    /// culled, and binned from scratch.
-    fn geometry_rebuild(&mut self, trace: &FrameTrace, mode: PipelineMode) -> GeometryStats {
-        let cfg = &self.config;
-        let (vw, vh) = (cfg.viewport.width, cfg.viewport.height);
-        let (tiles_x, tiles_y) = (cfg.tiles_x(), cfg.tiles_y());
-        self.bins.begin_frame((tiles_x * tiles_y) as usize);
-        let mut g = GeometryStats::default();
-        self.vertex_cache.reset_stats();
-        self.tile_cache.reset_stats();
-        let bp = self.broadphase == BroadPhase::On;
-        self.draw_bounds.clear();
-        if bp {
-            self.draw_bounds.resize(trace.draws.len(), DrawBounds::default());
-        }
-
-        let view_proj = trace.camera.view_proj();
-        let mut record_counter: u64 = 0;
-        // Draw log for the tracer: (index, vertices, triangles). Filled
-        // only when tracing, emitted once the phase's cycle count is
-        // known (per-draw timing is not modelled below phase
-        // granularity).
-        let mut draw_log: Vec<(u64, u64, u64)> = Vec::new();
-
-        for (draw_idx, draw) in trace.draws.iter().enumerate() {
-            if mode == PipelineMode::CollisionOnly && draw.collidable.is_none() {
-                continue; // only collisionable commands are submitted
-            }
-            // Ingest validation (always on the sequential geometry path,
-            // so quarantine decisions are thread-count independent):
-            // forged ids and non-finite input never reach the rasterizer.
-            if draw.validate().is_err() {
-                g.draws_quarantined += 1;
-                continue;
-            }
-            let mvp = view_proj * draw.model;
-            // Vertex fetch + shade: each vertex processed once, into
-            // the simulator-owned scratch (no per-draw allocation).
-            let base_addr = (draw_idx as u64) << 32;
-            self.vertex_scratch.clear();
-            for (vi, &p) in draw.mesh.positions().iter().enumerate() {
-                self.vertex_cache
-                    .read_span(base_addr + vi as u64 * cfg.vertex_record_bytes, cfg.vertex_record_bytes);
-                self.vertex_scratch.push(mvp.transform_vec4(p.extend(1.0)));
-            }
-            let clip_pos = &self.vertex_scratch;
-            g.vertices_shaded += clip_pos.len() as u64;
-            g.vp_busy_cycles += clip_pos.len() as u64 * draw.shader.vertex_cycles as u64;
-            if self.tracer.is_some() {
-                draw_log.push((
-                    draw_idx as u64,
-                    clip_pos.len() as u64,
-                    draw.mesh.indices().len() as u64,
-                ));
-            }
-
-            for &[ia, ib, ic] in draw.mesh.indices() {
-                g.triangles_assembled += 1;
-                let (a, b, c) = (
-                    clip_pos[ia as usize],
-                    clip_pos[ib as usize],
-                    clip_pos[ic as usize],
-                );
-                let clipped = clip_near(a, b, c);
-                if clipped.is_empty() {
-                    g.triangles_clipped_out += 1;
-                    continue;
-                }
-                for [ca, cb, cc] in clipped {
-                    g.triangles_after_clip += 1;
-                    let to_window = |v: rbcd_math::Vec4| -> Vec3 {
-                        viewport_map(v.project(), cfg.viewport)
-                    };
-                    let tri = ScreenTriangle::new(to_window(ca), to_window(cb), to_window(cc));
-                    let Some(facing) = tri.facing() else {
-                        g.triangles_degenerate += 1;
-                        continue;
-                    };
-                    let culled = draw.cull.culls(facing);
-                    let mut tagged_cull = false;
-                    if culled {
-                        match (mode, draw.collidable) {
-                            (PipelineMode::Rbcd | PipelineMode::CollisionOnly, Some(_)) => {
-                                tagged_cull = true;
-                                g.triangles_tagged += 1;
-                            }
-                            _ => {
-                                g.triangles_culled += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    let Some((x0, y0, x1, y1)) = tri.pixel_bounds(vw, vh) else {
-                        g.triangles_degenerate += 1;
-                        continue;
-                    };
-                    if bp {
-                        self.draw_bounds[draw_idx].add_tri(&tri, (x0, y0, x1, y1));
-                    }
-
-                    // Write the primitive record once.
-                    let record = record_counter;
-                    record_counter += 1;
-                    self.tile_cache
-                        .write_span(RECORD_BASE + record * cfg.prim_record_bytes, cfg.prim_record_bytes);
-                    g.prim_records += 1;
-
-                    // Bin into every overlapped tile (bbox-conservative).
-                    let (tx0, tx1) = (x0 / cfg.tile_size, x1 / cfg.tile_size);
-                    let (ty0, ty1) = (y0 / cfg.tile_size, y1 / cfg.tile_size);
-                    for ty in ty0..=ty1 {
-                        for tx in tx0..=tx1 {
-                            let ti = (ty * tiles_x + tx) as usize;
-                            let entry = self.bins.push(ti, BinnedPrim {
-                                tri,
-                                facing,
-                                draw: draw_idx as u32,
-                                record,
-                                tagged_cull,
-                            });
-                            self.tile_cache
-                                .write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
-                            g.bin_entries += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.seal_geometry(g, &draw_log)
-    }
-
-    /// The incremental front-end: classify every draw against the
-    /// per-draw geometry cache, shade the misses (on `threads` pool
-    /// threads), then merge in draw order — splicing cached
-    /// triangles and replaying each draw's exact cache-model access
-    /// sequence so every counter matches the rebuild path bit for bit
-    /// (see `crate::frontend` for the full contract).
-    fn geometry_incremental(
-        &mut self,
-        trace: &FrameTrace,
-        mode: PipelineMode,
-        threads: usize,
-    ) -> Result<GeometryStats, ServiceError> {
+        let incremental = self.frontend == FrontendMode::Incremental;
         let tiles_x = self.config.tiles_x();
         let tiles_y = self.config.tiles_y();
         self.bins.begin_frame((tiles_x * tiles_y) as usize);
@@ -996,54 +861,66 @@ impl Simulator {
             self.draw_bounds.resize(trace.draws.len(), DrawBounds::default());
         }
         let view_proj = trace.camera.view_proj();
-        let mut record_counter: u64 = 0;
+        // Draw log for the tracer: (index, vertices, triangles). Filled
+        // only when tracing, emitted once the phase's cycle count is
+        // known (per-draw timing is not modelled below phase
+        // granularity).
         let mut draw_log: Vec<(u64, u64, u64)> = Vec::new();
 
-        // Per-draw content hashes, memoized per mesh allocation. The
-        // coherence layer needs the same hashes this frame, so
-        // `plan_raster` picks them up instead of re-hashing.
+        // Per-draw content hashes, memoized per mesh allocation. Every
+        // record's signature digest folds its draw's hash, the cache
+        // key is derived from it, and `plan_raster` reads the same
+        // hashes for the frame's reuse plan.
         coherence::hash_draws_memo(trace, &mut self.draw_hashes, &mut self.mesh_memo);
-        self.draw_hashes_ready = true;
         let seed = frontend::geom_seed(&self.config, mode, &view_proj);
+        if incremental {
+            self.geom_cache.begin_frame();
+        }
 
         // Classify on the planning thread: mode skips, quarantine, and
-        // cache lookups happen in draw order (LRU touch order is part
-        // of the deterministic state), independent of `threads`.
+        // cache lookups happen in draw order, independent of `threads`.
         let mut plan: Vec<DrawPlan> = Vec::with_capacity(trace.draws.len());
         for (draw_idx, draw) in trace.draws.iter().enumerate() {
             if mode == PipelineMode::CollisionOnly && draw.collidable.is_none() {
                 continue; // only collisionable commands are submitted
             }
+            // Ingest validation (always on the planning thread, so
+            // quarantine decisions are thread-count independent):
+            // forged ids and non-finite input never reach the rasterizer.
             if draw.validate().is_err() {
                 g.draws_quarantined += 1;
                 continue;
             }
             let key = coherence::mix(seed, self.draw_hashes[draw_idx]);
-            let geom = self.geom_cache.get(key);
+            let geom = if incremental { self.geom_cache.get(key) } else { None };
             plan.push(DrawPlan { draw: draw_idx as u32, key, hit: geom.is_some(), geom });
         }
 
-        // Shade the misses. Each is a pure function of (draw,
+        // Shade the misses. Each is a pure function of (draw, draw hash,
         // view-projection, config, mode), so the fan-out is free of
         // shared state; each result lands in its own plan entry.
         let cfg = &self.config;
+        let draw_hashes = &self.draw_hashes;
         let view_proj = &view_proj;
         service::fan_out(
             plan.iter_mut().filter(|p| !p.hit).collect(),
-            threads,
+            if incremental { threads } else { 1 },
             Vec::new,
             |scratch, p: &mut DrawPlan| {
-                let draw = &trace.draws[p.draw as usize];
-                let geom = frontend::shade_draw(draw, view_proj, cfg, mode, scratch);
+                let d = p.draw as usize;
+                let draw = &trace.draws[d];
+                let geom =
+                    frontend::shade_draw(draw, draw_hashes[d], view_proj, cfg, mode, scratch);
                 p.geom = Some(Arc::new(geom));
             },
         )?;
 
-        // Ordered merge: draw order, exactly the rebuild path's
-        // emission sequence. Cache-model traffic is replayed with the
-        // current frame's draw indices and record ids.
+        // Ordered merge: draw order, the Polygon List Builder's emission
+        // sequence. Cache-model traffic is replayed with the current
+        // frame's draw indices and record ids.
         let vrb = self.config.vertex_record_bytes;
         let prb = self.config.prim_record_bytes;
+        let ts = self.config.tile_size;
         for p in &plan {
             let draw_idx = p.draw as usize;
             let draw = &trace.draws[draw_idx];
@@ -1063,9 +940,11 @@ impl Simulator {
             g.triangles_degenerate += geom.degenerate;
             g.triangles_culled += geom.culled;
             g.triangles_tagged += geom.tagged;
+            // The `geom.*` counters account for the cache, so the
+            // rebuild front-end leaves them at zero.
             if p.hit {
                 g.reuse_draws += 1;
-            } else {
+            } else if incremental {
                 g.shaded_draws += 1;
             }
             if bp {
@@ -1074,46 +953,38 @@ impl Simulator {
                 self.draw_bounds[draw_idx] = geom.bounds;
             }
 
-            let mut tile_lo = 0usize;
-            for t in &geom.tris {
-                let record = record_counter;
-                record_counter += 1;
-                self.tile_cache.write_span(RECORD_BASE + record * prb, prb);
+            for rec in &geom.records {
+                // Write the primitive record once ...
+                let id = self.bins.push_record(PrimRecord { draw: p.draw, ..*rec });
+                self.tile_cache.write_span(RECORD_BASE + id as u64 * prb, prb);
                 g.prim_records += 1;
-                for &ti in &geom.tiles[tile_lo..t.tiles_end as usize] {
-                    let entry = self.bins.push(
-                        ti as usize,
-                        BinnedPrim {
-                            tri: t.tri,
-                            facing: t.facing,
-                            draw: p.draw,
-                            record,
-                            tagged_cull: t.tagged_cull,
-                        },
-                    );
-                    self.tile_cache.write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
-                    g.bin_entries += 1;
-                    if p.hit {
-                        g.bin_splices += 1;
-                        if let Some(tr) = self.tracer.as_deref_mut() {
-                            tr.record_bin_splice(ti % tiles_x, ti / tiles_x);
+                // ... and its id into every overlapped tile's bin
+                // (bbox-conservative), row-major.
+                let (x0, y0, x1, y1) = rec.bounds;
+                for ty in y0 / ts..=y1 / ts {
+                    for tx in x0 / ts..=x1 / ts {
+                        let ti = ty * tiles_x + tx;
+                        let entry = self.bins.push(ti as usize, id);
+                        self.tile_cache.write_span(BIN_BASE + ((ti as u64) << 24) + entry * 8, 8);
+                        g.bin_entries += 1;
+                        if p.hit {
+                            g.bin_splices += 1;
+                            if let Some(tr) = self.tracer.as_deref_mut() {
+                                tr.record_bin_splice(tx, ty);
+                            }
                         }
                     }
                 }
-                tile_lo = t.tiles_end as usize;
             }
-            if !p.hit {
+            if incremental && !p.hit {
                 self.geom_cache.insert(p.key, geom.clone());
             }
         }
         Ok(self.seal_geometry(g, &draw_log))
     }
 
-    /// Shared closing of both front-ends: bin layout, cache-stat
-    /// snapshots, stage-timing derivation, and trace emission. One body
-    /// so the derived `geometry.cycles` (and the trace) of the
-    /// incremental path is the rebuild derivation applied to identical
-    /// inputs — identical by construction.
+    /// Closes the geometry stage: bin layout, cache-stat snapshots,
+    /// stage-timing derivation, and trace emission.
     fn seal_geometry(&mut self, mut g: GeometryStats, draw_log: &[(u64, u64, u64)]) -> GeometryStats {
         self.bins.layout();
 
@@ -1313,6 +1184,61 @@ mod tests {
         assert_eq!(stats.geometry.triangles_clipped_out, 12);
         assert_eq!(stats.raster.fragments_rasterized, 0);
         assert!(stats.geometry.cycles > 0);
+    }
+
+    #[test]
+    fn both_front_ends_build_identical_record_tables() {
+        use crate::frontend::FrontendMode;
+        let camera = Camera::perspective(Vec3::new(0.0, 1.0, 6.0), Vec3::ZERO, 1.0, 0.1, 100.0);
+        let frame = |x: f32| {
+            FrameTrace::new(
+                camera,
+                vec![
+                    DrawCommand::scenery(shapes::ground_quad(12.0, 12.0))
+                        .with_model(rbcd_math::Mat4::translation(Vec3::new(0.0, -1.2, 0.0))),
+                    DrawCommand::collidable(shapes::icosphere(0.8, 2), ObjectId::new(1))
+                        .with_model(rbcd_math::Mat4::translation(Vec3::new(x, 0.0, 0.0))),
+                    DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(2)),
+                ],
+            )
+        };
+        let cfg = GpuConfig { viewport: Viewport::new(96, 80), ..GpuConfig::default() };
+        for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
+            let mut rebuild = Simulator::new(cfg.clone());
+            let mut inc = Simulator::new(cfg.clone());
+            inc.set_frontend(FrontendMode::Incremental);
+            // Frame 1 moves one draw, so the incremental front-end bins
+            // cached and freshly shaded draws side by side.
+            for (f, x) in [0.4f32, 0.3].into_iter().enumerate() {
+                let trace = frame(x);
+                rebuild.bench_bin_frame(&trace, mode);
+                let g = inc.bench_bin_frame(&trace, mode);
+                if f == 1 && mode != PipelineMode::CollisionOnly {
+                    assert!(g.reuse_draws > 0 && g.shaded_draws > 0, "{mode:?}: {g:?}");
+                }
+                let (a, b) = (&rebuild.bins, &inc.bins);
+                assert!(!a.records().is_empty(), "{mode:?}");
+                assert_eq!(a.records(), b.records(), "{mode:?}, frame {f}: record tables");
+                assert_eq!(a.active(), b.active(), "{mode:?}, frame {f}: active tiles");
+                for &ti in a.active() {
+                    let tile = ti as usize;
+                    assert_eq!(a.tile(tile), b.tile(tile), "{mode:?}, frame {f}: tile {ti}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_viewport_renders_nothing() {
+        // `Viewport::new` rejects a zero dimension, but the fields are
+        // public and `Simulator::new` does not validate.
+        for (width, height) in [(0, 64), (64, 0)] {
+            let viewport = Viewport { width, height };
+            let mut sim = Simulator::new(GpuConfig { viewport, ..GpuConfig::default() });
+            let stats = sim.render_frame(&cube_trace(), PipelineMode::Rbcd, &mut NullCollisionUnit);
+            assert_eq!(stats.geometry.bin_entries, 0, "{width}x{height}");
+            assert_eq!(stats.raster.fragments_rasterized, 0, "{width}x{height}");
+        }
     }
 
     #[test]
