@@ -14,9 +14,9 @@ use rbcd_core::{scan_list, FfStack, RbcdConfig, RbcdStats, RbcdUnit, Zeb, ZebEle
 use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
-    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, Facing, FrameTrace,
-    FrontendMode, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision, PipelineMode,
-    ScreenTriangle, Simulator, TileCoord,
+    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, Facing,
+    FramePolicy, FrameTrace, FrontendMode, GpuConfig, NullCollisionUnit, ObjectId,
+    ParallelCollision, PipelineMode, ScreenTriangle, Simulator, SimulatorBuilder, TileCoord,
 };
 use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::hint::black_box;
@@ -207,8 +207,10 @@ fn bench_frontend() {
     for (name, frames) in
         [("bin_frame_cap_window", &window), ("bin_frame_cap_window_moving_camera", &moving)]
     {
-        let mut sim = Simulator::new(GpuConfig::default());
-        sim.set_frontend(FrontendMode::Incremental);
+        let mut sim = SimulatorBuilder::new()
+            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
+            .build()
+            .expect("Table 1 defaults are valid");
         let mut f = 0;
         bench(name, || {
             let trace = black_box(&frames[f % frames.len()]);

@@ -876,13 +876,13 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
         let off = run_gpu(
             scene,
             frames,
-            &RunOptions { reuse: false, ..opts.clone() },
+            &RunOptions { policy: opts.policy.with_reuse(false), ..opts.clone() },
             Some(RbcdConfig::default()),
         );
         let on = run_gpu(
             scene,
             frames,
-            &RunOptions { reuse: true, ..opts.clone() },
+            &RunOptions { policy: opts.policy.with_reuse(true), ..opts.clone() },
             Some(RbcdConfig::default()),
         );
 
@@ -1430,6 +1430,15 @@ fn run_hotpath_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
             eprintln!("HOT-PATH DIVERGENCE on {}: mask results differ from reference", scene.alias);
             std::process::exit(1);
         }
+        // Equal results prove nothing if both arms ran one mode: the
+        // reference arm must produce none of the mask-only diagnostics,
+        // and the mask arm must have skipped empty rows.
+        if MASK_ONLY.iter().any(|k| reference.counters.get(k) > 0)
+            || mask.counters.get("raster.rows_empty") == 0
+        {
+            eprintln!("HOT-PATH LEG COLLAPSED on {}: both arms ran one hot path", scene.alias);
+            std::process::exit(1);
+        }
 
         // Wall-clock leg: geometry binned once per mode, then the two
         // raster passes are timed back-to-back in interleaved pairs.
@@ -1571,11 +1580,26 @@ fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> 
             [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
         for (threads, reuse, governor) in legs {
             let run_mode = |frontend: FrontendMode| {
-                let o = RunOptions { threads, reuse, frontend, governor, ..opts.clone() };
+                let policy =
+                    opts.policy.with_reuse(reuse).with_frontend(frontend).with_governor(governor);
+                let o = RunOptions { threads, policy, ..opts.clone() };
                 run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
             };
             let rebuild = run_mode(FrontendMode::Rebuild);
             let inc = run_mode(FrontendMode::Incremental);
+            // Equal results prove nothing if both arms ran one
+            // front-end: only the incremental one counts cached draws,
+            // and from its second frame on it must hit.
+            let (rebuild_hits, inc_hits) =
+                (rebuild.counters.get("geom.reuse_draws"), inc.counters.get("geom.reuse_draws"));
+            if rebuild_hits > 0 || (frames >= 2 && inc_hits == 0) {
+                eprintln!(
+                    "FRONT-END LEG COLLAPSED on {} ({threads} threads, reuse {reuse}): cached \
+                     draws rebuild {rebuild_hits}, incremental {inc_hits}",
+                    scene.alias
+                );
+                diverged = true;
+            }
             if strip(&rebuild) != strip(&inc)
                 || rebuild.pairs != inc.pairs
                 || rebuild.energy_j != inc.energy_j
@@ -1601,7 +1625,7 @@ fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> 
         let run_mode = |frontend: FrontendMode| {
             let o = RunOptions {
                 threads: 2,
-                frontend,
+                policy: opts.policy.with_frontend(frontend),
                 frames: Some(opts.frames.unwrap_or(4).min(4)),
                 ..opts.clone()
             };
@@ -1743,10 +1767,11 @@ fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> 
         speedups.push(speedup);
         // Reuse accounting from a fresh incremental run (frames beyond
         // the first replay unchanged draws from the cache).
+        let policy = opts.policy.with_frontend(FrontendMode::Incremental);
         let acct = run_gpu(
             scene,
             frames,
-            &RunOptions { frontend: FrontendMode::Incremental, ..opts.clone() },
+            &RunOptions { policy, ..opts.clone() },
             Some(RbcdConfig::default()),
         );
         let reused = acct.counters.get("geom.reuse_draws");
@@ -1856,12 +1881,32 @@ fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError
             [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
         for (threads, reuse, governor) in legs {
             let run_mode = |broadphase: BroadPhase| {
-                let o = RunOptions { threads, reuse, broadphase, governor, ..opts.clone() };
+                let policy = opts
+                    .policy
+                    .with_reuse(reuse)
+                    .with_broadphase(broadphase)
+                    .with_governor(governor);
+                let o = RunOptions { threads, policy, ..opts.clone() };
                 run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
             };
             let off = run_mode(BroadPhase::Off);
             let on = run_mode(BroadPhase::On);
             let governed = governor.is_some();
+            // Equal results prove nothing if both arms ran one mode:
+            // the off arm never skips a tile, and the on arm must skip
+            // some wherever a governor does not make it inert.
+            let (off_skips, on_skips) = (
+                off.counters.get("broadphase.tiles_skipped"),
+                on.counters.get("broadphase.tiles_skipped"),
+            );
+            if off_skips > 0 || (!governed && on_skips == 0) {
+                eprintln!(
+                    "BROAD-PHASE LEG COLLAPSED on {} ({threads} threads, reuse {reuse}, governed \
+                     {governed}): tiles skipped off {off_skips}, on {on_skips}",
+                    scene.alias,
+                );
+                diverged = true;
+            }
             if kept(&off) != kept(&on)
                 || off.pairs != on.pairs
                 || (governed && (off.counters != on.counters || off.seconds != on.seconds))
@@ -1885,7 +1930,7 @@ fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError
         let run_mode = |broadphase: BroadPhase| {
             let o = RunOptions {
                 threads: 2,
-                broadphase,
+                policy: opts.policy.with_broadphase(broadphase),
                 frames: Some(opts.frames.unwrap_or(4).min(4)),
                 ..opts.clone()
             };
@@ -2031,7 +2076,7 @@ fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError
         let acct = run_gpu(
             scene,
             frames,
-            &RunOptions { broadphase: BroadPhase::On, ..opts.clone() },
+            &RunOptions { policy: opts.policy.with_broadphase(BroadPhase::On), ..opts.clone() },
             Some(RbcdConfig::default()),
         );
         let skipped = acct.counters.get("broadphase.tiles_skipped");

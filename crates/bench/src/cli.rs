@@ -103,21 +103,17 @@ pub struct CliOptions {
     pub threads: usize,
     /// `--smoke`: shrink every experiment to a quick configuration.
     pub smoke: bool,
-    /// Cross-frame tile reuse; `--no-reuse` clears it.
-    pub reuse: bool,
-    /// `--hot-path mask|reference`: intra-tile hot path everywhere.
-    pub hot_path: HotPathMode,
-    /// `--frontend incremental|rebuild`: geometry front-end everywhere.
-    /// Incremental by default — both modes are bit-identical in
-    /// simulated results, and the incremental one is the faster host
-    /// path on coherent workloads.
-    pub frontend: FrontendMode,
-    /// `--broadphase on|off`: screen-space broad phase everywhere. On
-    /// by default — pairs, `rbcd.*` counters, and fault behaviour are
-    /// bit-identical either way, and pruning is the faster path on
-    /// sparse workloads. (The *library* default stays `Off` so golden
-    /// counters and embedders are untouched; only the CLI flips it.)
-    pub broadphase: BroadPhase,
+    /// The execution policy every experiment runs under. The CLI
+    /// default turns every layer on: cross-frame tile reuse
+    /// (`--no-reuse` clears it), the mask hot path (`--hot-path
+    /// mask|reference`), the incremental front-end (`--frontend
+    /// incremental|rebuild`) and the broad phase (`--broadphase
+    /// on|off`). Each keeps pairs bit-identical and is the faster host
+    /// path on the workloads it targets. The *library* default turns
+    /// them off, so golden counters and embedders are untouched; only
+    /// the CLI flips them. Tracing and the governor stay off here:
+    /// `--trace` and `overload` turn them on for their own runs.
+    pub policy: FramePolicy,
     /// `--trace <path>`: run the trace experiment, writing there.
     pub trace: Option<String>,
     /// `--faults <plan>`: run the fault-injection experiment.
@@ -135,10 +131,11 @@ impl Default for CliOptions {
             frames: None,
             threads: 1,
             smoke: false,
-            reuse: true,
-            hot_path: HotPathMode::Mask,
-            frontend: FrontendMode::Incremental,
-            broadphase: BroadPhase::On,
+            policy: FramePolicy::new()
+                .with_reuse(true)
+                .with_hot_path(HotPathMode::Mask)
+                .with_frontend(FrontendMode::Incremental)
+                .with_broadphase(BroadPhase::On),
             trace: None,
             faults: None,
             scene: None,
@@ -148,17 +145,16 @@ impl Default for CliOptions {
 }
 
 impl CliOptions {
-    /// The experiment [`RunOptions`] these flags select: frames /
-    /// threads / reuse / hot path applied, and `--smoke` shrinking the
+    /// The experiment [`RunOptions`] these flags select: frames,
+    /// threads and the policy applied, and `--smoke` shrinking the
     /// viewport, frame count, and sweep lists exactly as every
-    /// experiment expects.
+    /// experiment expects. The policy's hot path moves into
+    /// `gpu.hot_path`, where experiment arms set their own.
     pub fn run_options(&self) -> RunOptions {
         let mut opts = RunOptions {
             frames: self.frames,
             threads: self.threads,
-            reuse: self.reuse,
-            frontend: self.frontend,
-            broadphase: self.broadphase,
+            policy: FramePolicy { hot_path: None, ..self.policy },
             ..RunOptions::default()
         };
         if self.smoke {
@@ -167,19 +163,17 @@ impl CliOptions {
             opts.m_sweep = vec![4, 8];
             opts.zeb_counts = vec![1, 2];
         }
-        opts.gpu.hot_path = self.hot_path;
+        if let Some(mode) = self.policy.hot_path {
+            opts.gpu.hot_path = mode;
+        }
         opts
     }
 
-    /// The same flags as a [`FramePolicy`] (for session-based
-    /// experiments): workers from `--threads`, reuse, hot path.
+    /// The execution policy these flags select, hot path included (for
+    /// session-based experiments and embedders that build their own
+    /// simulators).
     pub fn frame_policy(&self) -> FramePolicy {
-        FramePolicy::new()
-            .with_workers(self.threads)
-            .with_reuse(self.reuse)
-            .with_hot_path(self.hot_path)
-            .with_frontend(self.frontend)
-            .with_broadphase(self.broadphase)
+        self.policy
     }
 }
 
@@ -238,9 +232,9 @@ pub fn parse_args(args: Vec<String>) -> Result<CliOptions, UsageError> {
                 })?;
             }
             "--smoke" => out.smoke = true,
-            "--no-reuse" => out.reuse = false,
+            "--no-reuse" => out.policy.reuse = false,
             "--hot-path" => {
-                out.hot_path = match value(&mut it)?.as_str() {
+                out.policy.hot_path = Some(match value(&mut it)?.as_str() {
                     "mask" => HotPathMode::Mask,
                     "reference" => HotPathMode::Reference,
                     _ => {
@@ -249,10 +243,10 @@ pub fn parse_args(args: Vec<String>) -> Result<CliOptions, UsageError> {
                             expected: "a mode (mask|reference)".into(),
                         })
                     }
-                };
+                });
             }
             "--frontend" => {
-                out.frontend = match value(&mut it)?.as_str() {
+                out.policy.frontend = match value(&mut it)?.as_str() {
                     "incremental" => FrontendMode::Incremental,
                     "rebuild" => FrontendMode::Rebuild,
                     _ => {
@@ -264,7 +258,7 @@ pub fn parse_args(args: Vec<String>) -> Result<CliOptions, UsageError> {
                 };
             }
             "--broadphase" => {
-                out.broadphase = match value(&mut it)?.as_str() {
+                out.policy.broadphase = match value(&mut it)?.as_str() {
                     "on" => BroadPhase::On,
                     "off" => BroadPhase::Off,
                     _ => {
@@ -332,20 +326,20 @@ mod tests {
         assert_eq!(o.frames, None);
         assert_eq!(o.threads, 1);
         assert!(!o.smoke);
-        assert!(o.reuse);
-        assert_eq!(o.hot_path, HotPathMode::Mask);
-        assert_eq!(o.frontend, FrontendMode::Incremental);
-        assert_eq!(o.broadphase, BroadPhase::On, "CLI default is on; library default is off");
+        assert!(o.policy.reuse);
+        assert_eq!(o.policy.hot_path, Some(HotPathMode::Mask));
+        assert_eq!(o.policy.frontend, FrontendMode::Incremental);
+        assert_eq!(o.policy.broadphase, BroadPhase::On, "CLI default on; library default off");
         assert!(o.rest.is_empty());
     }
 
     #[test]
     fn broadphase_flag_parses_both_modes_and_rejects_others() {
         let o = parse(&["--broadphase", "off"]).expect("valid");
-        assert_eq!(o.broadphase, BroadPhase::Off);
-        assert_eq!(o.run_options().broadphase, BroadPhase::Off);
+        assert_eq!(o.policy.broadphase, BroadPhase::Off);
+        assert_eq!(o.run_options().policy.broadphase, BroadPhase::Off);
         let o = parse(&["--broadphase", "on"]).expect("valid");
-        assert_eq!(o.broadphase, BroadPhase::On);
+        assert_eq!(o.policy.broadphase, BroadPhase::On);
         let e = parse(&["--broadphase", "sweep"]).expect_err("rejected");
         assert_eq!(e.flag, "--broadphase");
         assert!(e.to_string().contains("on|off"));
@@ -354,10 +348,10 @@ mod tests {
     #[test]
     fn frontend_flag_parses_both_modes_and_rejects_others() {
         let o = parse(&["--frontend", "rebuild"]).expect("valid");
-        assert_eq!(o.frontend, FrontendMode::Rebuild);
-        assert_eq!(o.run_options().frontend, FrontendMode::Rebuild);
+        assert_eq!(o.policy.frontend, FrontendMode::Rebuild);
+        assert_eq!(o.run_options().policy.frontend, FrontendMode::Rebuild);
         let o = parse(&["--frontend", "incremental"]).expect("valid");
-        assert_eq!(o.frontend, FrontendMode::Incremental);
+        assert_eq!(o.policy.frontend, FrontendMode::Incremental);
         let e = parse(&["--frontend", "turbo"]).expect_err("rejected");
         assert_eq!(e.flag, "--frontend");
         assert!(e.to_string().contains("incremental|rebuild"));
@@ -368,7 +362,7 @@ mod tests {
         let o = parse(&["bench", "--threads", "4", "temporal", "--no-reuse", "--smoke"])
             .expect("valid flags");
         assert_eq!(o.threads, 4);
-        assert!(!o.reuse);
+        assert!(!o.policy.reuse);
         assert!(o.smoke);
         assert_eq!(o.rest, ["bench", "temporal"]);
     }
@@ -427,18 +421,39 @@ mod tests {
 
     #[test]
     fn frame_policy_mirrors_the_flags() {
-        let o = parse(&["--threads", "3", "--no-reuse", "--hot-path", "reference"])
-            .expect("valid");
-        let p = o.frame_policy();
-        assert_eq!(p.workers, 3);
+        use rbcd_gpu::SimulatorBuilder;
+        let o = parse(&[
+            "--no-reuse",
+            "--frontend",
+            "rebuild",
+            "--broadphase",
+            "off",
+            "--hot-path",
+            "reference",
+        ])
+        .expect("valid");
+        let r = o.run_options();
+        // A hot path left in the policy would override at build time
+        // an experiment arm that sets `gpu.hot_path`.
+        assert_eq!(r.policy.hot_path, None, "RunOptions keeps the hot path in gpu.hot_path");
+        let sim = SimulatorBuilder::from_config(r.gpu).policy(r.policy).build().expect("valid");
+        let p = sim.policy();
         assert!(!p.reuse);
-        assert_eq!(p.hot_path, Some(HotPathMode::Reference));
-        assert_eq!(p.frontend, FrontendMode::Incremental, "CLI default is incremental");
-        assert_eq!(p.broadphase, BroadPhase::On, "CLI default is broad phase on");
-        let p = parse(&["--frontend", "rebuild"]).expect("valid").frame_policy();
         assert_eq!(p.frontend, FrontendMode::Rebuild);
-        let p = parse(&["--broadphase", "off"]).expect("valid").frame_policy();
         assert_eq!(p.broadphase, BroadPhase::Off);
+        assert_eq!(p.hot_path, Some(HotPathMode::Reference), "the simulator reports its mode");
+        assert!(!p.tracing && p.governor.is_none());
+        assert_eq!(sim.config().hot_path, HotPathMode::Reference);
+        assert_eq!(o.frame_policy(), *p, "the CLI and the simulator agree on every knob");
+
+        // perf/ runs the CLI default policy: every layer on, mask hot
+        // path, no tracing, no governor.
+        let default = FramePolicy::new()
+            .with_reuse(true)
+            .with_hot_path(HotPathMode::Mask)
+            .with_frontend(FrontendMode::Incremental)
+            .with_broadphase(BroadPhase::On);
+        assert_eq!(CliOptions::default().frame_policy(), default);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::runner::RunOptions;
 use rbcd_core::software::OracleUnit;
 use rbcd_core::{FaultLog, FaultPlan, RbcdConfig, RbcdUnit};
 use rbcd_cpu_cd::{CdBody, CpuCollisionDetector, Phase};
-use rbcd_gpu::{ObjectId, PipelineMode, Simulator};
+use rbcd_gpu::{ObjectId, PipelineMode, Simulator, SimulatorBuilder};
 use rbcd_workloads::Scene;
 use std::collections::BTreeSet;
 
@@ -155,10 +155,10 @@ fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -
     let mut cell = FaultCell { m: cfg.list_capacity, ..FaultCell::default() };
 
     let meshes = scene.collidable_meshes();
-    let mut sim = Simulator::new(opts.gpu.clone());
-    sim.set_reuse(opts.reuse);
-    sim.set_frontend(opts.frontend);
-    sim.set_broadphase(opts.broadphase);
+    let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
+        .policy(opts.policy)
+        .build()
+        .expect("benchmark GPU configurations are validated at construction");
     let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
         .expect("the ladder configuration is valid by construction");
     let mut prev = *unit.stats();
@@ -286,6 +286,22 @@ mod tests {
             result.worst_recovery()
         );
         assert_eq!(result.silent_losses(), 0, "every miss must trace to a counted overflow");
+    }
+
+    #[test]
+    fn fault_cells_run_under_the_policy() {
+        // A budget every frame overruns sheds all but the first tile,
+        // so a governed cell must find fewer pairs on the GPU path.
+        use rbcd_gpu::{FramePolicy, GovernorConfig};
+        let plan = FaultPlan::preset("overflow", 7).unwrap();
+        let scenes = [rbcd_workloads::shells()];
+        let free = run_fault_tolerance(&scenes, "overflow", plan, &[4], &opts(1));
+        let gov = GovernorConfig { frame_budget_cycles: 1, ..GovernorConfig::default() };
+        let policy = FramePolicy::new().with_governor(Some(gov));
+        let governed =
+            run_fault_tolerance(&scenes, "overflow", plan, &[4], &RunOptions { policy, ..opts(1) });
+        let (a, b) = (&free.scenes[0].cells[0], &governed.scenes[0].cells[0]);
+        assert!(b.gpu_recovered < a.gpu_recovered, "{} vs {}", b.gpu_recovered, a.gpu_recovered);
     }
 
     #[test]

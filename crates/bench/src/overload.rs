@@ -186,7 +186,7 @@ pub fn run_overload(
 /// plus a governor with the given per-frame budget.
 fn governed_sim(opts: &RunOptions, budget: u64) -> Simulator {
     SimulatorBuilder::from_config(opts.gpu.clone())
-        .policy(opts.frame_policy().with_governor(Some(GovernorConfig {
+        .policy(opts.policy.with_governor(Some(GovernorConfig {
             frame_budget_cycles: budget,
             ..GovernorConfig::default()
         })))
@@ -447,7 +447,7 @@ mod tests {
             "storm",
             plan,
             &[50],
-            &RunOptions { reuse: true, ..opts(2) },
+            &RunOptions { policy: rbcd_gpu::FramePolicy::new().with_reuse(true), ..opts(2) },
         );
         assert_eq!(a, d, "reuse flag must be absorbed by the governor");
     }

@@ -6,8 +6,7 @@ use rbcd_core::{ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_cpu_cd::{CdBody, Cost, CpuCollisionDetector, CpuConfig, Phase};
 use rbcd_gpu::energy::EnergyModel;
 use rbcd_gpu::{
-    BroadPhase, FramePolicy, FrameStats, FrontendMode, GpuConfig, NullCollisionUnit, PipelineMode,
-    SimulatorBuilder,
+    FramePolicy, FrameStats, GpuConfig, NullCollisionUnit, PipelineMode, SimulatorBuilder,
 };
 use rbcd_trace::TraceBuffer;
 use rbcd_workloads::Scene;
@@ -32,32 +31,19 @@ pub struct RunOptions {
     /// bit-identical for any value (the parallel tile pipeline merges
     /// deterministically); this only changes host wall-clock time.
     pub threads: usize,
-    /// Temporal tile coherence: when enabled, tiles whose binned draw
-    /// list is unchanged from the previous frame replay their cached
-    /// result instead of re-rasterizing. Pairs, heatmaps, and every
-    /// event counter stay bit-identical to a reuse-off run; only the
-    /// simulated-cycle timeline (and cycle-derived metrics) shrinks.
-    /// Off by default so golden counters and the paper-facing tables
-    /// are unaffected unless asked for.
-    pub reuse: bool,
-    /// Geometry front-end arrangement. Both modes are bit-identical in
-    /// every simulated number (only the accounting-only `geom.*`
-    /// counters and host wall-clock differ); full rebuild by default so
-    /// golden counters stay byte-stable. The `repro` CLI flips this to
-    /// incremental, the faster host path on coherent workloads.
-    pub frontend: FrontendMode,
-    /// Screen-space broad phase. Pairs, `rbcd.*` counters, and fault
-    /// behaviour are bit-identical either way; `On` additionally skips
-    /// raster and ZEB-scan work on tiles that provably cannot produce a
-    /// pair, so the image-side timing/energy counters shrink. Off by
-    /// default so golden counters and the paper-facing tables are
-    /// unaffected unless asked for; the `repro` CLI flips it on.
-    pub broadphase: BroadPhase,
-    /// Overload governor for the simulator (`None` = ungoverned, the
-    /// default — all outputs bit-identical to pre-governor builds).
-    /// Experiments that sweep per-frame budgets (`repro overload`) set
-    /// budgets on the simulator directly instead.
-    pub governor: Option<rbcd_gpu::GovernorConfig>,
+    /// Execution policy of every simulator the run builds: temporal
+    /// tile reuse, geometry front-end, broad phase, governor. Each
+    /// layer keeps pairs bit-identical (the [`FramePolicy`] fields say
+    /// which counters may move). The default policy
+    /// turns every optional layer off, so golden counters and the
+    /// paper-facing tables are unaffected unless asked for; the `repro`
+    /// CLI turns reuse, the incremental front-end and the broad phase
+    /// on. The hot path lives in `gpu.hot_path` and `policy.hot_path`
+    /// stays `None`: an override here would silently beat an
+    /// experiment arm that sets `gpu.hot_path` on purpose. Experiments
+    /// that sweep per-frame budgets (`repro overload`) retune the
+    /// governor on the simulator between frames.
+    pub policy: FramePolicy,
 }
 
 impl Default for RunOptions {
@@ -70,26 +56,8 @@ impl Default for RunOptions {
             m_sweep: vec![4, 8, 16],
             zeb_counts: vec![1, 2, 3, 4],
             threads: 1,
-            reuse: false,
-            frontend: FrontendMode::Rebuild,
-            broadphase: BroadPhase::Off,
-            governor: None,
+            policy: FramePolicy::default(),
         }
-    }
-}
-
-impl RunOptions {
-    /// These options' execution knobs as one [`FramePolicy`] — the form
-    /// `SimulatorBuilder::policy` and the session API consume. The hot
-    /// path is left to the [`GpuConfig`] (`self.gpu.hot_path`), which
-    /// the builder already honours.
-    pub fn frame_policy(&self) -> FramePolicy {
-        FramePolicy::new()
-            .with_workers(self.threads)
-            .with_reuse(self.reuse)
-            .with_frontend(self.frontend)
-            .with_broadphase(self.broadphase)
-            .with_governor(self.governor)
     }
 }
 
@@ -127,7 +95,7 @@ fn run_gpu_inner(
     traced: bool,
 ) -> (GpuRun, Option<TraceBuffer>) {
     let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
-        .policy(opts.frame_policy().with_tracing(traced))
+        .policy(opts.policy.with_tracing(traced))
         .build()
         .expect("benchmark GPU configurations are validated at construction");
     let mut total = FrameStats::default();
@@ -290,10 +258,11 @@ pub fn run_benchmark(scene: &Scene, opts: &RunOptions) -> BenchmarkResult {
 /// timelines) so frames are embarrassingly parallel, and per-frame
 /// results are merged in frame order.
 ///
-/// Results are bit-identical for any `threads` value, but are *not*
-/// comparable to [`run_gpu`] (which keeps caches and ZEB timing warm
-/// across frames) — this entry point exists for host-throughput
-/// measurement, where identical-work-per-frame is exactly what we want.
+/// Every simulator runs under `opts.policy`, as in [`run_gpu`]. Results
+/// are bit-identical for any `threads` value, but are *not* comparable
+/// to [`run_gpu`] (which keeps caches and ZEB timing warm across
+/// frames) — this entry point exists for host-throughput measurement,
+/// where identical-work-per-frame is exactly what we want.
 pub fn run_frames_parallel(
     scene: &Scene,
     frames: usize,
@@ -305,6 +274,7 @@ pub fn run_frames_parallel(
 
     let run_one = |f: usize| {
         let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
+            .policy(opts.policy)
             .build()
             .expect("benchmark GPU configurations are validated at construction");
         let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
@@ -454,6 +424,25 @@ mod tests {
         assert!(gjk.report.cycles > broad.report.cycles);
         // Narrow phase can only remove pairs.
         assert!(gjk.pairs.is_subset(&broad.pairs));
+    }
+
+    #[test]
+    fn frame_parallel_runs_honour_the_policy() {
+        use rbcd_gpu::BroadPhase;
+        let scene = rbcd_workloads::sparse();
+        let run = |broadphase| {
+            let opts = RunOptions {
+                policy: FramePolicy::new().with_broadphase(broadphase),
+                ..small_opts()
+            };
+            run_frames_parallel(&scene, 2, &opts, RbcdConfig::default(), 2)
+        };
+        let on = run(BroadPhase::On);
+        let off = run(BroadPhase::Off);
+        assert!(on.stats.broadphase.tiles_skipped > 0, "the broad phase prunes sparse frames");
+        assert_eq!(off.stats.broadphase.tiles_skipped, 0);
+        assert!(!on.pairs.is_empty());
+        assert_eq!(on.pairs, off.pairs, "pruning never changes a pair");
     }
 
     #[test]

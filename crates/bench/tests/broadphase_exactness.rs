@@ -92,7 +92,6 @@ fn run_script(
     let mut sim = SimulatorBuilder::from_config(cfg())
         .policy(
             FramePolicy::new()
-                .with_workers(threads)
                 .with_reuse(reuse)
                 .with_broadphase(broadphase)
                 .with_governor(governor),

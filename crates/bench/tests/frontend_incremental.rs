@@ -86,7 +86,6 @@ fn run_script(
     let mut sim = SimulatorBuilder::from_config(cfg())
         .policy(
             FramePolicy::new()
-                .with_workers(threads)
                 .with_reuse(reuse)
                 .with_frontend(frontend)
                 .with_governor(governor),
@@ -242,7 +241,6 @@ fn bounded_cache_evicts_without_changing_results() {
         let mut sim = SimulatorBuilder::from_config(cfg())
             .policy(
                 FramePolicy::new()
-                    .with_workers(threads)
                     .with_reuse(true)
                     .with_frontend(FrontendMode::Incremental),
             )

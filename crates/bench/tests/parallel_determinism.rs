@@ -9,7 +9,7 @@ use rbcd_bench::metrics::GpuRun;
 use rbcd_bench::runner::{run_frames_parallel, run_gpu, run_gpu_traced};
 use rbcd_bench::RunOptions;
 use rbcd_core::{FaultPlan, RbcdConfig};
-use rbcd_gpu::GpuConfig;
+use rbcd_gpu::{FramePolicy, GpuConfig};
 use rbcd_math::Viewport;
 
 fn opts(threads: usize) -> RunOptions {
@@ -160,7 +160,7 @@ fn reuse_is_event_identical_across_suite_and_temporal_scenes() {
         let base = run_gpu(
             scene,
             2,
-            &RunOptions { reuse: true, ..opts(1) },
+            &RunOptions { policy: FramePolicy::new().with_reuse(true), ..opts(1) },
             Some(RbcdConfig::default()),
         );
         assert_events_match(&off, &base, scene.alias);
@@ -168,7 +168,7 @@ fn reuse_is_event_identical_across_suite_and_temporal_scenes() {
             let on = run_gpu(
                 scene,
                 2,
-                &RunOptions { reuse: true, ..opts(threads) },
+                &RunOptions { policy: FramePolicy::new().with_reuse(true), ..opts(threads) },
                 Some(RbcdConfig::default()),
             );
             assert_eq!(
@@ -187,7 +187,7 @@ fn reuse_is_event_identical_across_suite_and_temporal_scenes() {
     let vault = run_gpu(
         &rbcd_workloads::vault(),
         2,
-        &RunOptions { reuse: true, ..opts(2) },
+        &RunOptions { policy: FramePolicy::new().with_reuse(true), ..opts(2) },
         Some(RbcdConfig::default()),
     );
     assert!(vault.counters.get("coherence.tiles_reused") > 0, "vault must reuse tiles");
@@ -210,7 +210,7 @@ fn reuse_is_event_identical_under_every_fault_preset() {
             preset,
             plan,
             &[2],
-            &RunOptions { reuse: true, ..opts(2) },
+            &RunOptions { policy: FramePolicy::new().with_reuse(true), ..opts(2) },
         );
         for (sa, sb) in off.scenes.iter().zip(&on.scenes) {
             for (ca, cb) in sa.cells.iter().zip(&sb.cells) {
@@ -240,10 +240,11 @@ fn governor_off_keeps_outputs_bit_identical_and_counters_zero() {
         }
     }
     for threads in [1, 2, 4] {
+        let policy = FramePolicy::new().with_governor(Some(GovernorConfig::default()));
         let idle = run_gpu(
             &scene,
             2,
-            &RunOptions { governor: Some(GovernorConfig::default()), ..opts(threads) },
+            &RunOptions { policy, ..opts(threads) },
             Some(RbcdConfig::default()),
         );
         assert_events_match(&off, &idle, "zero-budget governor");
@@ -273,7 +274,7 @@ fn governed_runs_are_identical_at_any_thread_count() {
     let base = run_gpu(
         &scene,
         2,
-        &RunOptions { governor: Some(gov), ..opts(1) },
+        &RunOptions { policy: FramePolicy::new().with_governor(Some(gov)), ..opts(1) },
         Some(RbcdConfig::default()),
     );
     assert!(
@@ -284,7 +285,7 @@ fn governed_runs_are_identical_at_any_thread_count() {
         let par = run_gpu(
             &scene,
             2,
-            &RunOptions { governor: Some(gov), ..opts(threads) },
+            &RunOptions { policy: FramePolicy::new().with_governor(Some(gov)), ..opts(threads) },
             Some(RbcdConfig::default()),
         );
         assert_eq!(base.pairs, par.pairs, "governed pairs at {threads} threads");
@@ -328,7 +329,7 @@ fn hot_path_mask_matches_reference_across_arms() {
     let run_mode = |scene: &rbcd_workloads::Scene, mode: HotPathMode, threads: usize, reuse| {
         let mut o = opts(threads);
         o.gpu.hot_path = mode;
-        o.reuse = reuse;
+        o.policy.reuse = reuse;
         run_gpu(scene, 2, &o, Some(RbcdConfig { hot_path: mode, ..RbcdConfig::default() }))
     };
     for scene in rbcd_workloads::suite() {

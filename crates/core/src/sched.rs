@@ -131,9 +131,10 @@ pub struct SessionSpec {
     /// effective GPU hot path (policy override or `gpu.hot_path`), so
     /// one knob switches the whole session's pipeline.
     pub rbcd: RbcdConfig,
-    /// Execution policy (reuse, tracing, governor, hot path). The
-    /// policy's `workers` field is ignored here: the scheduler's shared
-    /// pool is sized once for all sessions.
+    /// Execution policy (reuse, hot path, front-end, broad phase,
+    /// tracing, governor), fixed when the session is admitted and its
+    /// simulator built. Worker threads are not part of it: the
+    /// scheduler's shared pool is sized once for all sessions.
     pub policy: FramePolicy,
     /// Optional fault-injection plan, applied to each frame's trace
     /// (and once to the RBCD configuration) before rendering.
@@ -417,10 +418,7 @@ impl Scheduler {
             .map_err(AdmissionError::Config)?;
         // The unit's hot path follows the simulator's effective one, so
         // one policy knob switches the whole session's pipeline.
-        let mut rbcd = RbcdConfig {
-            hot_path: spec.policy.hot_path.unwrap_or(spec.gpu.hot_path),
-            ..spec.rbcd
-        };
+        let mut rbcd = RbcdConfig { hot_path: sim.config().hot_path, ..spec.rbcd };
         if let Some(plan) = &spec.faults {
             rbcd = plan.apply_rbcd(rbcd);
         }

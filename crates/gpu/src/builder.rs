@@ -9,7 +9,7 @@
 //! configurations with a typed [`GpuConfigError`].
 
 use crate::cache::CacheConfig;
-use crate::config::{GovernorConfig, GpuConfig};
+use crate::config::GpuConfig;
 use crate::policy::FramePolicy;
 use crate::sim::Simulator;
 use rbcd_math::Viewport;
@@ -88,8 +88,9 @@ impl std::error::Error for GpuConfigError {}
 /// Fluent, validating constructor for [`Simulator`].
 ///
 /// Hardware shape lives in the per-field setters (or a wholesale
-/// [`GpuConfig`]); execution behaviour — reuse, tracing, governor, hot
-/// path — arrives as one [`FramePolicy`]:
+/// [`GpuConfig`]); execution behaviour — reuse, hot path, front-end,
+/// broad phase, tracing, governor — arrives as one [`FramePolicy`],
+/// fixed for the built simulator's life:
 ///
 /// ```
 /// use rbcd_gpu::{FramePolicy, SimulatorBuilder};
@@ -120,18 +121,14 @@ impl SimulatorBuilder {
         Self { config, policy: FramePolicy::default() }
     }
 
-    /// Installs the execution policy wholesale, replacing any knobs set
-    /// so far. This is the one place reuse, tracing, the governor, and
-    /// a hot-path override are configured; the deprecated per-knob
-    /// setters below delegate into the same policy.
+    /// Installs the execution policy, replacing any set before. This is
+    /// the one place reuse, the hot-path override, the front-end, the
+    /// broad phase, tracing and the governor are configured; the built
+    /// simulator runs every frame under it, and only its governor can
+    /// change later ([`Simulator::set_governor`]).
     pub fn policy(mut self, policy: FramePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The execution policy as configured so far.
-    pub fn frame_policy(&self) -> &FramePolicy {
-        &self.policy
     }
 
     /// Replaces the whole configuration wholesale.
@@ -169,41 +166,6 @@ impl SimulatorBuilder {
     /// Number of programmable vertex processors.
     pub fn vertex_processors(mut self, n: u32) -> Self {
         self.config.vertex_processors = n;
-        self
-    }
-
-    /// Enables structured tracing on the built simulator (equivalent to
-    /// [`Simulator::set_tracing`] after construction).
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.policy.tracing = enabled;
-        self
-    }
-
-    /// Enables temporal tile coherence on the built simulator
-    /// (equivalent to [`Simulator::set_reuse`] after construction). See
-    /// [`Simulator::set_reuse`] for the contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn reuse(mut self, enabled: bool) -> Self {
-        self.policy.reuse = enabled;
-        self
-    }
-
-    /// Installs an overload governor on the built simulator (equivalent
-    /// to [`Simulator::set_governor`] after construction). See that
-    /// method for the policy ladder.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the knob into a `FramePolicy` and pass it via `SimulatorBuilder::policy`"
-    )]
-    pub fn governor(mut self, config: Option<GovernorConfig>) -> Self {
-        self.policy.governor = config;
         self
     }
 
@@ -273,17 +235,7 @@ impl SimulatorBuilder {
     /// See [`SimulatorBuilder::validate`].
     pub fn build(self) -> Result<Simulator, GpuConfigError> {
         self.validate()?;
-        let mut config = self.config;
-        if let Some(mode) = self.policy.hot_path {
-            config.hot_path = mode;
-        }
-        let mut sim = Simulator::new(config);
-        sim.set_tracing(self.policy.tracing);
-        sim.set_reuse(self.policy.reuse);
-        sim.set_frontend(self.policy.frontend);
-        sim.set_governor(self.policy.governor);
-        sim.set_broadphase(self.policy.broadphase);
-        Ok(sim)
+        Ok(Simulator::with_policy(self.config, self.policy))
     }
 }
 
@@ -315,10 +267,6 @@ mod tests {
         assert!(!sim.tracing_enabled());
     }
 
-    // Deliberately exercises the deprecated per-knob setters: the
-    // compatibility contract is that they keep compiling and behave
-    // identically to the policy path.
-    #[allow(deprecated)]
     #[test]
     fn fluent_setters_apply() {
         let sim = SimulatorBuilder::new()
@@ -326,8 +274,7 @@ mod tests {
             .tile_size(8)
             .frequency_hz(100_000_000)
             .fragment_processors(2)
-            .tracing(true)
-            .reuse(true)
+            .policy(FramePolicy::new().with_tracing(true).with_reuse(true))
             .build()
             .unwrap();
         let c = sim.config();
@@ -336,7 +283,7 @@ mod tests {
         assert_eq!(c.frequency_hz, 100_000_000);
         assert_eq!(c.fragment_processors, 2);
         assert!(sim.tracing_enabled());
-        assert!(sim.reuse_enabled());
+        assert!(sim.policy().reuse);
     }
 
     #[test]
@@ -389,28 +336,6 @@ mod tests {
         assert!(e.to_string().contains("l2_cache"));
     }
 
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_setters_and_policy_build_identical_simulators() {
-        let gov = GovernorConfig { frame_budget_cycles: 9_999, ..GovernorConfig::default() };
-        let via_policy = SimulatorBuilder::new()
-            .policy(
-                FramePolicy::new().with_tracing(true).with_reuse(true).with_governor(Some(gov)),
-            )
-            .build()
-            .unwrap();
-        let via_setters = SimulatorBuilder::new()
-            .tracing(true)
-            .reuse(true)
-            .governor(Some(gov))
-            .build()
-            .unwrap();
-        assert_eq!(via_policy.tracing_enabled(), via_setters.tracing_enabled());
-        assert_eq!(via_policy.reuse_enabled(), via_setters.reuse_enabled());
-        assert_eq!(via_policy.governor(), via_setters.governor());
-        assert_eq!(via_policy.config(), via_setters.config());
-    }
-
     #[test]
     fn policy_hot_path_overrides_config_only_when_set() {
         use crate::config::HotPathMode;
@@ -420,35 +345,37 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(kept.config().hot_path, HotPathMode::Reference, "None keeps the config's mode");
+        assert_eq!(kept.policy().hot_path, Some(HotPathMode::Reference), "resolved mode reported");
         let overridden = SimulatorBuilder::from_config(cfg)
             .policy(FramePolicy::new().with_hot_path(HotPathMode::Mask))
             .build()
             .unwrap();
         assert_eq!(overridden.config().hot_path, HotPathMode::Mask);
+        assert_eq!(overridden.policy().hot_path, Some(HotPathMode::Mask));
     }
 
     #[test]
     fn policy_frontend_reaches_the_simulator() {
         use crate::frontend::FrontendMode;
         let default = SimulatorBuilder::new().build().unwrap();
-        assert_eq!(default.frontend(), FrontendMode::Rebuild);
+        assert_eq!(default.policy().frontend, FrontendMode::Rebuild);
         let incremental = SimulatorBuilder::new()
             .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
             .build()
             .unwrap();
-        assert_eq!(incremental.frontend(), FrontendMode::Incremental);
+        assert_eq!(incremental.policy().frontend, FrontendMode::Incremental);
     }
 
     #[test]
     fn policy_broadphase_reaches_the_simulator() {
         use crate::broadphase::BroadPhase;
         let default = SimulatorBuilder::new().build().unwrap();
-        assert_eq!(default.broadphase(), BroadPhase::Off, "Off by default keeps goldens pinned");
+        assert_eq!(default.policy().broadphase, BroadPhase::Off, "Off keeps goldens pinned");
         let pruned = SimulatorBuilder::new()
             .policy(FramePolicy::new().with_broadphase(BroadPhase::On))
             .build()
             .unwrap();
-        assert_eq!(pruned.broadphase(), BroadPhase::On);
+        assert_eq!(pruned.policy().broadphase, BroadPhase::On);
     }
 
     #[test]
@@ -461,5 +388,6 @@ mod tests {
             ..GpuConfig::default()
         });
         assert_eq!(via_builder.config(), via_new.config());
+        assert_eq!(via_builder.policy(), via_new.policy());
     }
 }

@@ -277,14 +277,6 @@ impl TileResultCache {
         }
     }
 
-    /// Drops every cached entry (used when reuse is switched off so a
-    /// later re-enable cannot replay stale results).
-    pub(crate) fn clear(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
-    }
-
     /// Whether tile `ti` holds a result for `sig` whose capsule is of
     /// type `T` (the current backend's per-tile output). The type check
     /// guards against replaying a capsule cached by a different backend.

@@ -265,12 +265,6 @@ impl GeomCache {
     pub(crate) fn insert(&mut self, key: u64, geom: Arc<CachedDrawGeom>) {
         self.current.insert(key, geom);
     }
-
-    /// Drops every cached draw.
-    pub(crate) fn clear(&mut self) {
-        self.current.clear();
-        self.previous.clear();
-    }
 }
 
 #[cfg(test)]
@@ -333,9 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn switching_to_rebuild_empties_the_cache() {
+    fn the_rebuild_front_end_never_caches() {
         use crate::command::{Camera, DrawCommand, FrameTrace};
-        use crate::NullCollisionUnit;
+        use crate::{FramePolicy, NullCollisionUnit, Simulator};
         use rbcd_math::{Vec3, Viewport};
         let cfg = GpuConfig { viewport: Viewport::new(64, 64), ..GpuConfig::default() };
         let camera = Camera::perspective(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, 1.0, 0.1, 100.0);
@@ -343,17 +337,14 @@ mod tests {
             camera,
             vec![DrawCommand::scenery(rbcd_geometry::shapes::cube(1.0))],
         );
-        let mut sim = crate::Simulator::new(cfg);
-        sim.set_frontend(FrontendMode::Incremental);
-        sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
-        assert_eq!(sim.geom_cache_len(), 1);
-        sim.set_frontend(FrontendMode::Rebuild);
-        assert_eq!(sim.geom_cache_len(), 0);
-        sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
-        assert_eq!(sim.geom_cache_len(), 0, "the rebuild front-end never caches");
-        sim.set_frontend(FrontendMode::Incremental);
-        let cold = sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
-        assert_eq!(cold.geometry.reuse_draws, 0, "re-enabling starts cold");
+        for (frontend, cached) in [(FrontendMode::Incremental, 1), (FrontendMode::Rebuild, 0)] {
+            let policy = FramePolicy::new().with_frontend(frontend);
+            let mut sim = Simulator::with_policy(cfg.clone(), policy);
+            for _ in 0..2 {
+                sim.render_frame(&trace, PipelineMode::Baseline, &mut NullCollisionUnit);
+                assert_eq!(sim.geom_cache_len(), cached, "{frontend:?}");
+            }
+        }
     }
 
     #[test]

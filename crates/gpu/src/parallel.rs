@@ -289,17 +289,18 @@ impl Simulator {
     ) -> CoherenceStats {
         let mut co = CoherenceStats::default();
         self.tile_cache.reset_stats();
-        let gov = self.governor;
-        let reuse_on = self.reuse || gov.is_some();
+        let gov = self.policy.governor;
+        let reuse_on = self.policy.reuse || gov.is_some();
 
         // Broad-phase plan: a main-thread pass over the binned frame,
         // like the reuse and coarsening plans, so the skip mask is
         // thread-count invariant by construction. Inert in baseline
         // mode (no pairs to preserve) and under a governor (the
         // deadline ladder's shed decisions are cursor-driven and take
-        // precedence — see `Simulator::set_broadphase`).
-        let bp_active =
-            self.broadphase == BroadPhase::On && mode != PipelineMode::Baseline && gov.is_none();
+        // precedence — see `FramePolicy::broadphase`).
+        let bp_active = self.policy.broadphase == BroadPhase::On
+            && mode != PipelineMode::Baseline
+            && gov.is_none();
         self.bp_active = bp_active;
         self.bp_plan.clear();
         self.bp_stats = if bp_active {
@@ -423,8 +424,8 @@ impl Simulator {
         mut co: CoherenceStats,
     ) -> (RasterStats, CoherenceStats) {
         let mut r = RasterStats::default();
-        let gov = self.governor;
-        let reuse_on = self.reuse || gov.is_some();
+        let gov = self.policy.governor;
+        let reuse_on = self.policy.reuse || gov.is_some();
         let bp_active = self.bp_active;
         let bp_sweep = self.bp_stats.sweep_cycles;
         let Simulator {
@@ -604,6 +605,8 @@ mod tests {
     use super::*;
     use crate::command::{Camera, DrawCommand, ObjectId};
     use crate::config::{GovernorConfig, GpuConfig};
+    use crate::frontend::FrontendMode;
+    use crate::policy::FramePolicy;
     use crate::NullCollisionUnit;
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};
@@ -626,6 +629,10 @@ mod tests {
 
     fn cfg() -> GpuConfig {
         GpuConfig { viewport: Viewport::new(128, 96), ..GpuConfig::default() }
+    }
+
+    fn pruned() -> FramePolicy {
+        FramePolicy::new().with_broadphase(BroadPhase::On)
     }
 
     /// `render_frame` (one worker, merge-computed tiles) against a
@@ -675,9 +682,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    // Deliberately keeps the deprecated `.tracing(true)` setter: the
-    // compatibility contract says it must keep behaving identically.
-    #[allow(deprecated)]
     #[test]
     fn tracing_never_changes_results_and_is_thread_invariant() {
         let trace = busy_trace();
@@ -686,10 +690,7 @@ mod tests {
             plain.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
         let mut events_by_threads = Vec::new();
         for threads in [1, 2, 4] {
-            let mut traced = crate::SimulatorBuilder::from_config(cfg())
-                .tracing(true)
-                .build()
-                .unwrap();
+            let mut traced = Simulator::with_policy(cfg(), FramePolicy::new().with_tracing(true));
             let stats = traced.render_frame_parallel(
                 &trace,
                 PipelineMode::Rbcd,
@@ -721,9 +722,8 @@ mod tests {
     fn reuse_replays_static_frames_and_only_timing_diverges() {
         let trace = busy_trace();
         let mut off = Simulator::new(cfg());
-        let mut on = Simulator::new(cfg());
-        on.set_reuse(true);
-        assert!(on.reuse_enabled());
+        let mut on = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
+        assert!(on.policy().reuse);
         for frame in 0..3 {
             let a = off.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 4);
             let b = on.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 4);
@@ -751,8 +751,7 @@ mod tests {
         let trace = busy_trace();
         let mut frames_by_threads = Vec::new();
         for threads in [1, 2, 4] {
-            let mut sim = Simulator::new(cfg());
-            sim.set_reuse(true);
+            let mut sim = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
             let frames: Vec<FrameStats> = (0..3)
                 .map(|_| {
                     sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, threads)
@@ -766,22 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_reuse_clears_the_cache() {
-        let trace = busy_trace();
-        let mut sim = Simulator::new(cfg());
-        sim.set_reuse(true);
-        sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        let warm = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        assert!(warm.coherence.tiles_reused > 0);
-        sim.set_reuse(false);
-        let off = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        assert_eq!(off.coherence, CoherenceStats::default());
-        sim.set_reuse(true);
-        let cold = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        assert_eq!(cold.coherence.tiles_reused, 0, "re-enable starts from a cold cache");
-    }
-
-    #[test]
     fn content_change_invalidates_only_its_tiles() {
         let camera = Camera::perspective(Vec3::new(0.0, 1.0, 7.0), Vec3::ZERO, 1.0, 0.1, 100.0);
         let still = DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(1))
@@ -790,8 +773,7 @@ mod tests {
             DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(2))
                 .with_model(Mat4::translation(Vec3::new(1.8 + x, 0.0, 0.0)))
         };
-        let mut sim = Simulator::new(cfg());
-        sim.set_reuse(true);
+        let mut sim = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
         let frame = |sim: &mut Simulator, x: f32| {
             let trace = FrameTrace::new(camera, vec![still.clone(), mover(x)]);
             sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2)
@@ -817,16 +799,16 @@ mod tests {
 
     #[test]
     fn incremental_frontend_is_bit_identical_to_rebuild() {
-        use crate::frontend::FrontendMode;
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
             for reuse in [false, true] {
                 for threads in [1, 2, 4] {
                     let trace = busy_trace();
-                    let mut rebuild = Simulator::new(cfg());
-                    rebuild.set_reuse(reuse);
-                    let mut inc = Simulator::new(cfg());
-                    inc.set_reuse(reuse);
-                    inc.set_frontend(FrontendMode::Incremental);
+                    let policy = FramePolicy::new().with_reuse(reuse);
+                    let mut rebuild = Simulator::with_policy(cfg(), policy);
+                    let mut inc = Simulator::with_policy(
+                        cfg(),
+                        policy.with_frontend(FrontendMode::Incremental),
+                    );
                     for frame in 0..3 {
                         let a = rebuild.render_frame_parallel(
                             &trace,
@@ -855,13 +837,10 @@ mod tests {
 
     #[test]
     fn incremental_frontend_traces_match_rebuild_events() {
-        use crate::frontend::FrontendMode;
         let trace = busy_trace();
         let events_of = |frontend: FrontendMode| {
-            let mut sim = crate::SimulatorBuilder::from_config(cfg())
-                .policy(crate::FramePolicy::new().with_tracing(true).with_frontend(frontend))
-                .build()
-                .unwrap();
+            let policy = FramePolicy::new().with_tracing(true).with_frontend(frontend);
+            let mut sim = Simulator::with_policy(cfg(), policy);
             for _ in 0..2 {
                 sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
             }
@@ -905,8 +884,7 @@ mod tests {
             for threads in [1, 2, 4] {
                 let mut off = Simulator::new(cfg());
                 let a = off.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
-                let mut on = Simulator::new(cfg());
-                on.set_broadphase(BroadPhase::On);
+                let mut on = Simulator::with_policy(cfg(), pruned());
                 let b = on.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
                 let tag = format!("mode {mode:?}, {threads} threads");
                 assert_eq!(strip_bp(a), strip_bp(b), "{tag}");
@@ -937,8 +915,7 @@ mod tests {
         let trace = busy_trace();
         let mut frames_by_threads = Vec::new();
         for threads in [1, 2, 4] {
-            let mut sim = Simulator::new(cfg());
-            sim.set_broadphase(BroadPhase::On);
+            let mut sim = Simulator::with_policy(cfg(), pruned());
             let frames: Vec<FrameStats> = (0..3)
                 .map(|_| {
                     sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, threads)
@@ -958,8 +935,7 @@ mod tests {
         // the whole FrameStats — timing included — stays bit-identical.
         let mut off = Simulator::new(cfg());
         let a = off.render_frame_parallel(&trace, PipelineMode::Baseline, &mut NullCollisionUnit, 2);
-        let mut on = Simulator::new(cfg());
-        on.set_broadphase(BroadPhase::On);
+        let mut on = Simulator::with_policy(cfg(), pruned());
         let b = on.render_frame_parallel(&trace, PipelineMode::Baseline, &mut NullCollisionUnit, 2);
         assert_eq!(a, b, "Baseline mode is never pruned");
         assert_eq!(b.broadphase, BroadphaseStats::default());
@@ -968,11 +944,8 @@ mod tests {
         // cursor and change which tiles shed, so the governor wins and
         // the knob is inert — exact equality again.
         let gov = GovernorConfig { frame_budget_cycles: 25_000, ..GovernorConfig::default() };
-        let mut goff = Simulator::new(cfg());
-        goff.set_governor(Some(gov));
-        let mut gon = Simulator::new(cfg());
-        gon.set_governor(Some(gov));
-        gon.set_broadphase(BroadPhase::On);
+        let mut goff = Simulator::with_policy(cfg(), FramePolicy::new().with_governor(Some(gov)));
+        let mut gon = Simulator::with_policy(cfg(), pruned().with_governor(Some(gov)));
         for frame in 0..2 {
             let a = goff.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
             let b = gon.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
@@ -984,11 +957,8 @@ mod tests {
     #[test]
     fn broadphase_composes_with_temporal_reuse() {
         let trace = busy_trace();
-        let mut reuse_only = Simulator::new(cfg());
-        reuse_only.set_reuse(true);
-        let mut both = Simulator::new(cfg());
-        both.set_reuse(true);
-        both.set_broadphase(BroadPhase::On);
+        let mut reuse_only = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
+        let mut both = Simulator::with_policy(cfg(), pruned().with_reuse(true));
         for frame in 0..3 {
             let a = reuse_only.render_frame_parallel(
                 &trace,
@@ -1009,20 +979,42 @@ mod tests {
 
     #[test]
     fn toggling_broadphase_invalidates_the_reuse_cache() {
-        // A cached tile was produced under one pruning mode; replaying
+        // A cached tile was produced under one pruning state; replaying
         // it under another would replay the wrong raster timing. The
-        // frame seed folds the mode in, so the toggle cold-starts reuse.
+        // policy fixes the broad phase, but a governor makes it inert,
+        // so installing or removing one flips the effective pruning
+        // between frames. The frame seed and each tile's skip verdict
+        // fold the pruning state in, so every flip cold-starts reuse
+        // and the next frame re-warms.
         let trace = busy_trace();
-        let mut sim = Simulator::new(cfg());
-        sim.set_reuse(true);
-        sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        let warm = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
+        let mut sim = Simulator::with_policy(cfg(), pruned().with_reuse(true));
+        let render = |sim: &mut Simulator| {
+            sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2)
+        };
+        let cold = render(&mut sim);
+        assert!(cold.broadphase.tiles_skipped > 0, "the ungoverned frame is pruned");
+        let warm = render(&mut sim);
+        assert_eq!(warm.coherence.tiles_reused, warm.coherence.tiles_checked);
         assert!(warm.coherence.tiles_reused > 0);
-        sim.set_broadphase(BroadPhase::On);
-        let cold = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        assert_eq!(cold.coherence.tiles_reused, 0, "toggle must cold-start the cache");
-        let rewarm = sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
-        assert!(rewarm.coherence.tiles_reused > 0, "and re-warm under the new mode");
+
+        // A budget no frame can reach: no tile sheds or coarsens, so
+        // only the pruning flip separates this frame from the last.
+        let unbounded =
+            GovernorConfig { frame_budget_cycles: u64::MAX, ..GovernorConfig::default() };
+        sim.set_governor(Some(unbounded));
+        let governed = render(&mut sim);
+        assert_eq!(governed.broadphase, BroadphaseStats::default(), "a governed frame is unpruned");
+        assert_eq!(governed.governor.tiles_shed + governed.governor.tiles_coarsened, 0);
+        assert_eq!(governed.coherence.tiles_reused, 0, "pruned tiles never replay unpruned");
+        let rewarm = render(&mut sim);
+        assert!(rewarm.coherence.tiles_reused > 0, "and re-warm under the governor");
+
+        sim.set_governor(None);
+        let pruned_again = render(&mut sim);
+        assert!(pruned_again.broadphase.tiles_skipped > 0);
+        assert_eq!(pruned_again.coherence.tiles_reused, 0, "unpruned tiles never replay pruned");
+        let rewarm = render(&mut sim);
+        assert!(rewarm.coherence.tiles_reused > 0);
     }
 
     #[test]

@@ -1,16 +1,24 @@
-//! [`FramePolicy`] — one typed bundle for every frame-execution knob.
+//! [`FramePolicy`] — the one place a simulator's execution knobs are
+//! set.
 //!
-//! PRs 1–7 accreted execution knobs one setter at a time: worker
-//! threads on the render call, `reuse` and `governor` on the builder,
-//! `hot_path` buried inside [`GpuConfig`](crate::GpuConfig), tracing on
-//! its own switch. A caller tuning a run had to know which layer owned
-//! which knob. `FramePolicy` collapses them into one value that both
-//! [`SimulatorBuilder::policy`](crate::SimulatorBuilder::policy) and
-//! the session API (`rbcd_core::sched::SessionSpec`) consume, with
-//! defaults chosen so that `FramePolicy::default()` reproduces the
-//! pre-policy behaviour exactly — new fields can be added without
-//! breaking existing construction sites (semver-friendly: construct via
-//! [`FramePolicy::new`] + `with_*`, not struct literals).
+//! A simulator's hardware shape comes from [`GpuConfig`](crate::GpuConfig).
+//! How it executes every frame — temporal tile reuse, the intra-tile
+//! hot path, the geometry front-end, the screen-space broad phase,
+//! tracing and the overload governor — comes from one `FramePolicy`,
+//! handed to [`SimulatorBuilder::policy`](crate::SimulatorBuilder::policy)
+//! or to a session (`rbcd_core::sched::SessionSpec::with_policy`). The
+//! policy is fixed when [`SimulatorBuilder::build`](crate::SimulatorBuilder::build)
+//! runs, the way the paper's RBCD unit is configured once as part of
+//! the GPU and then rides every frame. The one exception is the
+//! governor's budget: [`Simulator::set_governor`](crate::Simulator::set_governor)
+//! retunes it between frames, for hosts that derive each frame's
+//! deadline from the last. [`Simulator::policy`](crate::Simulator::policy)
+//! reports the policy in force.
+//!
+//! `FramePolicy::default()` turns every optional layer off, which is
+//! what the golden counters pin. New fields can be added without
+//! breaking construction sites: build a policy with
+//! [`FramePolicy::new`] and the `with_*` methods, not a struct literal.
 //!
 //! One knob intentionally lives elsewhere: fault plans
 //! (`rbcd_core::faults::FaultPlan`) corrupt the *trace* before it
@@ -21,67 +29,101 @@ use crate::broadphase::BroadPhase;
 use crate::config::{GovernorConfig, HotPathMode};
 use crate::frontend::FrontendMode;
 
-/// Every frame-execution knob in one place: worker threads, temporal
-/// tile reuse, intra-tile hot path, geometry front-end, tracing, and
-/// the overload governor.
+/// Every frame-execution knob in one place: temporal tile reuse, the
+/// intra-tile hot path, the geometry front-end, tracing, the overload
+/// governor and the broad phase. Worker threads are not a knob of the
+/// simulator: every render call takes its worker count as an argument.
 ///
 /// ```
 /// use rbcd_gpu::{FramePolicy, FrontendMode, GovernorConfig, HotPathMode, SimulatorBuilder};
 ///
 /// let policy = FramePolicy::new()
-///     .with_workers(2)
 ///     .with_reuse(true)
 ///     .with_hot_path(HotPathMode::Mask)
 ///     .with_frontend(FrontendMode::Incremental)
 ///     .with_governor(Some(GovernorConfig { frame_budget_cycles: 50_000, ..GovernorConfig::default() }));
 /// let sim = SimulatorBuilder::new().policy(policy).build().expect("valid configuration");
-/// assert!(sim.reuse_enabled());
-/// assert!(sim.governor().is_some());
+/// assert_eq!(*sim.policy(), policy);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use = "a FramePolicy does nothing until passed to SimulatorBuilder::policy or a session"]
 pub struct FramePolicy {
-    /// Worker threads for rendering (solo session runs). Simulated
-    /// results are bit-identical for any value; the
-    /// batch scheduler's shared pool overrides this per run. Clamped to
-    /// at least 1 at the point of use.
-    pub workers: usize,
-    /// Temporal tile reuse (signature-based cross-frame replay); see
-    /// [`Simulator::set_reuse`](crate::Simulator::set_reuse) for the
-    /// exactness contract. Off by default.
+    /// Temporal tile reuse (signature-based cross-frame replay). Off by
+    /// default.
+    ///
+    /// With reuse on, every render computes a deterministic signature
+    /// per active tile; tiles whose signature matches the previous
+    /// frame skip rasterization, ZEB build and the Z-overlap scan,
+    /// replaying the cached result while the timing model charges only
+    /// the signature check. Workload and collision counters (fragments,
+    /// pairs, `rbcd.*`) are bit-identical either way; only the timing
+    /// counters (`raster.cycles`, `raster.fp_idle_cycles`,
+    /// `raster.zeb_stall_cycles`) and `coherence.*` reflect the reuse.
     pub reuse: bool,
     /// Intra-tile rasterizer hot path. `None` (the default) keeps
     /// whatever the [`GpuConfig`](crate::GpuConfig) already carries;
     /// `Some(mode)` overrides it at build time. The two modes are
     /// bit-identical in every result — this knob only trades host
-    /// wall-clock.
+    /// wall-clock. A built simulator reports the mode it resolved.
     pub hot_path: Option<HotPathMode>,
-    /// Geometry front-end arrangement; see
-    /// [`Simulator::set_frontend`](crate::Simulator::set_frontend). The
-    /// two modes are bit-identical in every simulated result — the
-    /// incremental front-end only trades host wall-clock (plus the
-    /// accounting-only `geom.*` counters). Full rebuild by default.
+    /// Geometry front-end arrangement. Full rebuild by default.
+    ///
+    /// With [`FrontendMode::Incremental`], draws whose content hash
+    /// (plus camera/viewport/mode seed) matches a cached entry skip
+    /// vertex shading, near-clipping, and face culling; their screen
+    /// triangles and bin records are spliced from the per-draw geometry
+    /// cache. Changed draws are shaded on the whole worker pool when
+    /// the frame is the only job of its batch, and on the thread that
+    /// plans the session otherwise. The cache holds two generations,
+    /// this frame's draws and last frame's: a draw hits only if the
+    /// previous frame, or an earlier draw of this one, submitted the
+    /// same content under the same camera, so cached geometry never
+    /// exceeds two frames of input. Every result — bins, pairs, event
+    /// counters, energy, traces — is bit-identical to the rebuild
+    /// front-end at any thread count; only host wall-clock and the
+    /// accounting-only `geom.*` counters differ (see
+    /// `crate::frontend`).
     pub frontend: FrontendMode,
-    /// Structured simulated-cycle tracing; see
-    /// [`Simulator::set_tracing`](crate::Simulator::set_tracing). Off
-    /// by default (the zero-overhead path).
+    /// Structured simulated-cycle tracing. Off by default (the
+    /// zero-overhead path); when on, the simulator owns a
+    /// [`TraceBuffer`](rbcd_trace::TraceBuffer) sized to its tile grid.
+    /// Events are recorded to that side buffer only and never feed back
+    /// into stats or timing.
     pub tracing: bool,
-    /// Frame-deadline overload governor; see
-    /// [`Simulator::set_governor`](crate::Simulator::set_governor).
-    /// `None` (the default) renders every output bit-identical to an
-    /// ungoverned simulator.
+    /// Frame-deadline overload governor. `None` (the default) renders
+    /// every output bit-identical to an ungoverned simulator; see
+    /// [`Simulator::set_governor`](crate::Simulator::set_governor) for
+    /// the policy ladder, and for retuning the budget between frames.
     pub governor: Option<GovernorConfig>,
-    /// Screen-space broad phase (pair-feasibility draw/tile pruning);
-    /// see [`Simulator::set_broadphase`](crate::Simulator::set_broadphase)
-    /// for the exactness contract. Off by default so golden counters
-    /// stay pinned.
+    /// Screen-space broad phase (pair-feasibility draw/tile pruning).
+    /// Off by default so golden counters stay pinned.
+    ///
+    /// With [`BroadPhase::On`], every render computes per-draw screen
+    /// AABBs + z-intervals, runs a deterministic interval sweep for the
+    /// pair-feasible object set, and elides the image-side work
+    /// (scenery raster, Early-Z, shading, ZEB claim) of tiles where no
+    /// feasible pair can occur. Reported pairs, every `rbcd.*` counter,
+    /// and fault-ladder behaviour are bit-identical either way —
+    /// skipped tiles' collisionable fragments still reach the unit
+    /// unchanged; only raster/scan timing, energy, and the mask-only
+    /// `broadphase.*` counters move (see `crate::broadphase` for the
+    /// full contract).
+    ///
+    /// Pruning is inert in [`PipelineMode::Baseline`](crate::PipelineMode::Baseline)
+    /// (no pairs to preserve; the baseline measures the full render)
+    /// and on every frame rendered under an overload governor (the
+    /// deadline ladder's shed decisions are merge-cursor driven, and
+    /// pruning moves the cursor, so the governor takes precedence — a
+    /// governed frame is never pruned and pruned tiles never count
+    /// toward its budget projection). Whether a frame was pruned is
+    /// folded into its tile signatures, so temporal reuse never replays
+    /// a tile across that boundary.
     pub broadphase: BroadPhase,
 }
 
 impl Default for FramePolicy {
     fn default() -> Self {
         Self {
-            workers: 1,
             reuse: false,
             hot_path: None,
             frontend: FrontendMode::Rebuild,
@@ -93,17 +135,10 @@ impl Default for FramePolicy {
 }
 
 impl FramePolicy {
-    /// The default policy: 1 worker, no reuse, config-selected hot
-    /// path, no tracing, no governor — exactly the knobs a freshly
-    /// built pre-policy simulator had.
+    /// The default policy: no reuse, config-selected hot path, rebuild
+    /// front-end, no tracing, no governor, no broad phase.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the worker-thread count for parallel rendering.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 
     /// Enables or disables temporal tile reuse.
@@ -156,7 +191,6 @@ mod tests {
     #[test]
     fn default_policy_matches_pre_policy_knobs() {
         let p = FramePolicy::default();
-        assert_eq!(p.workers, 1);
         assert!(!p.reuse);
         assert!(p.hot_path.is_none());
         assert_eq!(p.frontend, FrontendMode::Rebuild);
@@ -170,14 +204,12 @@ mod tests {
     fn fluent_construction_sets_every_knob() {
         let gov = GovernorConfig { frame_budget_cycles: 1234, ..GovernorConfig::default() };
         let p = FramePolicy::new()
-            .with_workers(4)
             .with_reuse(true)
             .with_hot_path(HotPathMode::Reference)
             .with_frontend(FrontendMode::Incremental)
             .with_tracing(true)
             .with_governor(Some(gov))
             .with_broadphase(BroadPhase::On);
-        assert_eq!(p.workers, 4);
         assert!(p.reuse);
         assert_eq!(p.hot_path, Some(HotPathMode::Reference));
         assert_eq!(p.frontend, FrontendMode::Incremental);

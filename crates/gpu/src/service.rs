@@ -260,6 +260,7 @@ mod tests {
     use crate::collision_unit::{CollisionFragment, NullCollisionUnit, TileCoord};
     use crate::command::{Camera, DrawCommand, ObjectId};
     use crate::config::GpuConfig;
+    use crate::policy::FramePolicy;
     use rbcd_geometry::shapes;
     use rbcd_math::{Mat4, Vec3, Viewport};
 
@@ -280,6 +281,10 @@ mod tests {
         GpuConfig { viewport: Viewport::new(w, 96), ..GpuConfig::default() }
     }
 
+    fn reusing_sim(w: u32) -> Simulator {
+        Simulator::with_policy(cfg(w), FramePolicy::new().with_reuse(true))
+    }
+
     #[test]
     fn batch_of_disparate_sessions_matches_solo_runs() {
         // Three sessions with different viewports and scenes (so tile
@@ -289,8 +294,7 @@ mod tests {
             let mut solo_stats = Vec::new();
             for &(w, shift) in &specs {
                 let trace = scene(shift);
-                let mut sim = Simulator::new(cfg(w));
-                sim.set_reuse(true);
+                let mut sim = reusing_sim(w);
                 let mut unit = NullCollisionUnit;
                 let mut frames = Vec::new();
                 for _ in 0..2 {
@@ -305,14 +309,7 @@ mod tests {
             }
 
             let traces: Vec<FrameTrace> = specs.iter().map(|&(_, s)| scene(s)).collect();
-            let mut sims: Vec<Simulator> = specs
-                .iter()
-                .map(|&(w, _)| {
-                    let mut s = Simulator::new(cfg(w));
-                    s.set_reuse(true);
-                    s
-                })
-                .collect();
+            let mut sims: Vec<Simulator> = specs.iter().map(|&(w, _)| reusing_sim(w)).collect();
             let mut units = vec![NullCollisionUnit; specs.len()];
             #[allow(clippy::needless_range_loop)]
             for frame in 0..2 {
@@ -374,15 +371,17 @@ mod tests {
     fn a_panic_in_plan_or_merge_is_a_service_error() {
         for in_plan in [false, true] {
             let traces = [scene(0.6), scene(1.4)];
-            let mut sims = [Simulator::new(cfg(128)), Simulator::new(cfg(96))];
+            let mut sims = [reusing_sim(128), reusing_sim(96)];
             let mut units = [Panics { in_plan }, Panics { in_plan }];
             let mut jobs: Vec<BatchJob<'_, Panics>> = sims
                 .iter_mut()
                 .zip(units.iter_mut())
                 .zip(traces.iter())
-                .map(|((sim, backend), trace)| {
-                    sim.set_reuse(true);
-                    BatchJob { sim, backend, trace, mode: PipelineMode::Rbcd }
+                .map(|((sim, backend), trace)| BatchJob {
+                    sim,
+                    backend,
+                    trace,
+                    mode: PipelineMode::Rbcd,
                 })
                 .collect();
             assert!(

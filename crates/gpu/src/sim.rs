@@ -8,6 +8,7 @@ use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
 use crate::parallel::{FreshTiles, ParallelCollision};
+use crate::policy::FramePolicy;
 use crate::raster::{rasterize_rows_in_bounds, rasterize_triangle_in_tile, Fragment, ScreenTriangle};
 use crate::service::{self, ServiceError};
 use crate::stats::{BroadphaseStats, FrameStats, GeometryStats, GovernorStats, RasterStats};
@@ -384,12 +385,13 @@ pub struct Simulator {
     /// Resident raster worker: one-worker frames compute every tile on
     /// it, inside the merge phase.
     pub(crate) worker: TileWorker,
-    /// Structured event recorder; `None` (the default) costs nothing on
-    /// the hot path. Boxed so the simulator stays small and `Send`.
+    /// Structured event recorder, present when the policy enables
+    /// tracing; `None` costs nothing on the hot path. Boxed so the
+    /// simulator stays small and `Send`.
     pub(crate) tracer: Option<Box<TraceBuffer>>,
-    /// Temporal-coherence reuse knob (off by default; see
-    /// [`Simulator::set_reuse`]).
-    pub(crate) reuse: bool,
+    /// The execution policy, fixed at construction with its hot path
+    /// resolved; only the governor may change between frames.
+    pub(crate) policy: FramePolicy,
     /// Per-draw content hashes of the binned frame, computed by the
     /// geometry front-end (scratch, reused).
     pub(crate) draw_hashes: Vec<u64>,
@@ -398,9 +400,6 @@ pub struct Simulator {
     pub(crate) reuse_plan: Vec<(u64, bool)>,
     /// Cross-frame per-tile result cache (signature + cached outcome).
     pub(crate) result_cache: TileResultCache,
-    /// Overload-governor knob (`None`, the default, keeps every output
-    /// bit-identical to an ungoverned simulator).
-    pub(crate) governor: Option<GovernorConfig>,
     /// Objects the circuit breaker routes straight to the CPU this
     /// frame: their fragments are filtered out before the collision
     /// backend sees them. Set per frame by the host before rendering,
@@ -411,18 +410,12 @@ pub struct Simulator {
     pub(crate) boost_plan: Vec<u8>,
     /// The last governed frame's report, taken by the host.
     pub(crate) governor_report: Option<GovernorFrameReport>,
-    /// Geometry front-end arrangement (full rebuild by default; see
-    /// [`Simulator::set_frontend`]).
-    pub(crate) frontend: FrontendMode,
     /// Per-draw geometry cache of the incremental front-end: this
     /// frame's and last frame's draws.
     pub(crate) geom_cache: GeomCache,
     /// Pointer-keyed mesh content-hash memo behind the per-frame draw
     /// hashes.
     pub(crate) mesh_memo: MeshHashMemo,
-    /// Screen-space broad-phase knob (off by default; see
-    /// [`Simulator::set_broadphase`]).
-    pub(crate) broadphase: BroadPhase,
     /// Per-draw screen bounds of the current frame (scratch, reused);
     /// filled by the geometry front-ends only when the broad phase is
     /// on, so the default path pays nothing.
@@ -548,31 +541,43 @@ pub(crate) fn finalize_raster_timing(r: &mut RasterStats, cfg: &GpuConfig, curso
 }
 
 impl Simulator {
-    /// Creates a simulator for the given configuration.
+    /// Creates a simulator for the given configuration under the
+    /// default [`FramePolicy`].
     ///
-    /// Deprecated in spirit: this constructor performs no validation and
-    /// cannot enable tracing. Prefer [`crate::SimulatorBuilder`], which
-    /// rejects degenerate configurations with a typed
-    /// [`crate::GpuConfigError`] instead of silently mis-simulating.
+    /// This constructor performs no validation. Prefer
+    /// [`crate::SimulatorBuilder`], which rejects degenerate
+    /// configurations with a typed [`crate::GpuConfigError`] instead of
+    /// silently mis-simulating, and is the one way to set a policy.
     pub fn new(config: GpuConfig) -> Self {
+        Self::with_policy(config, FramePolicy::default())
+    }
+
+    /// Creates a simulator that runs every frame under `policy`. A
+    /// policy hot path overrides the configuration's, and the stored
+    /// policy records the mode in force.
+    pub(crate) fn with_policy(mut config: GpuConfig, mut policy: FramePolicy) -> Self {
+        if let Some(mode) = policy.hot_path {
+            config.hot_path = mode;
+        }
+        policy.hot_path = Some(config.hot_path);
+        let tracer = policy
+            .tracing
+            .then(|| Box::new(TraceBuffer::new(config.tiles_x(), config.tiles_y())));
         Self {
             vertex_cache: CacheModel::new(config.vertex_cache),
             tile_cache: CacheModel::new(config.tile_cache),
             bins: BinnedTiles::default(),
             worker: TileWorker::new(&config),
-            tracer: None,
-            reuse: false,
+            tracer,
+            policy,
             draw_hashes: Vec::new(),
             reuse_plan: Vec::new(),
             result_cache: TileResultCache::default(),
-            governor: None,
             governor_blocked: BTreeSet::new(),
             boost_plan: Vec::new(),
             governor_report: None,
-            frontend: FrontendMode::default(),
             geom_cache: GeomCache::default(),
             mesh_memo: MeshHashMemo::default(),
-            broadphase: BroadPhase::default(),
             draw_bounds: Vec::new(),
             bp_plan: Vec::new(),
             bp_active: false,
@@ -587,133 +592,24 @@ impl Simulator {
         &self.config
     }
 
-    /// Enables or disables structured tracing. Enabling allocates a
-    /// fresh [`TraceBuffer`] sized to the tile grid; disabling drops any
-    /// recorded events. With tracing off (the default) the pipelines
-    /// take the exact pre-instrumentation paths: events are recorded to
-    /// a side buffer only and never feed back into stats or timing.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        if enabled {
-            if self.tracer.is_none() {
-                self.tracer = Some(Box::new(TraceBuffer::new(
-                    self.config.tiles_x(),
-                    self.config.tiles_y(),
-                )));
-            }
-        } else {
-            self.tracer = None;
-        }
+    /// The execution policy every frame runs under: the one the
+    /// simulator was built with, its hot path resolved against the
+    /// configuration, and the governor as last set.
+    pub fn policy(&self) -> &FramePolicy {
+        &self.policy
     }
 
-    /// Whether structured tracing is currently enabled.
+    /// Whether structured tracing is currently recording (the policy
+    /// enabled it and [`Simulator::take_trace`] has not taken the
+    /// buffer yet).
     pub fn tracing_enabled(&self) -> bool {
         self.tracer.is_some()
-    }
-
-    /// Enables or disables temporal tile reuse (off by default).
-    ///
-    /// With reuse on, every render computes a deterministic signature
-    /// per active tile; tiles whose signature matches the previous
-    /// frame skip rasterization, ZEB build and the Z-overlap scan,
-    /// replaying the cached result while the timing model charges only
-    /// the signature check. Workload and collision counters (fragments,
-    /// pairs, `rbcd.*`) are bit-identical either way; only the timing
-    /// counters (`raster.cycles`, idle/stall cycles) and `coherence.*`
-    /// reflect the reuse.
-    ///
-    /// Disabling drops every cached tile, so a later re-enable starts
-    /// cold instead of replaying stale results.
-    pub fn set_reuse(&mut self, enabled: bool) {
-        self.reuse = enabled;
-        if !enabled {
-            self.result_cache.clear();
-        }
-    }
-
-    /// Whether temporal tile reuse is currently enabled.
-    pub fn reuse_enabled(&self) -> bool {
-        self.reuse
-    }
-
-    /// Selects the screen-space broad phase ([`BroadPhase::Off`] by
-    /// default, which keeps every golden counter pinned).
-    ///
-    /// With [`BroadPhase::On`], every render computes per-draw screen
-    /// AABBs + z-intervals, runs a deterministic interval sweep for the
-    /// pair-feasible object set, and elides the image-side work
-    /// (scenery raster, Early-Z, shading, ZEB claim) of tiles where no
-    /// feasible pair can occur.
-    /// Reported pairs, every `rbcd.*` counter, and fault-ladder
-    /// behaviour are bit-identical either way — skipped tiles'
-    /// collisionable fragments still reach the unit unchanged; only
-    /// raster/scan timing, energy, and the mask-only `broadphase.*`
-    /// counters move (see `crate::broadphase` for the full contract).
-    ///
-    /// Pruning is inert in [`PipelineMode::Baseline`] (no pairs to
-    /// preserve; the baseline measures the full render) and whenever an
-    /// overload governor is installed (the deadline ladder's shed
-    /// decisions are merge-cursor driven, and pruning moves the cursor,
-    /// so the governor takes precedence — a governed frame is never
-    /// pruned and pruned tiles never count toward its budget
-    /// projection).
-    ///
-    /// Toggling drops the temporal-reuse result cache: cached capsules
-    /// were recorded under the other mode's frame seed and could never
-    /// match again.
-    pub fn set_broadphase(&mut self, mode: BroadPhase) {
-        if self.broadphase != mode {
-            self.result_cache.clear();
-        }
-        self.broadphase = mode;
-        if mode == BroadPhase::Off {
-            self.bp_active = false;
-            self.bp_stats = BroadphaseStats::default();
-        }
-    }
-
-    /// The active broad-phase mode.
-    pub fn broadphase(&self) -> BroadPhase {
-        self.broadphase
     }
 
     /// The last planned frame's broad-phase counters (all zero when the
     /// broad phase was inert).
     pub(crate) fn broadphase_frame_stats(&self) -> BroadphaseStats {
         self.bp_stats
-    }
-
-    /// Selects the geometry front-end arrangement
-    /// ([`FrontendMode::Rebuild`] by default).
-    ///
-    /// With [`FrontendMode::Incremental`], draws whose content hash
-    /// (plus camera/viewport/mode seed) matches a cached entry skip
-    /// vertex shading, near-clipping, and face culling; their screen
-    /// triangles and bin records are spliced from the per-draw geometry
-    /// cache. Changed draws are shaded on the whole worker pool when
-    /// the frame is the only job of its batch (as in
-    /// [`Simulator::render_frame_parallel`]), and on the thread that
-    /// plans this session otherwise, since the pool is then busy with
-    /// the other sessions. Every result — bins, pairs, event counters,
-    /// energy, traces — is bit-identical to the rebuild front-end, at
-    /// any thread count; only host wall-clock and the `geom.*`
-    /// accounting counters differ (see `crate::frontend`).
-    ///
-    /// The cache holds this frame's and last frame's draws: a draw hits
-    /// only if the previous frame, or an earlier draw of this one,
-    /// submitted the same content under the same camera, and cached
-    /// geometry never exceeds two frames of input. Switching back to
-    /// [`FrontendMode::Rebuild`] drops the cache, so a later re-enable
-    /// starts cold.
-    pub fn set_frontend(&mut self, mode: FrontendMode) {
-        self.frontend = mode;
-        if mode == FrontendMode::Rebuild {
-            self.geom_cache.clear();
-        }
-    }
-
-    /// The active geometry front-end arrangement.
-    pub fn frontend(&self) -> FrontendMode {
-        self.frontend
     }
 
     /// Draws currently held by the incremental front-end's per-draw
@@ -723,14 +619,18 @@ impl Simulator {
         self.geom_cache.len()
     }
 
-    /// Installs (or removes) the overload governor. With `None` (the
-    /// default) every output is bit-identical to an ungoverned
-    /// simulator. With a configuration installed:
+    /// Installs (or removes) the overload governor, from the next frame
+    /// on. This is the one policy knob a built simulator may change: a
+    /// host that derives each frame's deadline from the last retunes the
+    /// budget here. With `None` (the default) every output is
+    /// bit-identical to an ungoverned simulator. With a configuration
+    /// installed:
     ///
     /// * every render walks the full policy ladder — forced temporal
     ///   reuse for signature-stable tiles, scan coarsening on the
     ///   heaviest tiles when the projected frame cost exceeds the
     ///   budget, and tile shedding once the merge timeline crosses it;
+    /// * the broad phase is inert (see [`FramePolicy::broadphase`]);
     /// * each frame leaves a [`GovernorFrameReport`] for
     ///   [`Simulator::take_governor_report`].
     ///
@@ -738,12 +638,7 @@ impl Simulator {
     /// from the binned frame alone, so governed runs stay bit-identical
     /// at any thread count.
     pub fn set_governor(&mut self, governor: Option<GovernorConfig>) {
-        self.governor = governor;
-    }
-
-    /// The installed overload-governor configuration, if any.
-    pub fn governor(&self) -> Option<&GovernorConfig> {
-        self.governor.as_ref()
+        self.policy.governor = governor;
     }
 
     /// Replaces the set of objects the circuit breaker routes straight
@@ -848,14 +743,14 @@ impl Simulator {
         mode: PipelineMode,
         threads: usize,
     ) -> Result<GeometryStats, ServiceError> {
-        let incremental = self.frontend == FrontendMode::Incremental;
+        let incremental = self.policy.frontend == FrontendMode::Incremental;
         let tiles_x = self.config.tiles_x();
         let tiles_y = self.config.tiles_y();
         self.bins.begin_frame((tiles_x * tiles_y) as usize);
         let mut g = GeometryStats::default();
         self.vertex_cache.reset_stats();
         self.tile_cache.reset_stats();
-        let bp = self.broadphase == BroadPhase::On;
+        let bp = self.policy.broadphase == BroadPhase::On;
         self.draw_bounds.clear();
         if bp {
             self.draw_bounds.resize(trace.draws.len(), DrawBounds::default());
@@ -1205,8 +1100,8 @@ mod tests {
         let cfg = GpuConfig { viewport: Viewport::new(96, 80), ..GpuConfig::default() };
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
             let mut rebuild = Simulator::new(cfg.clone());
-            let mut inc = Simulator::new(cfg.clone());
-            inc.set_frontend(FrontendMode::Incremental);
+            let policy = FramePolicy::new().with_frontend(FrontendMode::Incremental);
+            let mut inc = Simulator::with_policy(cfg.clone(), policy);
             // Frame 1 moves one draw, so the incremental front-end bins
             // cached and freshly shaded draws side by side.
             for (f, x) in [0.4f32, 0.3].into_iter().enumerate() {

@@ -74,8 +74,10 @@ mod tests {
         use crate::prelude::*;
         // Construction-only smoke: the facade must expose enough to
         // write the quickstart without touching sub-crates.
-        let policy = FramePolicy::new().with_workers(2).with_reuse(true);
-        let sched = Scheduler::new(policy.workers, 4);
+        let policy = FramePolicy::new().with_reuse(true);
+        let sched = Scheduler::new(2, 4);
+        let spec = SessionSpec::new("empty", Vec::new()).with_policy(policy);
+        assert!(spec.policy.reuse);
         assert_eq!(sched.queued(), 0);
         assert!(sched.ledger().leak_free());
     }

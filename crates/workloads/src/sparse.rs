@@ -225,7 +225,9 @@ mod tests {
     #[test]
     fn sparse_scenes_produce_pairs_and_pruning_headroom() {
         use rbcd_core::{detect_frame_collisions, RbcdConfig};
-        use rbcd_gpu::{BroadPhase, GpuConfig, NullCollisionUnit, PipelineMode, Simulator};
+        use rbcd_gpu::{
+            BroadPhase, FramePolicy, GpuConfig, NullCollisionUnit, PipelineMode, SimulatorBuilder,
+        };
         use rbcd_math::Viewport;
         for s in sparse_family() {
             let gpu = GpuConfig { viewport: Viewport::new(192, 128), ..GpuConfig::default() };
@@ -234,8 +236,10 @@ mod tests {
 
             // The family exists to give the broad phase headroom: the
             // majority of occupied tiles must be provably pair-free.
-            let mut sim = Simulator::new(gpu);
-            sim.set_broadphase(BroadPhase::On);
+            let mut sim = SimulatorBuilder::from_config(gpu)
+                .policy(FramePolicy::new().with_broadphase(BroadPhase::On))
+                .build()
+                .expect("valid configuration");
             let stats = sim.render_frame_parallel(
                 &s.frame_trace(0),
                 PipelineMode::Rbcd,

@@ -10,6 +10,10 @@
 # artifacts written there: the committed full-length BENCH_*.json files
 # are never overwritten by 2-frame smoke numbers.
 #
+# The determinism diff renders the paper's suite figures at 1 and at 4
+# worker threads and requires byte-identical stdout: every simulated
+# number must be independent of the thread count.
+#
 # The parallel smoke exercises the threaded tile pipeline end to end
 # (repro --smoke --threads 2), which cross-checks that one worker and a
 # worker pool produce bit-identical results and writes
@@ -70,6 +74,15 @@ repro="$PWD/target/release/repro"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
+
+echo "== determinism diff (repro suite figures, --threads 1 vs 4) =="
+# The suite experiments print simulated results only (host timings go
+# to stderr), so their stdout must match byte for byte.
+for t in 1 4; do
+  "$repro" fig9a table3 fig8a fig10 sec52 --frames 2 --threads "$t" > "suite.$t.txt"
+done
+cmp -s suite.1.txt suite.4.txt \
+  || { echo "determinism diff: suite output differs between 1 and 4 threads"; diff suite.1.txt suite.4.txt | head -20; exit 1; }
 
 echo "== parallel pipeline smoke (repro --smoke --threads 2) =="
 "$repro" --smoke --threads 2
