@@ -9,26 +9,25 @@
 //! Experiment ids: table1 table2 fig2 fig8a fig8b fig8c fig8d fig9a
 //! fig9b fig10 fig11 table3 sec52 sec53 ablation-zebs all — plus the
 //! extension experiments imr, spares, timesteps, tbdr, resolution, and
-//! temporal (run by `all` too), and `bench`, a host-throughput smoke
-//! for the parallel tile pipeline that writes `BENCH_tile_pipeline.json`,
-//! and `hotpath`, a host-wall-clock A/B of the span-mask vs reference
-//! intra-tile hot path that writes `BENCH_raster_hotpath.json` and
-//! exits non-zero if the two modes ever diverge, and `frontend`, a
-//! host-wall-clock A/B of the incremental geometry front-end (per-draw
-//! transform/clip/bin caching with delta binning) against a full
-//! per-frame rebuild that writes `BENCH_geometry_frontend.json` and
-//! exits non-zero if the two front-ends ever diverge — across thread
-//! counts, reuse on/off, fault storms, a governed budget, and the
-//! batch service, and `broadphase`, a host-wall-clock A/B of the
-//! screen-space broad phase (pair-infeasible draw pruning and
-//! single-occupant tile elision) against a broad-phase-off run that
-//! writes `BENCH_broadphase.json` and exits non-zero if pairs or any
-//! non-image-side counter ever diverge — across the same thread /
-//! reuse / fault / governor / batch legs, timed on the sparse-swarm
-//! clips of `rbcd_workloads::sparse_family()`. Every `BENCH_*.json`
-//! artifact opens with the shared `rbcd_bench::schema` header
-//! (`schema_version`, bench id, host, geomean) and is re-validated with
-//! the workspace's own JSON parser before it is written.
+//! temporal (run by `all` too). Every `BENCH_*.json` artifact opens
+//! with the shared `rbcd_bench::schema` header (`schema_version`, bench
+//! id, host, geomean) and is re-validated with the workspace's own JSON
+//! parser before it is written; repro exits non-zero if one fails to
+//! land.
+//!
+//! `bench`, `hotpath`, `frontend` and `broadphase` are host-wall-clock
+//! A/Bs of one layer each (opt-in, not part of `all`), rows of the one
+//! table in `rbcd_bench::ab`: the tile pool against one worker
+//! (`BENCH_tile_pipeline.json`), the span-mask hot path against the
+//! reference rasterizer (`BENCH_raster_hotpath.json`), the incremental
+//! geometry front-end against a full rebuild
+//! (`BENCH_geometry_frontend.json`), and the screen-space broad phase
+//! against an unpruned run (`BENCH_broadphase.json`). Each first checks
+//! that its two arms agree on every result the layer may not move —
+//! across thread counts, reuse, a governed budget, fault storms and the
+//! batch service — and that they really ran different modes, and exits
+//! non-zero otherwise; then it times the arms in interleaved pairs.
+//!
 //! `temporal` measures the signature-based tile-reuse layer on the
 //! static/resting clips of `rbcd_workloads::temporal_suite()` against a
 //! reuse-off run of the same frames, reports per-scene reuse rate and
@@ -97,9 +96,7 @@
 
 use rbcd_bench::cli::{self, UsageError};
 use rbcd_bench::report::{fmt_norm, fmt_pct, fmt_x, Table, TableError};
-use rbcd_bench::{
-    accuracy, geomean, run_frames_parallel, run_gpu_traced, run_suite, RunOptions, SuiteResult,
-};
+use rbcd_bench::{ab, accuracy, geomean, run_gpu_traced, run_suite, RunOptions, SuiteResult};
 use rbcd_core::{FaultPlan, RbcdConfig};
 use rbcd_gpu::GpuConfig;
 use std::time::Instant;
@@ -123,7 +120,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // identically for every experiment.
     let parsed = cli::parse_args(std::env::args().skip(1).collect())?;
     let smoke = parsed.smoke;
-    let threads = parsed.threads;
     let wanted: Vec<String> = if parsed.rest.is_empty() {
         if parsed.faults.is_some() || parsed.trace.is_some() {
             Vec::new() // --faults / --trace alone run just that experiment
@@ -153,34 +149,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         run_fault_experiment(plan, &opts, smoke)?;
     }
 
-    // `bench` is opt-in (not part of `all`): it measures *host* time,
-    // which is meaningless in CI artifact regeneration.
-    if wanted.iter().any(|w| w == "bench") {
-        run_tile_pipeline_bench(&opts, threads.max(2), smoke)?;
-    }
-
-    // `hotpath` is opt-in for the same reason: it A/B-times the
-    // intra-tile hot path (span-mask vs reference rasterizer) on the
-    // host clock and enforces their bit-identical results.
-    if wanted.iter().any(|w| w == "hotpath") {
-        run_hotpath_bench(&opts, smoke)?;
-    }
-
-    // `frontend` is opt-in for the same reason: it A/B-times the
-    // incremental geometry front-end against a full per-frame rebuild
-    // on the host clock, after enforcing their bit-identical results
-    // across threads, reuse, faults, governor, and batch service.
-    if wanted.iter().any(|w| w == "frontend") {
-        run_frontend_bench(&opts, smoke)?;
-    }
-
-    // `broadphase` is opt-in for the same reason: it A/B-times the
-    // screen-space broad phase against a broad-phase-off run on the
-    // host clock, after enforcing the exactness contract (pairs and
-    // every non-image-side counter bit-identical) across threads,
-    // reuse, faults, governor, and batch service.
-    if wanted.iter().any(|w| w == "broadphase") {
-        run_broadphase_bench(&opts, smoke)?;
+    // The A/B experiments (`bench`, `hotpath`, `frontend`,
+    // `broadphase`) are opt-in (not part of `all`): they time the host
+    // clock, which is meaningless in CI artifact regeneration.
+    for row in &ab::ROWS {
+        if wanted.iter().any(|w| w == row.id) {
+            ab::run(row, &opts, smoke)?;
+        }
     }
 
     // `overload` is opt-in for the same reason as `--faults`: every
@@ -190,7 +165,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         run_overload_experiment(&opts, smoke)?;
     }
 
-    // `serve` is opt-in for the same reason as `bench`: it measures
+    // `serve` is opt-in for the same reason as the A/Bs: it measures
     // multi-session service throughput/latency and scheduler overhead
     // on the host clock, enforcing the per-session determinism contract.
     if wanted.iter().any(|w| w == "serve") {
@@ -855,7 +830,7 @@ fn print_resolution(_opts: &RunOptions) -> Result<(), TableError> {
 /// enforced, not assumed: if reuse changes a pair set or any `rbcd.*`
 /// counter the run exits non-zero. Writes
 /// `BENCH_temporal_coherence.json`.
-fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
+fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
     use rbcd_bench::runner::run_gpu;
 
     let scenes = rbcd_workloads::temporal_suite();
@@ -956,10 +931,8 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), TableError> {
     }
     json.push_str("  ]\n}\n");
     let path = "BENCH_temporal_coherence.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    rbcd_bench::schema::write(path, &json)?;
+    println!("wrote {path}");
     Ok(())
 }
 
@@ -1031,7 +1004,7 @@ fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std
 /// much of the software oracle's pair set survives — per fault class
 /// and per ladder rung. Writes `BENCH_fault_tolerance.json` and exits
 /// non-zero if any pair was lost without a counted overflow.
-fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
+fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn std::error::Error>> {
     use rbcd_bench::faults::run_fault_tolerance;
 
     const SEED: u64 = 0xFA01_7B5E;
@@ -1166,10 +1139,8 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
     }
     json.push_str("  ]\n}\n");
     let path = "BENCH_fault_tolerance.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    rbcd_bench::schema::write(path, &json)?;
+    println!("wrote {path}");
 
     if silent > 0 {
         eprintln!("SILENT PAIR LOSS: {silent} pairs vanished without a counted overflow");
@@ -1181,7 +1152,7 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
 /// The frame-deadline governor sweep: storm-faulted frames at 100 / 75
 /// / 50 / 25 % of each scene's ungoverned cycle baseline, with full
 /// degraded-result accounting and an oracle soundness check per frame.
-fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
+fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn std::error::Error>> {
     use rbcd_bench::overload::run_overload;
 
     const SEED: u64 = 0x0E_2108;
@@ -1285,842 +1256,14 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), TableEr
     }
     json.push_str("  ]\n}\n");
     let path = "BENCH_overload.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
+    rbcd_bench::schema::write(path, &json)?;
+    println!("wrote {path}");
 
     if violations > 0 || misses > 0 {
         eprintln!(
             "GOVERNOR CONTRACT BROKEN: {violations} budget violations, {misses} silent oracle misses"
         );
         std::process::exit(1);
-    }
-    Ok(())
-}
-
-/// Host-throughput smoke for the parallel tile pipeline. Runs each
-/// suite workload through the RBCD configuration at 1 thread and at
-/// `threads` threads (frame-level parallelism, fresh simulator per
-/// frame so frames are independent), cross-checks that the simulated
-/// results are bit-identical, and writes `BENCH_tile_pipeline.json`.
-///
-/// This replaces a `cargo bench` dependency: it needs nothing beyond
-/// `std::time::Instant`.
-fn run_tile_pipeline_bench(opts: &RunOptions, threads: usize, smoke: bool) -> Result<(), TableError> {
-    let frames = opts.frames.unwrap_or(if smoke { 2 } else { 8 }).max(2);
-    let cfg = RbcdConfig::default();
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let mut t = Table::new(
-        &format!("Tile-pipeline throughput — 1 vs {threads} threads ({frames} frames/workload)"),
-        &["benchmark", "seq frames/s", "par frames/s", "speedup", "identical"],
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in rbcd_workloads::suite() {
-        // Warm-up pass so lazy allocations and page faults don't bill
-        // the sequential leg.
-        let _ = run_frames_parallel(&scene, frames.min(2), opts, cfg, 1);
-
-        let t0 = Instant::now();
-        let seq = run_frames_parallel(&scene, frames, opts, cfg, 1);
-        let seq_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let par = run_frames_parallel(&scene, frames, opts, cfg, threads);
-        let par_s = t1.elapsed().as_secs_f64();
-
-        let identical =
-            seq.stats == par.stats && seq.pairs == par.pairs && seq.rbcd == par.rbcd;
-        if !identical {
-            eprintln!("DETERMINISM VIOLATION on {}: parallel != sequential", scene.alias);
-            std::process::exit(1);
-        }
-        let seq_fps = frames as f64 / seq_s;
-        let par_fps = frames as f64 / par_s;
-        let speedup = seq_s / par_s;
-        speedups.push(speedup);
-        t.row(vec![
-            scene.alias.to_string(),
-            format!("{seq_fps:.2}"),
-            format!("{par_fps:.2}"),
-            format!("{speedup:.2}x"),
-            "yes".to_string(),
-        ])?;
-        rows.push((scene.alias.to_string(), seq_fps, par_fps, speedup));
-    }
-    print!("{}", t.render());
-    let geo = geomean(speedups);
-    println!(
-        "geomean speedup {geo:.2}x at {threads} threads on a {host_cores}-core host \
-         (expect ~1x when host cores < threads; simulated results are bit-identical either way)"
-    );
-
-    // Hand-rolled JSON with the shared `rbcd_bench::schema` header.
-    let mut json = rbcd_bench::schema::header("tile_pipeline", geo);
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"frames_per_workload\": {frames},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"deterministic\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, (alias, seq_fps, par_fps, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"seq_frames_per_s\": {seq_fps:.4}, \
-             \"par_frames_per_s\": {par_fps:.4}, \"speedup\": {speedup:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_tile_pipeline.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
-    Ok(())
-}
-
-/// Host-wall-clock A/B of the intra-tile hot path (`hotpath`, opt-in
-/// like `bench`): for every suite workload, first run the full pipeline
-/// once per [`rbcd_gpu::HotPathMode`] and require bit-identical pairs,
-/// energy, and counters — minus exactly the three mask-only diagnostics
-/// (`raster.rows_empty`, `raster.rows_full`, `tile.scan_skipped`),
-/// which read 0 under `Reference` — then bin one frame and time
-/// repeated raster passes per mode, isolating the rasterize + insert +
-/// scan hot path from per-frame geometry work. Writes
-/// `BENCH_raster_hotpath.json`; exits non-zero on any divergence.
-fn run_hotpath_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{HotPathMode, PipelineMode, SimulatorBuilder};
-
-    const MASK_ONLY: [&str; 3] = ["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"];
-
-    let reps = if smoke { 5 } else { 40 };
-    let frames = opts.frames.unwrap_or(2).clamp(1, 4);
-    eprintln!("hotpath A/B: span-mask vs reference rasterizer, {reps} raster passes/scene...");
-
-    let mut t = Table::new(
-        "Intra-tile hot path — span-mask vs reference (host ns per raster pass)",
-        &["benchmark", "reference ns", "mask ns", "speedup", "identical"],
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in rbcd_workloads::suite() {
-        // Exactness leg: a full multi-frame run per mode. The contract
-        // is bitwise — same pairs, same energy, and every counter equal
-        // except the three host-side diagnostics only Mask produces.
-        let run_mode = |mode: HotPathMode| {
-            let o = RunOptions { gpu: GpuConfig { hot_path: mode, ..opts.gpu.clone() }, ..opts.clone() };
-            run_gpu(&scene, frames, &o, Some(RbcdConfig { hot_path: mode, ..RbcdConfig::default() }))
-        };
-        let mask = run_mode(HotPathMode::Mask);
-        let reference = run_mode(HotPathMode::Reference);
-        let strip = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-            run.counters.iter().filter(|(k, _)| !MASK_ONLY.contains(k)).collect()
-        };
-        let identical = strip(&mask) == strip(&reference)
-            && mask.pairs == reference.pairs
-            && mask.energy_j == reference.energy_j;
-        if !identical {
-            eprintln!("HOT-PATH DIVERGENCE on {}: mask results differ from reference", scene.alias);
-            std::process::exit(1);
-        }
-        // Equal results prove nothing if both arms ran one mode: the
-        // reference arm must produce none of the mask-only diagnostics,
-        // and the mask arm must have skipped empty rows.
-        if MASK_ONLY.iter().any(|k| reference.counters.get(k) > 0)
-            || mask.counters.get("raster.rows_empty") == 0
-        {
-            eprintln!("HOT-PATH LEG COLLAPSED on {}: both arms ran one hot path", scene.alias);
-            std::process::exit(1);
-        }
-
-        // Wall-clock leg: geometry binned once per mode, then the two
-        // raster passes are timed back-to-back in interleaved pairs.
-        // Each pair shares the same instantaneous machine state, so the
-        // per-pair ratio cancels common-mode noise (frequency phases,
-        // hypervisor steal); the reported speedup is the median of the
-        // per-pair ratios and the per-pass times are the per-mode
-        // minima.
-        let make = |mode: HotPathMode| {
-            let sim = SimulatorBuilder::from_config(GpuConfig {
-                hot_path: mode,
-                ..opts.gpu.clone()
-            })
-            .build()
-            .expect("benchmark GPU configurations are validated at construction");
-            let unit = RbcdUnit::new(
-                RbcdConfig { hot_path: mode, ..RbcdConfig::default() },
-                opts.gpu.tile_size,
-            )
-            .expect("benchmark RBCD configurations are validated at construction");
-            (sim, unit)
-        };
-        let trace = scene.frame_trace(0);
-        let (mut ref_sim, mut ref_unit) = make(HotPathMode::Reference);
-        let (mut mask_sim, mut mask_unit) = make(HotPathMode::Mask);
-        ref_sim.bench_bin_frame(&trace, PipelineMode::Rbcd);
-        mask_sim.bench_bin_frame(&trace, PipelineMode::Rbcd);
-        let pass = |sim: &mut rbcd_gpu::Simulator, unit: &mut RbcdUnit| -> f64 {
-            unit.new_frame();
-            let t0 = Instant::now();
-            let _ = sim.bench_raster_pass(&trace, PipelineMode::Rbcd, unit);
-            let dt = t0.elapsed().as_secs_f64();
-            let _ = unit.take_contacts();
-            dt
-        };
-        // Warm-up pair so lazy allocations bill neither mode.
-        let _ = pass(&mut ref_sim, &mut ref_unit);
-        let _ = pass(&mut mask_sim, &mut mask_unit);
-        let (mut ref_ns, mut mask_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let tr = pass(&mut ref_sim, &mut ref_unit);
-            let tm = pass(&mut mask_sim, &mut mask_unit);
-            ref_ns = ref_ns.min(tr * 1e9);
-            mask_ns = mask_ns.min(tm * 1e9);
-            ratios.push(tr / tm.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
-        t.row(vec![
-            scene.alias.to_string(),
-            format!("{ref_ns:.0}"),
-            format!("{mask_ns:.0}"),
-            fmt_x(speedup),
-            "yes".to_string(),
-        ])?;
-        rows.push((scene.alias.to_string(), ref_ns, mask_ns, speedup));
-    }
-    print!("{}", t.render());
-    let geo = geomean(speedups);
-    println!(
-        "geomean hot-path speedup {} (span-mask vs reference; pairs, energy, and counters \
-         bit-identical)",
-        fmt_x(geo)
-    );
-
-    // Hand-rolled JSON with the shared `rbcd_bench::schema` header.
-    let mut json = rbcd_bench::schema::header("raster_hotpath", geo);
-    json.push_str(&format!("  \"raster_passes\": {reps},\n"));
-    json.push_str(&format!("  \"frames_checked\": {frames},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, ref_ns, mask_ns, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"reference_ns_per_pass\": {ref_ns:.1}, \
-             \"mask_ns_per_pass\": {mask_ns:.1}, \"speedup\": {speedup:.4}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_raster_hotpath.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
-    Ok(())
-}
-
-/// `frontend` experiment: the incremental geometry front-end (per-draw
-/// transform/clip/bin caching with delta binning) against a full
-/// per-frame rebuild.
-///
-/// Exactness legs first — the contract is bitwise: pairs, energy, and
-/// every counter except the accounting-only `geom.*` plane must match
-/// the rebuild run across thread counts, reuse on/off, storm/overflow
-/// fault plans, a governed budget deep in overload, and the multi-
-/// session batch service (per-session caches). Any divergence exits
-/// non-zero. Then the wall-clock leg times repeated geometry passes
-/// over the temporal clips per front-end in interleaved pairs
-/// (median-of-ratios, like `hotpath`) and writes
-/// `BENCH_geometry_frontend.json`.
-fn run_frontend_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::faults::run_fault_tolerance;
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{
-        render_batch, BatchJob, FramePolicy, FrontendMode, PipelineMode, SimulatorBuilder,
-    };
-
-    let reps = if smoke { 5 } else { 30 };
-    let scenes = rbcd_workloads::temporal_suite();
-    eprintln!(
-        "frontend A/B: incremental vs rebuild geometry, {reps} geometry passes/scene..."
-    );
-
-    // Exactness leg 1: whole runs across threads / reuse / governor.
-    // `geom.*` is the only counter plane allowed to move.
-    let strip = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-        run.counters.iter().filter(|(k, _)| !k.starts_with("geom.")).collect()
-    };
-    let mut diverged = false;
-    for scene in &scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let gov = rbcd_gpu::GovernorConfig {
-            frame_budget_cycles: 25_000,
-            ..rbcd_gpu::GovernorConfig::default()
-        };
-        let legs: [(usize, bool, Option<rbcd_gpu::GovernorConfig>); 4] =
-            [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
-        for (threads, reuse, governor) in legs {
-            let run_mode = |frontend: FrontendMode| {
-                let policy =
-                    opts.policy.with_reuse(reuse).with_frontend(frontend).with_governor(governor);
-                let o = RunOptions { threads, policy, ..opts.clone() };
-                run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
-            };
-            let rebuild = run_mode(FrontendMode::Rebuild);
-            let inc = run_mode(FrontendMode::Incremental);
-            // Equal results prove nothing if both arms ran one
-            // front-end: only the incremental one counts cached draws,
-            // and from its second frame on it must hit.
-            let (rebuild_hits, inc_hits) =
-                (rebuild.counters.get("geom.reuse_draws"), inc.counters.get("geom.reuse_draws"));
-            if rebuild_hits > 0 || (frames >= 2 && inc_hits == 0) {
-                eprintln!(
-                    "FRONT-END LEG COLLAPSED on {} ({threads} threads, reuse {reuse}): cached \
-                     draws rebuild {rebuild_hits}, incremental {inc_hits}",
-                    scene.alias
-                );
-                diverged = true;
-            }
-            if strip(&rebuild) != strip(&inc)
-                || rebuild.pairs != inc.pairs
-                || rebuild.energy_j != inc.energy_j
-                || rebuild.seconds != inc.seconds
-            {
-                eprintln!(
-                    "FRONT-END DIVERGENCE on {} ({threads} threads, reuse {reuse}, governed \
-                     {}): incremental differs from rebuild",
-                    scene.alias,
-                    governor.is_some()
-                );
-                diverged = true;
-            }
-        }
-    }
-
-    // Exactness leg 2: fault storms corrupt draws per frame (fresh mesh
-    // allocations every frame — the memo's hard case); every recovery
-    // statistic must match the rebuild front-end cell for cell.
-    for preset in ["storm", "overflow"] {
-        let plan = FaultPlan::preset(preset, 0xF207_7E4D).expect("preset exists");
-        let fault_scenes = [rbcd_workloads::resting()];
-        let run_mode = |frontend: FrontendMode| {
-            let o = RunOptions {
-                threads: 2,
-                policy: opts.policy.with_frontend(frontend),
-                frames: Some(opts.frames.unwrap_or(4).min(4)),
-                ..opts.clone()
-            };
-            run_fault_tolerance(&fault_scenes, preset, plan, &[2], &o)
-        };
-        let rebuild = run_mode(FrontendMode::Rebuild);
-        let inc = run_mode(FrontendMode::Incremental);
-        for (sa, sb) in rebuild.scenes.iter().zip(&inc.scenes) {
-            for (ca, cb) in sa.cells.iter().zip(&sb.cells) {
-                if ca != cb {
-                    eprintln!(
-                        "FRONT-END DIVERGENCE under '{preset}' faults on {} M={}",
-                        sa.alias, ca.m
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-
-    // Exactness leg 3: the batch service. Per-session geometry caches
-    // must behave exactly like each session running solo.
-    {
-        let frames = opts.frames.unwrap_or(2).min(2);
-        let policy = FramePolicy::new().with_reuse(true).with_frontend(FrontendMode::Incremental);
-        let build = || {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(policy)
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let unit = || {
-            RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction")
-        };
-        let mut solo_stats = Vec::new();
-        for scene in &scenes {
-            let (mut sim, mut u) = (build(), unit());
-            let mut per_scene = Vec::new();
-            for f in 0..frames {
-                u.new_frame();
-                let trace = scene.frame_trace(f);
-                per_scene
-                    .push(sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut u, 1));
-                let _ = u.take_contacts();
-            }
-            solo_stats.push(per_scene);
-        }
-        let mut sims: Vec<_> = scenes.iter().map(|_| build()).collect();
-        let mut units: Vec<_> = scenes.iter().map(|_| unit()).collect();
-        // `f` drives the frame-trace generation and the solo-stats
-        // lookup together, not a single indexed slice.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..frames {
-            let traces: Vec<_> = scenes.iter().map(|s| s.frame_trace(f)).collect();
-            let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = sims
-                .iter_mut()
-                .zip(units.iter_mut())
-                .zip(&traces)
-                .map(|((sim, backend), trace)| BatchJob {
-                    sim,
-                    backend,
-                    trace,
-                    mode: PipelineMode::Rbcd,
-                })
-                .collect();
-            let batched = render_batch(&mut jobs, 2).expect("batch jobs are well-formed");
-            for u in units.iter_mut() {
-                let _ = u.take_contacts();
-                u.new_frame();
-            }
-            for (ji, stats) in batched.iter().enumerate() {
-                if *stats != solo_stats[ji][f] {
-                    eprintln!(
-                        "FRONT-END DIVERGENCE in batch service: session {} frame {f} differs \
-                         from its solo run",
-                        scenes[ji].alias
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-
-    // Wall-clock leg: per scene, two simulators (one per front-end)
-    // run the geometry stage over the clip's frames in interleaved
-    // pairs. Each pair shares the same instantaneous machine state, so
-    // the per-pair ratio cancels common-mode noise; the reported
-    // speedup is the median of per-pair ratios and the per-pass times
-    // are per-mode minima. The raster stage is deliberately excluded —
-    // this knob only touches the geometry front-end.
-    let mut t = Table::new(
-        "Geometry front-end — incremental vs rebuild (host ns per geometry pass)",
-        &["benchmark", "rebuild ns", "incremental ns", "speedup", "reused draws", "identical"],
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in &scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let traces: Vec<_> = (0..frames).map(|f| scene.frame_trace(f)).collect();
-        let make = |frontend: FrontendMode| {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(FramePolicy::new().with_frontend(frontend))
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let mut rebuild_sim = make(FrontendMode::Rebuild);
-        let mut inc_sim = make(FrontendMode::Incremental);
-        let pass = |sim: &mut rbcd_gpu::Simulator| -> f64 {
-            let t0 = Instant::now();
-            for trace in &traces {
-                let _ = sim.bench_bin_frame(trace, PipelineMode::Rbcd);
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        // Warm-up pass per mode: lazy allocations bill neither mode,
-        // and the incremental cache starts warm (the steady state a
-        // long-running session lives in).
-        let _ = pass(&mut rebuild_sim);
-        let _ = pass(&mut inc_sim);
-        let (mut rebuild_ns, mut inc_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let tr = pass(&mut rebuild_sim);
-            let ti = pass(&mut inc_sim);
-            rebuild_ns = rebuild_ns.min(tr * 1e9 / frames as f64);
-            inc_ns = inc_ns.min(ti * 1e9 / frames as f64);
-            ratios.push(tr / ti.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
-        // Reuse accounting from a fresh incremental run (frames beyond
-        // the first replay unchanged draws from the cache).
-        let policy = opts.policy.with_frontend(FrontendMode::Incremental);
-        let acct = run_gpu(
-            scene,
-            frames,
-            &RunOptions { policy, ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
-        let reused = acct.counters.get("geom.reuse_draws");
-        let shaded = acct.counters.get("geom.shaded_draws");
-        t.row(vec![
-            scene.alias.to_string(),
-            format!("{rebuild_ns:.0}"),
-            format!("{inc_ns:.0}"),
-            fmt_x(speedup),
-            format!("{reused}/{}", reused + shaded),
-            "yes".to_string(),
-        ])?;
-        rows.push((scene.alias.to_string(), rebuild_ns, inc_ns, speedup, reused, shaded));
-    }
-    print!("{}", t.render());
-    let geo = geomean(speedups);
-    println!(
-        "geomean geometry front-end speedup {} (incremental vs rebuild; pairs, energy, and \
-         counters bit-identical across threads, reuse, faults, governor, and batch)",
-        fmt_x(geo)
-    );
-
-    let mut json = rbcd_bench::schema::header("geometry_frontend", geo);
-    json.push_str(&format!("  \"geometry_passes\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, rebuild_ns, inc_ns, speedup, reused, shaded)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"rebuild_ns_per_frame\": {rebuild_ns:.1}, \
-             \"incremental_ns_per_frame\": {inc_ns:.1}, \"speedup\": {speedup:.4}, \
-             \"reuse_draws\": {reused}, \"shaded_draws\": {shaded}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_geometry_frontend.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
-    }
-    Ok(())
-}
-
-/// `broadphase` experiment: the screen-space broad phase (pair-
-/// infeasible draw pruning + single-occupant tile elision) against a
-/// broad-phase-off run.
-///
-/// Exactness legs first — the contract is bitwise: pairs and every
-/// counter outside the image-side planes the broad phase is allowed to
-/// move (`raster.*` timing and fragment throughput, `coherence.*`,
-/// `broadphase.*`) must match the broad-phase-off run across thread
-/// counts, reuse on/off, storm/overflow fault plans, a governed budget
-/// (where the broad phase goes inert and even the image side must
-/// match), and the multi-session batch service. Any divergence exits
-/// non-zero. Then the wall-clock leg times full rendered frames of the
-/// sparse-swarm clips per mode in interleaved pairs (median-of-ratios,
-/// like `hotpath` and `frontend`) and writes `BENCH_broadphase.json`.
-fn run_broadphase_bench(opts: &RunOptions, smoke: bool) -> Result<(), TableError> {
-    use rbcd_bench::faults::run_fault_tolerance;
-    use rbcd_bench::runner::run_gpu;
-    use rbcd_core::RbcdUnit;
-    use rbcd_gpu::{
-        render_batch, BatchJob, BroadPhase, FramePolicy, PipelineMode, SimulatorBuilder,
-    };
-
-    let reps = if smoke { 5 } else { 30 };
-    let scenes = rbcd_workloads::sparse_family();
-    eprintln!("broadphase A/B: pair-feasibility pruning vs off, {reps} rendered passes/scene...");
-
-    // Exactness leg 1: whole runs across threads / reuse / governor,
-    // on the sparse clips plus a dense control (`cap`, where pruning
-    // rarely fires and the contract is cheap to violate silently).
-    // Only the image-side planes may move; under a governor the broad
-    // phase is inert, so there even those must match.
-    let kept = |run: &rbcd_bench::metrics::GpuRun| -> Vec<(&'static str, u64)> {
-        run.counters
-            .iter()
-            .filter(|(k, _)| {
-                let image_side = k.starts_with("broadphase.")
-                    || k.starts_with("coherence.")
-                    || (k.starts_with("raster.")
-                        && !matches!(
-                            *k,
-                            "raster.tiles_processed"
-                                | "raster.primitives_fetched"
-                                | "raster.fragments_collisionable"
-                        ));
-                !image_side
-            })
-            .collect()
-    };
-    let mut diverged = false;
-    let mut exact_scenes = scenes.clone();
-    exact_scenes.push(rbcd_workloads::cap());
-    for scene in &exact_scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let gov = rbcd_gpu::GovernorConfig {
-            frame_budget_cycles: 25_000,
-            ..rbcd_gpu::GovernorConfig::default()
-        };
-        let legs: [(usize, bool, Option<rbcd_gpu::GovernorConfig>); 4] =
-            [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(gov))];
-        for (threads, reuse, governor) in legs {
-            let run_mode = |broadphase: BroadPhase| {
-                let policy = opts
-                    .policy
-                    .with_reuse(reuse)
-                    .with_broadphase(broadphase)
-                    .with_governor(governor);
-                let o = RunOptions { threads, policy, ..opts.clone() };
-                run_gpu(scene, frames, &o, Some(RbcdConfig::default()))
-            };
-            let off = run_mode(BroadPhase::Off);
-            let on = run_mode(BroadPhase::On);
-            let governed = governor.is_some();
-            // Equal results prove nothing if both arms ran one mode:
-            // the off arm never skips a tile, and the on arm must skip
-            // some wherever a governor does not make it inert.
-            let (off_skips, on_skips) = (
-                off.counters.get("broadphase.tiles_skipped"),
-                on.counters.get("broadphase.tiles_skipped"),
-            );
-            if off_skips > 0 || (!governed && on_skips == 0) {
-                eprintln!(
-                    "BROAD-PHASE LEG COLLAPSED on {} ({threads} threads, reuse {reuse}, governed \
-                     {governed}): tiles skipped off {off_skips}, on {on_skips}",
-                    scene.alias,
-                );
-                diverged = true;
-            }
-            if kept(&off) != kept(&on)
-                || off.pairs != on.pairs
-                || (governed && (off.counters != on.counters || off.seconds != on.seconds))
-            {
-                eprintln!(
-                    "BROAD-PHASE DIVERGENCE on {} ({threads} threads, reuse {reuse}, governed \
-                     {governed}): pruning changed a protected result",
-                    scene.alias,
-                );
-                diverged = true;
-            }
-        }
-    }
-
-    // Exactness leg 2: fault storms. Corrupted draws carry no trusted
-    // bounds, so the broad phase must fall through to rendering them;
-    // every recovery statistic must match the off cell for cell.
-    for preset in ["storm", "overflow"] {
-        let plan = FaultPlan::preset(preset, 0xF207_7E4D).expect("preset exists");
-        let fault_scenes = [rbcd_workloads::sparse()];
-        let run_mode = |broadphase: BroadPhase| {
-            let o = RunOptions {
-                threads: 2,
-                policy: opts.policy.with_broadphase(broadphase),
-                frames: Some(opts.frames.unwrap_or(4).min(4)),
-                ..opts.clone()
-            };
-            run_fault_tolerance(&fault_scenes, preset, plan, &[2], &o)
-        };
-        let off = run_mode(BroadPhase::Off);
-        let on = run_mode(BroadPhase::On);
-        for (sa, sb) in off.scenes.iter().zip(&on.scenes) {
-            for (ca, cb) in sa.cells.iter().zip(&sb.cells) {
-                if ca != cb {
-                    eprintln!(
-                        "BROAD-PHASE DIVERGENCE under '{preset}' faults on {} M={}",
-                        sa.alias, ca.m
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-
-    // Exactness leg 3: the batch service. Per-session broad-phase state
-    // must behave exactly like each session running solo.
-    {
-        let frames = opts.frames.unwrap_or(2).min(2);
-        let policy = FramePolicy::new().with_reuse(true).with_broadphase(BroadPhase::On);
-        let build = || {
-            SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(policy)
-                .build()
-                .expect("benchmark GPU configurations are validated at construction")
-        };
-        let unit = || {
-            RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction")
-        };
-        let mut solo_stats = Vec::new();
-        for scene in &scenes {
-            let (mut sim, mut u) = (build(), unit());
-            let mut per_scene = Vec::new();
-            for f in 0..frames {
-                u.new_frame();
-                let trace = scene.frame_trace(f);
-                per_scene.push(sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut u, 1));
-                let _ = u.take_contacts();
-            }
-            solo_stats.push(per_scene);
-        }
-        let mut sims: Vec<_> = scenes.iter().map(|_| build()).collect();
-        let mut units: Vec<_> = scenes.iter().map(|_| unit()).collect();
-        // `f` drives the frame-trace generation and the solo-stats
-        // lookup together, not a single indexed slice.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..frames {
-            let traces: Vec<_> = scenes.iter().map(|s| s.frame_trace(f)).collect();
-            let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = sims
-                .iter_mut()
-                .zip(units.iter_mut())
-                .zip(&traces)
-                .map(|((sim, backend), trace)| BatchJob {
-                    sim,
-                    backend,
-                    trace,
-                    mode: PipelineMode::Rbcd,
-                })
-                .collect();
-            let batched = render_batch(&mut jobs, 2).expect("batch jobs are well-formed");
-            for u in units.iter_mut() {
-                let _ = u.take_contacts();
-                u.new_frame();
-            }
-            for (ji, stats) in batched.iter().enumerate() {
-                if *stats != solo_stats[ji][f] {
-                    eprintln!(
-                        "BROAD-PHASE DIVERGENCE in batch service: session {} frame {f} differs \
-                         from its solo run",
-                        scenes[ji].alias
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-
-    // Wall-clock leg: per scene, two simulator+unit stacks (one per
-    // mode) render the clip's frames in interleaved pairs. Each pair
-    // shares the same instantaneous machine state, so the per-pair
-    // ratio cancels common-mode noise; the reported speedup is the
-    // median of per-pair ratios and the per-pass times are per-mode
-    // minima. Reuse stays off so the measurement is pure pruning, not
-    // cache effects.
-    let mut t = Table::new(
-        "Screen-space broad phase — on vs off (host ns per rendered frame)",
-        &["benchmark", "off ns", "on ns", "speedup", "tiles skipped", "identical"],
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for scene in &scenes {
-        let frames = opts.frames.unwrap_or(scene.frames).min(scene.frames);
-        let traces: Vec<_> = (0..frames).map(|f| scene.frame_trace(f)).collect();
-        let make = |broadphase: BroadPhase| {
-            let sim = SimulatorBuilder::from_config(opts.gpu.clone())
-                .policy(FramePolicy::new().with_broadphase(broadphase))
-                .build()
-                .expect("benchmark GPU configurations are validated at construction");
-            let unit = RbcdUnit::new(RbcdConfig::default(), opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction");
-            (sim, unit)
-        };
-        let (mut off_sim, mut off_unit) = make(BroadPhase::Off);
-        let (mut on_sim, mut on_unit) = make(BroadPhase::On);
-        let pass = |sim: &mut rbcd_gpu::Simulator, unit: &mut RbcdUnit| -> f64 {
-            let t0 = Instant::now();
-            for trace in &traces {
-                unit.new_frame();
-                let _ = sim.render_frame_parallel(trace, PipelineMode::Rbcd, unit, 1);
-                let _ = unit.take_contacts();
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        // Warm-up pass per mode so lazy allocations bill neither side.
-        let _ = pass(&mut off_sim, &mut off_unit);
-        let _ = pass(&mut on_sim, &mut on_unit);
-        let (mut off_ns, mut on_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut ratios = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let toff = pass(&mut off_sim, &mut off_unit);
-            let ton = pass(&mut on_sim, &mut on_unit);
-            off_ns = off_ns.min(toff * 1e9 / frames as f64);
-            on_ns = on_ns.min(ton * 1e9 / frames as f64);
-            ratios.push(toff / ton.max(1e-12));
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("pass ratios are finite"));
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[ratios.len() / 2]
-        } else {
-            (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-        };
-        speedups.push(speedup);
-        // Pruning accounting from a fresh broad-phase-on run.
-        let acct = run_gpu(
-            scene,
-            frames,
-            &RunOptions { policy: opts.policy.with_broadphase(BroadPhase::On), ..opts.clone() },
-            Some(RbcdConfig::default()),
-        );
-        let skipped = acct.counters.get("broadphase.tiles_skipped");
-        let tiles = acct.counters.get("raster.tiles_processed");
-        t.row(vec![
-            scene.alias.to_string(),
-            format!("{off_ns:.0}"),
-            format!("{on_ns:.0}"),
-            fmt_x(speedup),
-            format!("{skipped}/{tiles}"),
-            "yes".to_string(),
-        ])?;
-        rows.push((scene.alias.to_string(), off_ns, on_ns, speedup, skipped, tiles));
-    }
-    print!("{}", t.render());
-    let geo = geomean(speedups);
-    println!(
-        "geomean broad-phase speedup {} (on vs off; pairs, rbcd.* counters, and fault \
-         behaviour bit-identical across threads, reuse, faults, governor, and batch)",
-        fmt_x(geo)
-    );
-
-    let mut json = rbcd_bench::schema::header("broadphase", geo);
-    json.push_str(&format!("  \"rendered_passes\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"viewport\": \"{}x{}\",\n",
-        opts.gpu.viewport.width, opts.gpu.viewport.height
-    ));
-    json.push_str("  \"identical_results\": true,\n");
-    json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
-    json.push_str("  \"scenes\": [\n");
-    for (i, (alias, off_ns, on_ns, speedup, skipped, tiles)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{alias}\", \"off_ns_per_frame\": {off_ns:.1}, \
-             \"on_ns_per_frame\": {on_ns:.1}, \"speedup\": {speedup:.4}, \
-             \"tiles_skipped\": {skipped}, \"tiles_processed\": {tiles}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_broadphase.json";
-    match rbcd_bench::schema::write(path, &json) {
-        Ok(_) => println!("wrote {path}"),
-        Err(e) => eprintln!("{path}: {e}"),
     }
     Ok(())
 }

@@ -405,6 +405,7 @@ mod tests {
                 dispatched.insert(&id[..id.find('"').expect("closing quote")]);
             }
         }
+        dispatched.extend(crate::ab::ROWS.iter().map(|row| row.id));
         assert_eq!(dispatched, EXPERIMENTS.into_iter().collect());
     }
 

@@ -16,11 +16,11 @@
 //! by all three, so the oracle measures what a lossless ZEB would find,
 //! not what the corrupted commands pretend to contain.
 
-use crate::runner::RunOptions;
+use crate::runner::{rbcd_unit, simulator, RunOptions};
 use rbcd_core::software::OracleUnit;
-use rbcd_core::{FaultLog, FaultPlan, RbcdConfig, RbcdUnit};
+use rbcd_core::{FaultLog, FaultPlan, RbcdConfig};
 use rbcd_cpu_cd::{CdBody, CpuCollisionDetector, Phase};
-use rbcd_gpu::{ObjectId, PipelineMode, Simulator, SimulatorBuilder};
+use rbcd_gpu::{ObjectId, PipelineMode, Simulator};
 use rbcd_workloads::Scene;
 use std::collections::BTreeSet;
 
@@ -149,18 +149,12 @@ pub fn run_fault_tolerance(
 }
 
 fn run_cell(scene: &Scene, frames: usize, plan: &FaultPlan, opts: &RunOptions) -> FaultCell {
-    // The unit's hot path follows the simulator's (one knob switches
-    // the whole pipeline, as in `runner::run_gpu`).
-    let cfg = RbcdConfig { hot_path: opts.gpu.hot_path, ..ladder_config(plan) };
+    let cfg = ladder_config(plan);
     let mut cell = FaultCell { m: cfg.list_capacity, ..FaultCell::default() };
 
     let meshes = scene.collidable_meshes();
-    let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
-        .policy(opts.policy)
-        .build()
-        .expect("benchmark GPU configurations are validated at construction");
-    let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
-        .expect("the ladder configuration is valid by construction");
+    let mut sim = simulator(&opts.gpu, opts.policy);
+    let mut unit = rbcd_unit(&opts.gpu, cfg);
     let mut prev = *unit.stats();
 
     for f in 0..frames {

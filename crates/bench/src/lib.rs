@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod accuracy;
 pub mod cli;
 pub mod faults;
@@ -20,6 +21,4 @@ pub mod schema;
 pub mod serve;
 
 pub use metrics::{geomean, BenchmarkResult, CdComparison, SuiteResult};
-pub use runner::{
-    run_benchmark, run_frames_parallel, run_gpu, run_gpu_traced, run_suite, RunOptions,
-};
+pub use runner::{run_benchmark, run_gpu, run_gpu_traced, run_suite, RunOptions};

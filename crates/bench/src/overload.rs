@@ -25,12 +25,12 @@
 //! the whole experiment is bit-identical at any `opts.threads`.
 
 use crate::faults::ladder_config;
-use crate::runner::RunOptions;
+use crate::runner::{rbcd_unit, simulator, RunOptions};
 use rbcd_core::governor::{BreakerConfig, Governor, Pair};
 use rbcd_core::software::OracleUnit;
-use rbcd_core::{FaultPlan, RbcdConfig, RbcdUnit};
+use rbcd_core::FaultPlan;
 use rbcd_cpu_cd::{CdBody, CpuCollisionDetector, Phase};
-use rbcd_gpu::{GovernorConfig, ObjectId, PipelineMode, Simulator, SimulatorBuilder};
+use rbcd_gpu::{GovernorConfig, ObjectId, PipelineMode, Simulator};
 use rbcd_workloads::Scene;
 use std::collections::BTreeSet;
 
@@ -182,22 +182,11 @@ pub fn run_overload(
     OverloadResult { plan: plan_name.to_string(), seed: base_plan.seed, scenes }
 }
 
-/// A governed simulator for the sweep: the ladder-enabled unit config
-/// plus a governor with the given per-frame budget.
+/// A governed simulator for the sweep: the flags' policy plus a
+/// governor with the given per-frame budget.
 fn governed_sim(opts: &RunOptions, budget: u64) -> Simulator {
-    SimulatorBuilder::from_config(opts.gpu.clone())
-        .policy(opts.policy.with_governor(Some(GovernorConfig {
-            frame_budget_cycles: budget,
-            ..GovernorConfig::default()
-        })))
-        .build()
-        .expect("benchmark GPU configurations are validated at construction")
-}
-
-fn ladder_unit(plan: &FaultPlan, opts: &RunOptions) -> RbcdUnit {
-    let cfg = RbcdConfig { hot_path: opts.gpu.hot_path, ..ladder_config(plan) };
-    RbcdUnit::new(cfg, opts.gpu.tile_size)
-        .expect("the ladder configuration is valid by construction")
+    let governor = GovernorConfig { frame_budget_cycles: budget, ..GovernorConfig::default() };
+    simulator(&opts.gpu, opts.policy.with_governor(Some(governor)))
 }
 
 /// Ungoverned reference pass: a zero budget engages no policy rung but
@@ -209,7 +198,7 @@ fn measure_baseline(
     opts: &RunOptions,
 ) -> Vec<u64> {
     let mut sim = governed_sim(opts, 0);
-    let mut unit = ladder_unit(plan, opts);
+    let mut unit = rbcd_unit(&opts.gpu, ladder_config(plan));
     (0..frames)
         .map(|f| {
             let (trace, _log) = plan.apply(&scene.frame_trace(f), f as u64);
@@ -234,7 +223,7 @@ fn run_cell(
     let meshes = scene.collidable_meshes();
 
     let mut sim = governed_sim(opts, 0);
-    let mut unit = ladder_unit(plan, opts);
+    let mut unit = rbcd_unit(&opts.gpu, ladder_config(plan));
     let mut governor = Governor::new(BreakerConfig::default());
 
     for (f, &frame_baseline) in baseline.iter().enumerate().take(frames) {
@@ -344,7 +333,8 @@ fn cpu_recover_routed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcd_gpu::GpuConfig;
+    use rbcd_core::RbcdConfig;
+    use rbcd_gpu::{FramePolicy, GpuConfig};
     use rbcd_math::Viewport;
 
     fn opts(threads: usize) -> RunOptions {
@@ -382,13 +372,7 @@ mod tests {
         let o = opts(1);
         let scene = rbcd_workloads::shells();
         let trace = scene.frame_trace(0);
-        let unit = || {
-            RbcdUnit::new(
-                RbcdConfig { hot_path: o.gpu.hot_path, ..RbcdConfig::default() },
-                o.gpu.tile_size,
-            )
-            .unwrap()
-        };
+        let unit = || rbcd_unit(&o.gpu, RbcdConfig::default());
 
         // Governable baseline for the frame (a zero budget engages no rung).
         let mut sim = governed_sim(&o, 0);
@@ -409,10 +393,7 @@ mod tests {
             shed_overhead_cycles: 0,
         };
         let run = |threads: usize| {
-            let mut sim = SimulatorBuilder::from_config(o.gpu.clone())
-                .policy(rbcd_gpu::FramePolicy::new().with_governor(Some(gov)))
-                .build()
-                .unwrap();
+            let mut sim = simulator(&o.gpu, FramePolicy::new().with_governor(Some(gov)));
             let mut u = unit();
             u.new_frame();
             sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut u, threads);

@@ -6,7 +6,8 @@ use rbcd_core::{ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_cpu_cd::{CdBody, Cost, CpuCollisionDetector, CpuConfig, Phase};
 use rbcd_gpu::energy::EnergyModel;
 use rbcd_gpu::{
-    FramePolicy, FrameStats, GpuConfig, NullCollisionUnit, PipelineMode, SimulatorBuilder,
+    FramePolicy, FrameStats, GpuConfig, NullCollisionUnit, PipelineMode, Simulator,
+    SimulatorBuilder,
 };
 use rbcd_trace::TraceBuffer;
 use rbcd_workloads::Scene;
@@ -87,6 +88,22 @@ pub fn run_gpu_traced(
     (run, trace.expect("tracing was enabled"))
 }
 
+/// A simulator for `gpu` under `policy`.
+pub(crate) fn simulator(gpu: &GpuConfig, policy: FramePolicy) -> Simulator {
+    SimulatorBuilder::from_config(gpu.clone())
+        .policy(policy)
+        .build()
+        .expect("benchmark GPU configurations are validated at construction")
+}
+
+/// An RBCD unit for `gpu` whose hot path follows the simulator's, so
+/// one knob (`gpu.hot_path`, e.g. repro's `--hot-path`) switches the
+/// whole pipeline.
+pub(crate) fn rbcd_unit(gpu: &GpuConfig, cfg: RbcdConfig) -> RbcdUnit {
+    RbcdUnit::new(RbcdConfig { hot_path: gpu.hot_path, ..cfg }, gpu.tile_size)
+        .expect("benchmark RBCD configurations are validated at construction")
+}
+
 fn run_gpu_inner(
     scene: &Scene,
     frames: usize,
@@ -94,10 +111,7 @@ fn run_gpu_inner(
     rbcd: Option<RbcdConfig>,
     traced: bool,
 ) -> (GpuRun, Option<TraceBuffer>) {
-    let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
-        .policy(opts.policy.with_tracing(traced))
-        .build()
-        .expect("benchmark GPU configurations are validated at construction");
+    let mut sim = simulator(&opts.gpu, opts.policy.with_tracing(traced));
     let mut total = FrameStats::default();
     let mut pairs: BTreeSet<ObjectPair> = BTreeSet::new();
 
@@ -122,11 +136,7 @@ fn run_gpu_inner(
             }
         }
         Some(cfg) => {
-            // The unit's hot path follows the simulator's, so one knob
-            // (e.g. repro's `--hot-path`) switches the whole pipeline.
-            let cfg = RbcdConfig { hot_path: opts.gpu.hot_path, ..cfg };
-            let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
-                .expect("benchmark RBCD configurations are validated at construction");
+            let mut unit = rbcd_unit(&opts.gpu, cfg);
             unit.set_tile_logging(traced);
             for f in 0..frames {
                 unit.new_frame();
@@ -253,97 +263,6 @@ pub fn run_benchmark(scene: &Scene, opts: &RunOptions) -> BenchmarkResult {
     }
 }
 
-/// Renders `frames` of `scene` with **frame-level** parallelism: each
-/// frame runs on a fresh simulator + unit (cold caches, independent
-/// timelines) so frames are embarrassingly parallel, and per-frame
-/// results are merged in frame order.
-///
-/// Every simulator runs under `opts.policy`, as in [`run_gpu`]. Results
-/// are bit-identical for any `threads` value, but are *not* comparable
-/// to [`run_gpu`] (which keeps caches and ZEB timing warm across
-/// frames) — this entry point exists for host-throughput measurement,
-/// where identical-work-per-frame is exactly what we want.
-pub fn run_frames_parallel(
-    scene: &Scene,
-    frames: usize,
-    opts: &RunOptions,
-    cfg: RbcdConfig,
-    threads: usize,
-) -> GpuRun {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let run_one = |f: usize| {
-        let mut sim = SimulatorBuilder::from_config(opts.gpu.clone())
-            .policy(opts.policy)
-            .build()
-            .expect("benchmark GPU configurations are validated at construction");
-        let mut unit = RbcdUnit::new(cfg, opts.gpu.tile_size)
-            .expect("benchmark RBCD configurations are validated at construction");
-        let stats =
-            sim.render_frame_parallel(&scene.frame_trace(f), PipelineMode::Rbcd, &mut unit, 1);
-        let contacts = unit.take_contacts();
-        (stats, *unit.stats(), contacts)
-    };
-
-    let mut slots: Vec<Option<(FrameStats, rbcd_core::RbcdStats, Vec<rbcd_core::ContactPoint>)>> =
-        (0..frames).map(|_| None).collect();
-    let workers = threads.max(1).min(frames.max(1));
-    if workers <= 1 {
-        for (f, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_one(f));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let done: Vec<(usize, _)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let f = next.fetch_add(1, Ordering::Relaxed);
-                            if f >= frames {
-                                return mine;
-                            }
-                            mine.push((f, run_one(f)));
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("frame worker panicked")).collect()
-        });
-        for (f, out) in done {
-            slots[f] = Some(out);
-        }
-    }
-
-    // Deterministic merge in frame order.
-    let mut total = FrameStats::default();
-    let mut rbcd_total = rbcd_core::RbcdStats::default();
-    let mut pairs: BTreeSet<ObjectPair> = BTreeSet::new();
-    for slot in slots {
-        let (stats, rbcd, contacts) = slot.expect("every frame produced");
-        total.accumulate(&stats);
-        rbcd_total.accumulate(&rbcd);
-        for c in contacts {
-            pairs.insert(c.object_pair());
-        }
-    }
-    let cycles = total.total_cycles();
-    let energy_j = opts.energy.gpu_energy(&total).total_j()
-        + rbcd_total.dynamic_energy_j(&opts.energy)
-        + opts.energy.rbcd_static_j(cfg.zeb_count, cfg.list_capacity, cycles);
-    let mut counters = total.counter_set();
-    counters.accumulate(&rbcd_total.counter_set());
-    GpuRun {
-        seconds: opts.gpu.cycles_to_seconds(cycles),
-        energy_j,
-        counters,
-        stats: total,
-        rbcd: Some(rbcd_total),
-        pairs,
-    }
-}
-
 /// Runs the whole suite. With `opts.threads > 1` the benchmarks run on
 /// a pool of scoped worker threads (each benchmark internally at one
 /// thread to avoid oversubscription); results are assembled in scene
@@ -424,25 +343,6 @@ mod tests {
         assert!(gjk.report.cycles > broad.report.cycles);
         // Narrow phase can only remove pairs.
         assert!(gjk.pairs.is_subset(&broad.pairs));
-    }
-
-    #[test]
-    fn frame_parallel_runs_honour_the_policy() {
-        use rbcd_gpu::BroadPhase;
-        let scene = rbcd_workloads::sparse();
-        let run = |broadphase| {
-            let opts = RunOptions {
-                policy: FramePolicy::new().with_broadphase(broadphase),
-                ..small_opts()
-            };
-            run_frames_parallel(&scene, 2, &opts, RbcdConfig::default(), 2)
-        };
-        let on = run(BroadPhase::On);
-        let off = run(BroadPhase::Off);
-        assert!(on.stats.broadphase.tiles_skipped > 0, "the broad phase prunes sparse frames");
-        assert_eq!(off.stats.broadphase.tiles_skipped, 0);
-        assert!(!on.pairs.is_empty());
-        assert_eq!(on.pairs, off.pairs, "pruning never changes a pair");
     }
 
     #[test]

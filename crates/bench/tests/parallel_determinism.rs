@@ -6,7 +6,7 @@
 
 use rbcd_bench::faults::run_fault_tolerance;
 use rbcd_bench::metrics::GpuRun;
-use rbcd_bench::runner::{run_frames_parallel, run_gpu, run_gpu_traced};
+use rbcd_bench::runner::{run_gpu, run_gpu_traced};
 use rbcd_bench::RunOptions;
 use rbcd_core::{FaultPlan, RbcdConfig};
 use rbcd_gpu::{FramePolicy, GpuConfig};
@@ -294,22 +294,6 @@ fn governed_runs_are_identical_at_any_thread_count() {
         assert_eq!(base.counters, par.counters, "governed counters at {threads} threads");
         assert_eq!(base.seconds, par.seconds);
         assert_eq!(base.energy_j, par.energy_j);
-    }
-}
-
-#[test]
-fn frame_parallel_runs_are_identical_at_any_thread_count() {
-    for scene in rbcd_workloads::suite() {
-        let o = opts(1);
-        let seq = run_frames_parallel(&scene, 3, &o, RbcdConfig::default(), 1);
-        for threads in [2, 8] {
-            let par = run_frames_parallel(&scene, 3, &o, RbcdConfig::default(), threads);
-            assert_eq!(seq.pairs, par.pairs, "{} pairs at {threads} threads", scene.alias);
-            assert_eq!(seq.stats, par.stats, "{} FrameStats at {threads} threads", scene.alias);
-            assert_eq!(seq.rbcd, par.rbcd, "{} RbcdStats at {threads} threads", scene.alias);
-            assert_eq!(seq.seconds, par.seconds);
-            assert_eq!(seq.energy_j, par.energy_j);
-        }
     }
 }
 

@@ -14,22 +14,19 @@
 # worker threads and requires byte-identical stdout: every simulated
 # number must be independent of the thread count.
 #
-# The parallel smoke exercises the threaded tile pipeline end to end
-# (repro --smoke --threads 2), which cross-checks that one worker and a
-# worker pool produce bit-identical results and writes
-# BENCH_tile_pipeline.json with measured host throughput. The fault
-# smoke (repro --smoke --faults all --threads 2) injects every fault
-# class at tiny M and fails on panics or silent pair losses, writing
-# BENCH_fault_tolerance.json. The temporal smoke renders static clips
-# with tile reuse off vs on and fails unless results are bit-identical
-# and the cache actually replayed tiles
-# (BENCH_temporal_coherence.json). The frontend smoke A/Bs the
-# incremental geometry front-end against a full rebuild and fails on
-# any divergence or wall-clock regression
-# (BENCH_geometry_frontend.json). The broad-phase smoke A/Bs the
-# screen-space broad phase against an unpruned run and fails on any
-# divergence or wall-clock regression (BENCH_broadphase.json). The
-# overload smoke sweeps the
+# The parallel smoke (repro --smoke --threads 2) runs the `bench` A/B,
+# which checks that one worker and a tile pool produce bit-identical
+# results and writes BENCH_tile_pipeline.json with measured host
+# throughput. The fault smoke (repro --smoke --faults all --threads 2)
+# injects every fault class at tiny M and fails on panics or silent
+# pair losses, writing BENCH_fault_tolerance.json. The temporal smoke
+# renders static clips with tile reuse off vs on and fails unless
+# results are bit-identical and the cache actually replayed tiles
+# (BENCH_temporal_coherence.json). The timed A/B smokes (hotpath,
+# frontend, broadphase) each check one layer's two arms for
+# bit-identical results and fail on any divergence or wall-clock
+# regression (BENCH_raster_hotpath.json, BENCH_geometry_frontend.json,
+# BENCH_broadphase.json). The overload smoke sweeps the
 # frame-deadline governor down to a 25% cycle budget under the storm
 # fault plan (repro exits non-zero on any budget violation or silent
 # oracle miss) and re-runs it at 1/2/4 threads, requiring byte-identical
@@ -86,6 +83,8 @@ cmp -s suite.1.txt suite.4.txt \
 
 echo "== parallel pipeline smoke (repro --smoke --threads 2) =="
 "$repro" --smoke --threads 2
+grep -q '"identical_results": true' BENCH_tile_pipeline.json \
+  || { echo "parallel smoke: the tile pool was not result-identical to one worker"; exit 1; }
 
 echo "== fault injection smoke (repro --smoke --faults all --threads 2) =="
 "$repro" --smoke --faults all --threads 2
@@ -114,57 +113,27 @@ if grep -q '"reuse_rate": 0\.000000' BENCH_temporal_coherence.json; then
   echo "coherence smoke: static scenes replayed zero tiles"; exit 1
 fi
 
-echo "== hot-path smoke (repro --smoke hotpath) =="
-# A/B of the span-mask rasterizer against the retained reference path:
-# repro exits non-zero unless pairs, energy, and every shared counter
-# are bit-identical, then times both and writes
-# BENCH_raster_hotpath.json. On top of that, guard against a wall-clock
-# regression: the mask hot path must never be slower than the scalar
-# reference it replaced.
-"$repro" --smoke hotpath
-[ -s BENCH_raster_hotpath.json ] || { echo "hotpath smoke: missing BENCH_raster_hotpath.json"; exit 1; }
-grep -q '"identical_results": true' BENCH_raster_hotpath.json \
-  || { echo "hotpath smoke: mask run was not result-identical"; exit 1; }
-geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' BENCH_raster_hotpath.json)
-[ -n "$geo" ] || { echo "hotpath smoke: no speedup_geomean in JSON"; exit 1; }
-awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
-  || { echo "hotpath smoke: mask path slower than reference (geomean ${geo}x)"; exit 1; }
-
-echo "== geometry front-end smoke (repro --smoke frontend) =="
-# A/B of the incremental geometry front-end (per-draw transform/clip/
-# bin caching with delta binning) against a full per-frame rebuild:
-# repro exits non-zero unless pairs, energy, and every non-geom.*
-# counter are bit-identical across thread counts, reuse on/off, fault
-# storms, a governed budget, and the batch service, then times both and
-# writes BENCH_geometry_frontend.json. On top of that, guard against a
-# wall-clock regression: the cached front-end must never be slower than
-# the rebuild it skips.
-"$repro" --smoke frontend
-[ -s BENCH_geometry_frontend.json ] || { echo "frontend smoke: missing BENCH_geometry_frontend.json"; exit 1; }
-grep -q '"identical_results": true' BENCH_geometry_frontend.json \
-  || { echo "frontend smoke: incremental run was not result-identical"; exit 1; }
-geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' BENCH_geometry_frontend.json)
-[ -n "$geo" ] || { echo "frontend smoke: no speedup_geomean in JSON"; exit 1; }
-awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
-  || { echo "frontend smoke: incremental front-end slower than rebuild (geomean ${geo}x)"; exit 1; }
-
-echo "== broad-phase smoke (repro --smoke broadphase) =="
-# A/B of the screen-space broad phase (pair-infeasible draw pruning +
-# single-occupant tile elision) against a broad-phase-off run: repro
-# exits non-zero unless pairs and every non-image-side counter are
-# bit-identical across thread counts, reuse on/off, fault storms, a
-# governed budget, and the batch service, then times both on the
-# sparse-swarm clips and writes BENCH_broadphase.json. On top of that,
-# guard against a wall-clock regression: pruning must never be slower
-# than rendering everything.
-"$repro" --smoke broadphase
-[ -s BENCH_broadphase.json ] || { echo "broadphase smoke: missing BENCH_broadphase.json"; exit 1; }
-grep -q '"identical_results": true' BENCH_broadphase.json \
-  || { echo "broadphase smoke: pruned run was not result-identical"; exit 1; }
-geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' BENCH_broadphase.json)
-[ -n "$geo" ] || { echo "broadphase smoke: no speedup_geomean in JSON"; exit 1; }
-awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
-  || { echo "broadphase smoke: broad phase slower than off (geomean ${geo}x)"; exit 1; }
+# The timed A/B smokes: the span-mask hot path against the reference
+# rasterizer, the incremental geometry front-end against a full rebuild,
+# and the screen-space broad phase against an unpruned run. repro exits
+# non-zero unless the two arms agree on every result the layer may not
+# move, across thread counts, reuse, fault storms, a governed budget and
+# the batch service, and unless they really ran different modes. On top
+# of that, guard against a wall-clock regression: the on arm must never
+# be slower than the off arm it replaced.
+for ab in hotpath:BENCH_raster_hotpath.json frontend:BENCH_geometry_frontend.json \
+          broadphase:BENCH_broadphase.json; do
+  id=${ab%%:*} artifact=${ab#*:}
+  echo "== $id A/B smoke (repro --smoke $id) =="
+  "$repro" --smoke "$id"
+  [ -s "$artifact" ] || { echo "$id smoke: missing $artifact"; exit 1; }
+  grep -q '"identical_results": true' "$artifact" \
+    || { echo "$id smoke: the on arm was not result-identical to the off arm"; exit 1; }
+  geo=$(sed -n 's/.*"speedup_geomean": \([0-9.]*\).*/\1/p' "$artifact")
+  [ -n "$geo" ] || { echo "$id smoke: no speedup_geomean in $artifact"; exit 1; }
+  awk -v g="$geo" 'BEGIN { exit (g >= 1.0) ? 0 : 1 }' \
+    || { echo "$id smoke: the on arm was slower than the off arm (geomean ${geo}x)"; exit 1; }
+done
 
 echo "== overload governor smoke (repro --smoke overload) =="
 # Sweeps the frame-deadline governor over 100/75/50/25 % cycle budgets
