@@ -5,13 +5,18 @@
 //! must show up in review — and (b) the exact values on a fixed scene,
 //! which guards the whole simulated pipeline against silent behavioural
 //! drift the same way the determinism suite guards thread-invariance.
+//! The values are pinned under three policies: the all-off library
+//! default, the CLI's (every layer on), and the CLI's under a tight
+//! governor, so replayed, broad-phase-skipped, coarsened and shed tiles
+//! are all covered.
 //! Also round-trips the Chrome trace-event export through the crate's
 //! own JSON parser and checks the schema fields the viewers rely on.
 
+use rbcd_bench::cli::CliOptions;
 use rbcd_bench::runner::{run_gpu, run_gpu_traced};
 use rbcd_bench::RunOptions;
-use rbcd_core::RbcdConfig;
-use rbcd_gpu::GpuConfig;
+use rbcd_core::{ObjectPair, RbcdConfig};
+use rbcd_gpu::{GovernorConfig, GpuConfig};
 use rbcd_math::Viewport;
 use rbcd_trace::json::{self, Value};
 
@@ -219,6 +224,205 @@ const GOLDEN_VALUES: &[(&str, u64)] = &[
     ("rbcd.zeb_list_reads", 19524),
     ("rbcd.zeb_list_writes", 13974),
     ("tile.scan_skipped", 4586),
+];
+
+/// The CLI policy (`CliOptions::default()`: reuse, mask hot path,
+/// incremental front-end, broad phase) at the golden scene's 192x128
+/// viewport, over `cap`'s first 3 frames.
+fn cli_opts() -> RunOptions {
+    let mut opts = CliOptions::default().run_options();
+    opts.gpu.viewport = Viewport::new(192, 128);
+    opts
+}
+
+/// Renders 3 frames of `cap` under `opts` and checks the full counter
+/// set, the pair set, and the bit patterns of the simulated seconds
+/// and energy.
+fn assert_pinned(
+    opts: &RunOptions,
+    counters: &[(&str, u64)],
+    pairs: &[(u32, u32)],
+    bits: (u64, u64),
+) {
+    let run = run_gpu(&rbcd_workloads::cap(), 3, opts, Some(RbcdConfig::default()));
+    let got: Vec<(&str, u64)> = run.counters.iter().collect();
+    assert_eq!(got, counters, "counter values drifted");
+    let want: Vec<ObjectPair> = pairs.iter().map(|&(a, b)| ObjectPair::new(a, b)).collect();
+    assert_eq!(run.pairs.into_iter().collect::<Vec<_>>(), want, "pair set drifted");
+    assert_eq!((run.seconds.to_bits(), run.energy_j.to_bits()), bits, "seconds or energy drifted");
+}
+
+/// The policy people run: every layer the CLI turns on, so replays
+/// (115 of 288 tiles) and broad-phase skips (252) both reach the pin.
+#[test]
+fn golden_counter_values_under_the_cli_policy() {
+    assert_pinned(
+        &cli_opts(),
+        CLI_VALUES,
+        &[(26, 41), (28, 30)],
+        (0x3f64_c397_efcb_547d, 0x3f3b_5984_b163_11cd),
+    );
+}
+
+/// The CLI policy under a tight governor: the broad phase goes inert,
+/// and the frame sheds (216 tiles), replays (36) and coarsens (3).
+#[test]
+fn golden_counter_values_under_a_governed_cli_policy() {
+    let mut opts = cli_opts();
+    opts.policy = opts.policy.with_governor(Some(GovernorConfig {
+        frame_budget_cycles: 10_000,
+        coarsen_prims: 8,
+        ..GovernorConfig::default()
+    }));
+    assert_pinned(&opts, GOVERNED_VALUES, &[], (0x3f62_e19d_9450_03a3, 0x3f37_121f_025f_06aa));
+}
+
+const CLI_VALUES: &[(&str, u64)] = &[
+    ("broadphase.objects_infeasible", 68),
+    ("broadphase.objects_swept", 132),
+    ("broadphase.sweep_cycles", 890),
+    ("broadphase.tiles_skipped", 252),
+    ("coherence.draw_hashes", 321),
+    ("coherence.signature_cycles", 10136),
+    ("coherence.tiles_checked", 288),
+    ("coherence.tiles_reused", 115),
+    ("frames", 3),
+    ("geom.bin_splices", 7666),
+    ("geom.reuse_draws", 126),
+    ("geom.shaded_draws", 195),
+    ("geometry.bin_entries", 34160),
+    ("geometry.cycles", 888047),
+    ("geometry.draws_quarantined", 0),
+    ("geometry.prim_records", 30967),
+    ("geometry.tile_cache_store_accesses", 65127),
+    ("geometry.tile_cache_store_misses", 21346),
+    ("geometry.triangles_after_clip", 134745),
+    ("geometry.triangles_assembled", 134742),
+    ("geometry.triangles_clipped_out", 0),
+    ("geometry.triangles_culled", 18612),
+    ("geometry.triangles_degenerate", 85166),
+    ("geometry.triangles_tagged", 44520),
+    ("geometry.vertex_cache_accesses", 67908),
+    ("geometry.vertex_cache_misses", 17037),
+    ("geometry.vertices_shaded", 67908),
+    ("geometry.vp_busy_cycles", 507192),
+    ("governor.breaker_trips", 0),
+    ("governor.budget_cycles", 0),
+    ("governor.stale_pairs", 0),
+    ("governor.tiles_coarsened", 0),
+    ("governor.tiles_shed", 0),
+    ("raster.cycles", 125822),
+    ("raster.fp_busy_cycles", 244348),
+    ("raster.fp_idle_cycles", 19756),
+    ("raster.fragments_collisionable", 21008),
+    ("raster.fragments_rasterized", 44293),
+    ("raster.fragments_shaded", 19676),
+    ("raster.fragments_to_early_z", 32823),
+    ("raster.pixels_covered", 9216),
+    ("raster.primitives_fetched", 34160),
+    ("raster.rows_empty", 24521),
+    ("raster.rows_full", 15581),
+    ("raster.tile_cache_load_accesses", 68320),
+    ("raster.tile_cache_load_misses", 23458),
+    ("raster.tiles_processed", 288),
+    ("raster.zeb_stall_cycles", 0),
+    ("rbcd.elements_scanned", 21006),
+    ("rbcd.eq_comparisons", 13266),
+    ("rbcd.ff_drops", 0),
+    ("rbcd.insert_cycles", 21008),
+    ("rbcd.insertions", 21008),
+    ("rbcd.lists_scanned", 8330),
+    ("rbcd.lt_comparisons", 168064),
+    ("rbcd.mux_shifts", 21008),
+    ("rbcd.overflows", 2),
+    ("rbcd.pairs_emitted", 75),
+    ("rbcd.priority_encodes", 10503),
+    ("rbcd.register_ops", 21006),
+    ("rbcd.rescan_passes", 0),
+    ("rbcd.rung_cpu", 0),
+    ("rbcd.rung_rescan", 0),
+    ("rbcd.rung_spare", 0),
+    ("rbcd.scan_cycles", 29336),
+    ("rbcd.spare_allocations", 0),
+    ("rbcd.tiles", 288),
+    ("rbcd.unmatched_backs", 0),
+    ("rbcd.zeb_list_reads", 29338),
+    ("rbcd.zeb_list_writes", 21008),
+    ("tile.scan_skipped", 6876),
+];
+
+const GOVERNED_VALUES: &[(&str, u64)] = &[
+    ("broadphase.objects_infeasible", 0),
+    ("broadphase.objects_swept", 0),
+    ("broadphase.sweep_cycles", 0),
+    ("broadphase.tiles_skipped", 0),
+    ("coherence.draw_hashes", 321),
+    ("coherence.signature_cycles", 743),
+    ("coherence.tiles_checked", 288),
+    ("coherence.tiles_reused", 36),
+    ("frames", 3),
+    ("geom.bin_splices", 7666),
+    ("geom.reuse_draws", 126),
+    ("geom.shaded_draws", 195),
+    ("geometry.bin_entries", 34160),
+    ("geometry.cycles", 888063),
+    ("geometry.draws_quarantined", 0),
+    ("geometry.prim_records", 30967),
+    ("geometry.tile_cache_store_accesses", 65127),
+    ("geometry.tile_cache_store_misses", 21356),
+    ("geometry.triangles_after_clip", 134745),
+    ("geometry.triangles_assembled", 134742),
+    ("geometry.triangles_clipped_out", 0),
+    ("geometry.triangles_culled", 18612),
+    ("geometry.triangles_degenerate", 85166),
+    ("geometry.triangles_tagged", 44520),
+    ("geometry.vertex_cache_accesses", 67908),
+    ("geometry.vertex_cache_misses", 17037),
+    ("geometry.vertices_shaded", 67908),
+    ("geometry.vp_busy_cycles", 507192),
+    ("governor.breaker_trips", 0),
+    ("governor.budget_cycles", 30000),
+    ("governor.stale_pairs", 0),
+    ("governor.tiles_coarsened", 3),
+    ("governor.tiles_shed", 216),
+    ("raster.cycles", 33876),
+    ("raster.fp_busy_cycles", 221708),
+    ("raster.fp_idle_cycles", 3876),
+    ("raster.fragments_collisionable", 32),
+    ("raster.fragments_rasterized", 25464),
+    ("raster.fragments_shaded", 18473),
+    ("raster.fragments_to_early_z", 25448),
+    ("raster.pixels_covered", 18432),
+    ("raster.primitives_fetched", 398),
+    ("raster.rows_empty", 2521),
+    ("raster.rows_full", 1505),
+    ("raster.tile_cache_load_accesses", 796),
+    ("raster.tile_cache_load_misses", 237),
+    ("raster.tiles_processed", 72),
+    ("raster.zeb_stall_cycles", 0),
+    ("rbcd.elements_scanned", 32),
+    ("rbcd.eq_comparisons", 16),
+    ("rbcd.ff_drops", 0),
+    ("rbcd.insert_cycles", 32),
+    ("rbcd.insertions", 32),
+    ("rbcd.lists_scanned", 16),
+    ("rbcd.lt_comparisons", 1024),
+    ("rbcd.mux_shifts", 32),
+    ("rbcd.overflows", 0),
+    ("rbcd.pairs_emitted", 0),
+    ("rbcd.priority_encodes", 16),
+    ("rbcd.register_ops", 32),
+    ("rbcd.rescan_passes", 0),
+    ("rbcd.rung_cpu", 0),
+    ("rbcd.rung_rescan", 0),
+    ("rbcd.rung_spare", 0),
+    ("rbcd.scan_cycles", 48),
+    ("rbcd.spare_allocations", 0),
+    ("rbcd.tiles", 72),
+    ("rbcd.unmatched_backs", 0),
+    ("rbcd.zeb_list_reads", 48),
+    ("rbcd.zeb_list_writes", 32),
+    ("tile.scan_skipped", 16),
 ];
 
 #[test]
