@@ -287,7 +287,7 @@ fn bench_rbcd_unit_tile() {
     let tile = TileCoord { x: 0, y: 0 };
     bench("rbcd_unit_tile_1024_fragments", || {
         unit.new_frame();
-        let out = worker.process_tile(tile, &frags);
+        let out = worker.process_tile(tile, &frags, 0);
         unit.merge_tile(tile, out, 0, 1024);
         unit.take_contacts().len()
     });

@@ -71,41 +71,29 @@ impl ZebTileWorker {
     /// Inserts `frags` (the tile's tile-local stream, in pipeline order)
     /// straight into the ZEB and scans the tile, running the degradation
     /// ladder over the same slice when the tile overflows.
-    pub fn process_tile(&mut self, tile: TileCoord, frags: &[CollisionFragment]) -> TileCollisions {
-        self.run(tile, frags, self.config)
-    }
-
-    /// Like [`ZebTileWorker::process_tile`], but with the effective list
-    /// capacity `M` boosted by `boost` doublings — the overload
-    /// governor's scan-coarsening rung. A boosted tile skips the
-    /// base-capacity passes an overflow storm would doom, trading the
-    /// larger one-shot scan for the ladder's repeated rescans. `boost ==
-    /// 0` is exactly `process_tile`.
-    pub fn process_tile_boosted(
+    ///
+    /// A nonzero `boost` raises the effective list capacity `M` by that
+    /// many doublings — the overload governor's scan-coarsening rung. A
+    /// boosted tile skips the base-capacity passes an overflow storm
+    /// would doom, trading the larger one-shot scan for the ladder's
+    /// repeated rescans. At `boost == 0` the unit's configured geometry
+    /// runs unchanged.
+    pub fn process_tile(
         &mut self,
         tile: TileCoord,
         frags: &[CollisionFragment],
         boost: u8,
     ) -> TileCollisions {
-        if boost == 0 {
-            return self.process_tile(tile, frags);
-        }
-        let m = self.config.list_capacity.saturating_mul(1usize << (boost.min(24) as usize));
-        // The boosted geometry mirrors the ladder's own rescan rung: the
-        // scan stack widens alongside the lists, preserving the
-        // "stack capacity >= list capacity" soundness structure.
-        let ff_stack_capacity = m.max(self.config.ff_stack_capacity);
-        self.run(tile, frags, RbcdConfig { list_capacity: m, ff_stack_capacity, ..self.config })
-    }
-
-    /// Re-forms the ZEB and FF-Stack to `config`'s geometry and runs the
-    /// tile through the ladder.
-    fn run(
-        &mut self,
-        tile: TileCoord,
-        frags: &[CollisionFragment],
-        config: RbcdConfig,
-    ) -> TileCollisions {
+        let config = if boost == 0 {
+            self.config
+        } else {
+            let m = self.config.list_capacity.saturating_mul(1usize << (boost.min(24) as usize));
+            // The boosted geometry mirrors the ladder's own rescan rung:
+            // the scan stack widens alongside the lists, preserving the
+            // "stack capacity >= list capacity" soundness structure.
+            let ff_stack_capacity = m.max(self.config.ff_stack_capacity);
+            RbcdConfig { list_capacity: m, ff_stack_capacity, ..self.config }
+        };
         self.zeb.reshape(config.list_capacity, config.spare_entries);
         self.stack.set_capacity(config.ff_stack_capacity);
         ladder_zeb_tile(&mut self.zeb, &mut self.stack, &config, tile, self.tile_size, frags)
@@ -125,6 +113,7 @@ impl ParallelCollision for OracleUnit {
         _worker: &mut Self::Worker,
         _tile: TileCoord,
         frags: &[CollisionFragment],
+        _boost: u8,
     ) -> Self::TileOut {
         frags.to_vec()
     }
@@ -175,7 +164,7 @@ mod tests {
         let config = RbcdConfig::default();
         let tile = TileCoord { x: 0, y: 0 };
         let mut worker = ZebTileWorker::new(config, 16);
-        let out = worker.process_tile(tile, &tile_frags());
+        let out = worker.process_tile(tile, &tile_frags(), 0);
 
         let mut merged = RbcdUnit::new(config, 16).unwrap();
         ParallelCollision::merge_tile(&mut merged, tile, out.clone(), 0, 40);
@@ -258,7 +247,7 @@ mod tests {
         let fresh: Vec<TileCollisions> = cases
             .iter()
             .map(|(frags, boost)| {
-                ZebTileWorker::new(config, 16).process_tile_boosted(T0, frags, *boost)
+                ZebTileWorker::new(config, 16).process_tile(T0, frags, *boost)
             })
             .collect();
         let rungs = fresh.iter().fold(RbcdStats::default(), |mut acc, out| {
@@ -275,7 +264,7 @@ mod tests {
         let order = (0..cases.len()).chain((0..cases.len()).rev());
         for (step, k) in order.enumerate() {
             let (frags, boost) = &cases[k];
-            let out = worker.process_tile_boosted(T0, frags, *boost);
+            let out = worker.process_tile(T0, frags, *boost);
             assert_eq!(out.contacts, fresh[k].contacts, "step {step}, case {k}");
             assert_eq!(out.stats, fresh[k].stats, "step {step}, case {k}");
             assert_eq!(out.escalated, fresh[k].escalated, "step {step}, case {k}");

@@ -460,17 +460,9 @@ impl ParallelCollision for RbcdUnit {
         worker: &mut Self::Worker,
         tile: TileCoord,
         frags: &[CollisionFragment],
-    ) -> Self::TileOut {
-        worker.process_tile(tile, frags)
-    }
-
-    fn process_boosted_tile(
-        worker: &mut Self::Worker,
-        tile: TileCoord,
-        frags: &[CollisionFragment],
         boost: u8,
     ) -> Self::TileOut {
-        worker.process_tile_boosted(tile, frags, boost)
+        worker.process_tile(tile, frags, boost)
     }
 
     fn next_free(&self) -> u64 {
@@ -636,7 +628,7 @@ mod tests {
         start: u64,
         end: u64,
     ) {
-        let out = unit.make_worker().process_tile(tile, frags);
+        let out = unit.make_worker().process_tile(tile, frags, 0);
         unit.merge_tile(tile, out, start, end);
     }
 

@@ -46,7 +46,7 @@ fn interval_set(rng: &mut Rng) -> Vec<CollisionFragment> {
 
 fn run_hardware(frags: &[CollisionFragment], config: RbcdConfig) -> RbcdUnit {
     let mut unit = RbcdUnit::new(config, 16).unwrap();
-    let out = unit.make_worker().process_tile(TILE, frags);
+    let out = unit.make_worker().process_tile(TILE, frags, 0);
     unit.merge_tile(TILE, out, 0, 1000);
     unit
 }

@@ -18,9 +18,9 @@
 //! 2. **A deterministic interval sweep** over per-object union bounds
 //!    (sorted by minimum x, then object id) marking the pair-feasible
 //!    object set ([`plan_frame`]).
-//! 3. **A per-tile skip mask**: a tile is skippable iff no two
-//!    distinct pair-feasible objects binned into it have feasibly
-//!    overlapping bounds.
+//! 3. **Per-tile skip verdicts**: a tile's plan becomes `SkipImage`
+//!    iff no two distinct pair-feasible objects binned into it have
+//!    feasibly overlapping bounds.
 //!
 //! ## Exactness contract
 //!
@@ -58,7 +58,7 @@
 //!   keeps every golden counter pinned; the CLI defaults on with
 //!   `--broadphase off` as the opt-out.
 //! * **Temporal reuse** folds the broad-phase mode into the frame seed
-//!   and the per-tile skip bit into each tile signature, so cached
+//!   and the per-tile skip verdict into each tile signature, so cached
 //!   tiles only replay under the exact pruning that produced them.
 //! * **The overload governor takes precedence**: a governed frame is
 //!   never pruned. The deadline ladder's shed and coarsening decisions
@@ -71,6 +71,7 @@
 //!   full render cost.
 
 use crate::command::{FrameTrace, ObjectId};
+use crate::parallel::{TilePlan, TileVerdict};
 use crate::raster::ScreenTriangle;
 use crate::sim::BinnedTiles;
 use crate::stats::BroadphaseStats;
@@ -179,18 +180,18 @@ pub(crate) struct SweepScratch {
     present: Vec<u32>,
 }
 
-/// Computes the frame's broad-phase plan: per-object bounds fold,
-/// deterministic interval sweep, and the per-tile skip mask (one bool
-/// per *active-list position*, parallel to `bins.active()`). Pure
-/// main-thread work over the binned frame, so the plan — like the
-/// reuse and coarsening plans — is thread-count invariant by
-/// construction.
+/// The broad-phase pass of the frame plan: per-object bounds fold,
+/// deterministic interval sweep, and a `SkipImage` verdict for every
+/// pair-free tile of `plan` (one entry per *active-list position*,
+/// parallel to `bins.active()`). Pure planning-thread work over the
+/// binned frame, so the verdicts — like the reuse and coarsening
+/// passes after it — are thread-count invariant by construction.
 pub(crate) fn plan_frame(
     trace: &FrameTrace,
     bins: &BinnedTiles,
     draw_bounds: &[DrawBounds],
     scratch: &mut SweepScratch,
-    skip: &mut Vec<bool>,
+    plan: &mut [TilePlan],
 ) -> BroadphaseStats {
     let mut stats = BroadphaseStats::default();
 
@@ -262,12 +263,11 @@ pub(crate) fn plan_frame(
     stats.objects_infeasible = scratch.feasible.iter().filter(|&&f| !f).count() as u64;
     stats.sweep_cycles = 16 + 4 * n as u64 + compares;
 
-    // Per-tile skip mask: collect the distinct pair-feasible objects
+    // Per-tile verdicts: collect the distinct pair-feasible objects
     // binned into the tile (an object with no feasible partner anywhere
     // cannot form one here either), then test the survivors pairwise.
-    skip.clear();
     let records = bins.records();
-    for &ti in bins.active() {
+    for (tp, &ti) in plan.iter_mut().zip(bins.active()) {
         scratch.present.clear();
         let mut unknown = false;
         for &rid in bins.tile(ti as usize) {
@@ -297,8 +297,10 @@ pub(crate) fn plan_frame(
                 }
             }
         }
-        skip.push(!pair_feasible);
-        stats.tiles_skipped += !pair_feasible as u64;
+        if !pair_feasible {
+            tp.verdict = TileVerdict::SkipImage;
+            stats.tiles_skipped += 1;
+        }
     }
     stats
 }
@@ -375,9 +377,10 @@ mod tests {
         draw_bounds: &[DrawBounds],
     ) -> (BroadphaseStats, Vec<bool>) {
         let mut scratch = SweepScratch::default();
-        let mut skip = Vec::new();
-        let stats = plan_frame(trace, bins, draw_bounds, &mut scratch, &mut skip);
-        (stats, skip)
+        let render = TilePlan { verdict: TileVerdict::Render { boost: 0 }, sig: 0 };
+        let mut plan = vec![render; bins.active().len()];
+        let stats = plan_frame(trace, bins, draw_bounds, &mut scratch, &mut plan);
+        (stats, plan.iter().map(|tp| tp.verdict == TileVerdict::SkipImage).collect())
     }
 
     #[test]

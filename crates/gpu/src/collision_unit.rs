@@ -73,7 +73,7 @@ impl ParallelCollision for NullCollisionUnit {
 
     fn make_worker(&self) -> Self::Worker {}
 
-    fn process_tile(_worker: &mut (), _tile: TileCoord, _frags: &[CollisionFragment]) {}
+    fn process_tile(_worker: &mut (), _tile: TileCoord, _frags: &[CollisionFragment], _boost: u8) {}
 
     fn next_free(&self) -> u64 {
         0
@@ -166,7 +166,7 @@ mod tests {
             object: ObjectId::new(1),
             facing: Facing::Front,
         };
-        NullCollisionUnit::process_tile(&mut u.make_worker(), tile, &[frag]);
+        NullCollisionUnit::process_tile(&mut u.make_worker(), tile, &[frag], 0);
         u.merge_tile(tile, (), 100, 200);
         assert_eq!(u.next_free(), 0);
         assert_eq!(u.idle_at(), 0);

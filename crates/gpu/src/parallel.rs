@@ -9,9 +9,9 @@
 //!
 //! 1. **Plan phase** (`plan_raster`) — one thread per session (the
 //!    caller for a lone frame, a pool thread in a multi-session batch)
-//!    computes the temporal-coherence reuse plan, the broad-phase skip
-//!    mask, and the governor's coarsening plan from the binned frame
-//!    alone, so all three are thread-count invariant by construction.
+//!    gives each active tile one [`TilePlan`] — broad phase, then
+//!    reuse, then coarsening — from the binned frame alone, so the plan
+//!    is thread-count invariant by construction.
 //! 2. **Compute phase** (worker pools only) — workers claim tiles from
 //!    the shared binned list via an atomic cursor. Each worker owns a
 //!    private [`TileWorker`] (z-buffer + fragment scratch) and a private
@@ -20,12 +20,12 @@
 //!    [`TileComputeCtx`], an immutable `Sync` view of the planned frame.
 //! 3. **Merge phase** (`merge_raster`) — one thread per session walks
 //!    tiles in ascending tile index (the hardware's dispatch order),
-//!    replays the shared tile-cache accesses, folds per-tile stats, and
-//!    replays the timing protocol (ZEB claim, scan-unit serialization)
-//!    against the backend. With one worker there is no compute phase:
-//!    the merge computes each fresh tile when it reaches it, on the
-//!    simulator's resident [`TileWorker`], so a frame holds one tile's
-//!    results at a time.
+//!    replays the shared tile-cache accesses, folds per-tile stats,
+//!    charges the timeline by verdict, and replays the timing protocol
+//!    (ZEB claim, scan-unit serialization) against the backend. With one
+//!    worker there is no compute phase: the merge computes each fresh
+//!    tile when it reaches it, on the simulator's resident
+//!    [`TileWorker`], so a frame holds one tile's results at a time.
 //!
 //! Everything order-dependent — cache hit/miss sequences, the cycle
 //! timeline, ZEB double-buffer claims, contact emission order — happens
@@ -46,10 +46,11 @@ use crate::command::{FrameTrace, ObjectId};
 use crate::config::GpuConfig;
 use crate::service::{render_batch, BatchJob};
 use crate::sim::{
-    accumulate_reused_tile, accumulate_tile, finalize_raster_timing, replay_tile_cache,
-    BinnedTiles, GovernorFrameReport, PipelineMode, Simulator, TileRasterOut, TileWorker,
+    finalize_raster_timing, fold_tile, render_cycles, replay_tile_cache, BinnedTiles,
+    GovernorFrameReport, PipelineMode, Simulator, TileRasterOut, TileWorker,
 };
 use crate::stats::{BroadphaseStats, CoherenceStats, FrameStats, RasterStats};
+use rbcd_trace::TileMark;
 
 /// A collision backend attached at the rasterizer's
 /// collisionable-fragment output (the paper's Figure 3).
@@ -88,27 +89,17 @@ pub trait ParallelCollision: Send {
     /// fragment names its pixel within the tile and carries its depth
     /// already quantized. The slice is the tile's arrival-order buffer,
     /// so a backend may replay it (the degradation ladder does).
+    ///
+    /// A coarsened tile (governor policy rung 2) carries a nonzero
+    /// `boost`: the backend should raise its effective per-list
+    /// capacity by `boost` doublings for this tile only. Backends
+    /// without a capacity notion ignore it.
     fn process_tile(
         worker: &mut Self::Worker,
         tile: TileCoord,
         frags: &[CollisionFragment],
-    ) -> Self::TileOut;
-
-    /// Like [`ParallelCollision::process_tile`], but carrying the
-    /// overload governor's capacity boost for a coarsened tile (policy
-    /// rung 2): the backend should raise its effective per-list
-    /// capacity by `boost` doublings for this tile only. `boost == 0`
-    /// must behave exactly like `process_tile`. Backends without a
-    /// capacity notion ignore the hint — the default does.
-    fn process_boosted_tile(
-        worker: &mut Self::Worker,
-        tile: TileCoord,
-        frags: &[CollisionFragment],
         boost: u8,
-    ) -> Self::TileOut {
-        let _ = boost;
-        Self::process_tile(worker, tile, frags)
-    }
+    ) -> Self::TileOut;
 
     /// Earliest cycle at which a ZEB is free — the merge phase's tile
     /// dispatch gate. A later cycle stalls the Tile Scheduler until
@@ -150,6 +141,40 @@ pub trait ParallelCollision: Send {
 /// active-list position (`None` for reused tiles).
 pub(crate) type TileSlots<B> = Vec<Option<(TileRasterOut, <B as ParallelCollision>::TileOut)>>;
 
+/// What the plan decided for one active tile. The merge acts on it
+/// exactly, except that a governor past its deadline may shed any tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TileVerdict {
+    /// Rasterize the tile and analyse its collisionable fragments, at
+    /// the governor's capacity boost for a coarsened tile.
+    Render { boost: u8 },
+    /// The broad phase proved the tile pair-free: rasterize only its
+    /// collidable primitives, skip Early-Z and shading, and charge the
+    /// list walk instead of the raster span.
+    SkipImage,
+    /// Replay the tile's cached result; no worker touches the tile.
+    Replay,
+}
+
+impl TileVerdict {
+    /// The trace marks recorded after a merged tile's `tile` span.
+    fn marks(self) -> &'static [TileMark] {
+        match self {
+            TileVerdict::Render { .. } => &[],
+            TileVerdict::SkipImage => &[TileMark::BpSkip],
+            TileVerdict::Replay => &[TileMark::Reuse],
+        }
+    }
+}
+
+/// One active tile's plan: its verdict and its reuse signature (0 when
+/// reuse is off).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TilePlan {
+    pub(crate) verdict: TileVerdict,
+    pub(crate) sig: u64,
+}
+
 /// Where [`Simulator::merge_raster`] finds each fresh (not reused)
 /// tile's results.
 pub(crate) enum FreshTiles<B: ParallelCollision> {
@@ -170,16 +195,9 @@ pub(crate) enum FreshTiles<B: ParallelCollision> {
 pub(crate) struct TileComputeCtx<'a> {
     config: &'a GpuConfig,
     bins: &'a BinnedTiles,
-    /// `(signature, reused)` per active-list position; empty when reuse
-    /// is off.
-    reuse_plan: &'a [(u64, bool)],
-    /// Capacity boost per active-list position; empty when nothing is
-    /// coarsened.
-    boost_plan: &'a [u8],
+    /// One plan per active-list position.
+    plan: &'a [TilePlan],
     governor_blocked: &'a BTreeSet<ObjectId>,
-    /// Broad-phase skip flag per active-list position; empty when the
-    /// broad phase is inert.
-    bp_plan: &'a [bool],
     trace: &'a FrameTrace,
     mode: PipelineMode,
 }
@@ -197,26 +215,11 @@ impl TileComputeCtx<'_> {
         self.config
     }
 
-    /// Whether the reuse plan replays the tile at position `k`.
-    fn reused(&self, k: usize) -> bool {
-        self.reuse_plan.get(k).is_some_and(|&(_, reused)| reused)
-    }
-
-    /// Whether the broad phase proved the tile at position `k` pair-free.
-    fn bp_skip(&self, k: usize) -> bool {
-        self.bp_plan.get(k).copied().unwrap_or(false)
-    }
-
-    /// The governor's capacity boost for the tile at position `k`.
-    fn boost(&self, k: usize) -> u8 {
-        self.boost_plan.get(k).copied().unwrap_or(0)
-    }
-
     /// Processes the tile at active-list position `k`: rasterization
     /// into `tw`'s private scratch, the governor's blocked-object
     /// filter, and the collision backend's per-tile analysis on `cw`.
-    /// Returns `None` for tiles the reuse plan marked replayed — no
-    /// worker may touch them. Pure per-tile work: identical output for
+    /// Returns `None` for tiles the plan replays — no worker may touch
+    /// them. Pure per-tile work: identical output for
     /// a given `k` regardless of thread, claim order, or what other
     /// sessions share the pool.
     pub(crate) fn compute_tile<B: ParallelCollision>(
@@ -225,9 +228,11 @@ impl TileComputeCtx<'_> {
         tw: &mut TileWorker,
         cw: &mut B::Worker,
     ) -> Option<(TileRasterOut, B::TileOut)> {
-        if self.reused(k) {
-            return None;
-        }
+        let (skip_image, boost) = match self.plan[k].verdict {
+            TileVerdict::Render { boost } => (false, boost),
+            TileVerdict::SkipImage => (true, 0),
+            TileVerdict::Replay => return None,
+        };
         let ti = self.bins.active()[k];
         let tiles_x = self.config.tiles_x();
         let tile = TileCoord { x: ti % tiles_x, y: ti / tiles_x };
@@ -240,13 +245,13 @@ impl TileComputeCtx<'_> {
             ids,
             records,
             self.mode,
-            self.bp_skip(k),
+            skip_image,
         );
         if !self.governor_blocked.is_empty() {
             tw.coll_frags.retain(|f| !self.governor_blocked.contains(&f.object));
             out.coll_frags = tw.coll_frags.len() as u64;
         }
-        let cout = B::process_boosted_tile(cw, tile, &tw.coll_frags, self.boost(k));
+        let cout = B::process_tile(cw, tile, &tw.coll_frags, boost);
         Some((out, cout))
     }
 }
@@ -274,13 +279,17 @@ impl Simulator {
             .remove(0)
     }
 
-    /// Plan phase: temporal-coherence reuse decisions, the broad-phase
-    /// skip mask, and the governor's coarsening plan, computed by the
-    /// session's planning thread *before* any tile is, so they depend
-    /// only on the binned frame — never on worker scheduling — and are
-    /// thread-count invariant by construction. The overload governor's
-    /// policy rung 1 forces the reuse machinery on, so signature-stable
-    /// tiles replay cheaply while the frame is under deadline pressure.
+    /// Plan phase: one [`TilePlan`] per active tile, computed by the
+    /// session's planning thread *before* any tile is, so it depends
+    /// only on the binned frame — never on worker scheduling — and is
+    /// thread-count invariant by construction. Three passes refine each
+    /// verdict from `Render { boost: 0 }`, in this order: the broad
+    /// phase marks pair-free tiles `SkipImage`, temporal reuse turns
+    /// every signature match into `Replay`, and the governor's
+    /// coarsening boosts heavy tiles that still render. The overload
+    /// governor's policy rung 1 forces the reuse machinery on, so
+    /// signature-stable tiles replay cheaply while the frame is under
+    /// deadline pressure.
     pub(crate) fn plan_raster<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
@@ -291,35 +300,34 @@ impl Simulator {
         self.tile_cache.reset_stats();
         let gov = self.policy.governor;
         let reuse_on = self.policy.reuse || gov.is_some();
+        self.plan.clear();
+        let fresh = TilePlan { verdict: TileVerdict::Render { boost: 0 }, sig: 0 };
+        self.plan.resize(self.bins.active().len(), fresh);
 
-        // Broad-phase plan: a main-thread pass over the binned frame,
-        // like the reuse and coarsening plans, so the skip mask is
-        // thread-count invariant by construction. Inert in baseline
-        // mode (no pairs to preserve) and under a governor (the
-        // deadline ladder's shed decisions are cursor-driven and take
-        // precedence — see `FramePolicy::broadphase`).
-        let bp_active = self.policy.broadphase == BroadPhase::On
+        // Broad phase. Inert in baseline mode (no pairs to preserve) and
+        // under a governor (the deadline ladder's shed decisions are
+        // cursor-driven and take precedence — see
+        // `FramePolicy::broadphase`).
+        let pruning = self.policy.broadphase == BroadPhase::On
             && mode != PipelineMode::Baseline
             && gov.is_none();
-        self.bp_active = bp_active;
-        self.bp_plan.clear();
-        self.bp_stats = if bp_active {
+        self.bp_stats = if pruning {
             broadphase::plan_frame(
                 trace,
                 &self.bins,
                 &self.draw_bounds,
                 &mut self.bp_scratch,
-                &mut self.bp_plan,
+                &mut self.plan,
             )
         } else {
             BroadphaseStats::default()
         };
 
-        self.reuse_plan.clear();
+        // Temporal reuse.
         if reuse_on {
-            // The geometry front-end hashed this frame's draws and
-            // folded the hashes into every record's digest; the
-            // simulated per-draw hand-off is charged per hash here.
+            // The geometry front-end hashed every draw command of the
+            // frame and folded the hashes into every record's digest;
+            // the simulated per-draw hand-off is charged per hash here.
             co.draw_hashes = self.draw_hashes.len() as u64;
             // The blocked-object filter changes what the backend sees,
             // so the blocked set is folded into the frame seed: cached
@@ -330,10 +338,10 @@ impl Simulator {
                 key = (key ^ (0x5EDB_10C7 ^ id.get() as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 key ^= key >> 29;
             }
-            let seed = coherence::frame_seed(&self.config, mode, key, bp_active);
+            let seed = coherence::frame_seed(&self.config, mode, key, pruning);
             self.result_cache
                 .ensure_tiles((self.config.tiles_x() * self.config.tiles_y()) as usize);
-            for (k, &ti) in self.bins.active().iter().enumerate() {
+            for (tp, &ti) in self.plan.iter_mut().zip(self.bins.active()) {
                 let ids = self.bins.tile(ti as usize);
                 let raw = coherence::tile_signature(seed, ids, self.bins.records());
                 // A tile's skip verdict depends on *other* draws'
@@ -341,41 +349,41 @@ impl Simulator {
                 // content (and therefore `raw`) stays equal; folding
                 // the verdict in keeps every cached capsule tied to
                 // the exact pass that produced it.
-                let sig = if bp_active {
-                    coherence::mix(raw, 1 + self.bp_plan[k] as u64)
+                tp.sig = if pruning {
+                    coherence::mix(raw, 1 + (tp.verdict == TileVerdict::SkipImage) as u64)
                 } else {
                     raw
                 };
-                let reused = self.result_cache.matches::<B::TileOut>(ti as usize, sig);
                 co.tiles_checked += 1;
-                co.tiles_reused += reused as u64;
-                self.reuse_plan.push((sig, reused));
+                if self.result_cache.matches::<B::TileOut>(ti as usize, tp.sig) {
+                    tp.verdict = TileVerdict::Replay;
+                    co.tiles_reused += 1;
+                }
             }
         }
 
-        // Coarsening plan (policy rung 2): when the projected frame
-        // cost exceeds the budget, the heaviest fresh tiles get their
+        // Coarsening (policy rung 2): when the projected frame cost
+        // exceeds the budget, the heaviest rendered tiles get their
         // collision capacity pre-elevated, skipping base-capacity
         // passes that an overflow storm would doom anyway.
-        self.boost_plan.clear();
         if let Some(g) = gov {
             if g.frame_budget_cycles > 0 && g.coarsen_shift > 0 {
+                let prims = |ti: u32| self.bins.tile(ti as usize).len();
                 let mut projected = 0u64;
-                for (k, &ti) in self.bins.active().iter().enumerate() {
-                    let prims = self.bins.tile(ti as usize).len() as u64;
-                    projected += if self.reuse_plan[k].1 {
-                        coherence::signature_check_cycles(prims)
+                for (tp, &ti) in self.plan.iter().zip(self.bins.active()) {
+                    let n = prims(ti) as u64;
+                    projected += if tp.verdict == TileVerdict::Replay {
+                        coherence::signature_check_cycles(n)
                     } else {
-                        prims + self.config.tile_overhead_cycles
+                        n + self.config.tile_overhead_cycles
                     };
                 }
                 if projected > g.frame_budget_cycles {
-                    self.boost_plan.resize(self.bins.active().len(), 0);
-                    for (k, &ti) in self.bins.active().iter().enumerate() {
-                        if !self.reuse_plan[k].1
-                            && self.bins.tile(ti as usize).len() >= g.coarsen_prims
-                        {
-                            self.boost_plan[k] = g.coarsen_shift;
+                    for (tp, &ti) in self.plan.iter_mut().zip(self.bins.active()) {
+                        if let TileVerdict::Render { boost } = &mut tp.verdict {
+                            if prims(ti) >= g.coarsen_prims {
+                                *boost = g.coarsen_shift;
+                            }
                         }
                     }
                 }
@@ -392,29 +400,20 @@ impl Simulator {
         trace: &'a FrameTrace,
         mode: PipelineMode,
     ) -> TileComputeCtx<'a> {
-        let Simulator { config, bins, reuse_plan, boost_plan, governor_blocked, bp_plan, .. } =
-            self;
-        TileComputeCtx {
-            config,
-            bins,
-            reuse_plan,
-            boost_plan,
-            governor_blocked,
-            bp_plan,
-            trace,
-            mode,
-        }
+        let Simulator { config, bins, plan, governor_blocked, .. } = self;
+        TileComputeCtx { config, bins, plan, governor_blocked, trace, mode }
     }
 
     /// Merge phase: tile-index order replays the frame timeline and the
-    /// shared tile cache's access sequence exactly. Reused tiles pull
-    /// their cached outcome; fresh tiles take their results from
+    /// shared tile cache's access sequence exactly. Every tile takes one
+    /// path, driven by its verdict: replayed tiles pull their cached
+    /// outcome; rendered and skipped tiles take their results from
     /// `fresh` — pooled ahead of time, or computed right here as the
     /// merge reaches them — and refresh the cache for the next frame.
     /// Under a governor budget, tiles past the deadline are shed
-    /// (policy rung 3): their results — pooled or cached — are
-    /// discarded (inline, never computed), their objects reported for
-    /// CPU recovery.
+    /// (policy rung 3) whatever their verdict: their results — pooled
+    /// or cached — are discarded (inline, never computed), their
+    /// objects reported for CPU recovery.
     pub(crate) fn merge_raster<B: ParallelCollision>(
         &mut self,
         trace: &FrameTrace,
@@ -426,32 +425,20 @@ impl Simulator {
         let mut r = RasterStats::default();
         let gov = self.policy.governor;
         let reuse_on = self.policy.reuse || gov.is_some();
-        let bp_active = self.bp_active;
-        let bp_sweep = self.bp_stats.sweep_cycles;
         let Simulator {
             config,
             bins,
             worker,
             tile_cache,
             tracer,
-            reuse_plan,
+            plan,
             result_cache,
-            boost_plan,
             governor_blocked,
             governor_report,
-            bp_plan,
+            bp_stats,
             ..
         } = self;
-        let ctx = TileComputeCtx {
-            config,
-            bins,
-            reuse_plan,
-            boost_plan,
-            governor_blocked,
-            bp_plan,
-            trace,
-            mode,
-        };
+        let ctx = TileComputeCtx { config, bins, plan, governor_blocked, trace, mode };
         let mut fresh_tile = |k: usize| {
             match &mut fresh {
                 FreshTiles::Pooled(slots) => slots[k].take(),
@@ -469,25 +456,16 @@ impl Simulator {
             .map(|g| GovernorFrameReport { budget_cycles: g.frame_budget_cycles, ..Default::default() });
         let mut max_tile_cycles = 0u64;
         let mut coarsened = 0u64;
-        let mut cursor: u64 = 0;
-        if reuse_on {
-            // Per-draw content hashing, charged once per frame up front
-            // (one digest hand-off cycle per live draw; the hashing
-            // itself piggybacks on the geometry stage's vertex stream).
-            co.signature_cycles += co.draw_hashes;
-            r.fp_idle_cycles += co.draw_hashes;
-            cursor += co.draw_hashes;
-        }
-        if bp_active {
-            // The interval sweep runs once per frame before any tile
-            // starts; like the draw-hash charge above it occupies the
-            // timeline but keeps the fragment pipe idle.
-            r.fp_idle_cycles += bp_sweep;
-            cursor += bp_sweep;
-        }
-        for (k, &ti) in ctx.bins.active().iter().enumerate() {
+        // Draw hashing (one digest hand-off cycle per hash) and the
+        // broad phase's sweep run once before any tile starts, keeping
+        // the fragment pipe idle; each is 0 when its layer is off.
+        co.signature_cycles += co.draw_hashes;
+        let mut cursor = co.draw_hashes + bp_stats.sweep_cycles;
+        r.fp_idle_cycles += cursor;
+        for (k, (&ti, tp)) in ctx.bins.active().iter().zip(ctx.plan).enumerate() {
             let ti_us = ti as usize;
             let tc = coord(ti);
+            // 1. Shed: the merge's one override of the plan.
             if budget > 0 && cursor >= budget {
                 let rep = report.as_mut().expect("a budget implies a governed frame");
                 rep.shed_tiles.push((tc.x, tc.y));
@@ -498,94 +476,78 @@ impl Simulator {
                         rep.shed_objects.insert(object);
                     }
                 }
-                if ctx.reused(k) {
+                if tp.verdict == TileVerdict::Replay {
                     // The planned replay never happens.
                     co.tiles_reused -= 1;
                 }
                 cursor += shed_overhead;
                 if let Some(t) = tracer.as_deref_mut() {
-                    t.record_tile_shed(tc.x, tc.y, cursor);
+                    t.record_tile_mark(tc.x, tc.y, TileMark::Shed, cursor);
                 }
                 continue;
             }
-            // The Tile Fetcher still walks the polygon list either way
-            // (the signature check reads it), so the shared tile-cache
-            // access sequence — and its counters — stay bit-identical
-            // with reuse on or off.
+            // 2. The Tile Fetcher walks the polygon list whatever the
+            // verdict (the signature check reads it), so the tile-cache
+            // counters stay bit-identical with reuse on or off.
             replay_tile_cache(tile_cache, cfg, ti_us, ctx.bins.tile(ti_us));
-            if ctx.reused(k) {
-                let entry = result_cache.get(ti_us).expect("reuse plan vouched for this tile");
-                let out = entry.out;
-                let cout = entry
-                    .capsule
-                    .downcast_ref::<B::TileOut>()
-                    .expect("capsule type checked by the plan")
-                    .clone();
-                let sig_cycles = coherence::signature_check_cycles(out.prim_count);
-                co.signature_cycles += sig_cycles;
-                let start = cursor;
-                let end = accumulate_reused_tile(&mut r, &out, cursor, sig_cycles);
-                backend.replay_tile(tc, cout, start, end);
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.record_tile_raster(tc.x, tc.y, start, end, out.frags);
-                    t.record_tile_reuse(tc.x, tc.y, start);
-                }
-                max_tile_cycles = max_tile_cycles.max(end - cursor);
-                cursor = end;
-            } else if ctx.bp_skip(k) {
-                // Broad phase proved no feasible pair can touch this
-                // tile: the worker already skipped the image-side
-                // work, so the merge charges only the list walk (plus
-                // the signature check when reuse is on — the check
-                // still ran and missed). The collision capsule is
-                // replayed unchanged: every collisionable fragment
-                // reached the unit exactly as it would have without
-                // pruning, so pairs and `rbcd.*` stay bit-identical.
-                let (out, cout) = fresh_tile(k);
-                let mut replay_cycles = broadphase::skip_replay_cycles(out.prim_count);
-                if reuse_on {
-                    let sig_cycles = coherence::signature_check_cycles(out.prim_count);
-                    co.signature_cycles += sig_cycles;
-                    replay_cycles += sig_cycles;
-                    result_cache.store(ti_us, ctx.reuse_plan[k].0, out, Box::new(cout.clone()));
-                }
-                let start = cursor;
-                let end = accumulate_reused_tile(&mut r, &out, cursor, replay_cycles);
-                backend.replay_tile(tc, cout, start, end);
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.record_tile_raster(tc.x, tc.y, start, end, out.frags);
-                    t.record_tile_bp_skip(tc.x, tc.y, start);
-                }
-                max_tile_cycles = max_tile_cycles.max(end - cursor);
-                cursor = end;
+            // 3. The result: cached for a replay, fresh otherwise.
+            let (out, cout) = if tp.verdict == TileVerdict::Replay {
+                let entry = result_cache.get(ti_us).expect("the plan vouched for this tile");
+                let cout = entry.capsule.downcast_ref::<B::TileOut>();
+                (entry.out, cout.expect("capsule type checked by the plan").clone())
             } else {
-                let (out, cout) = fresh_tile(k);
-                let b = ctx.boost(k);
-                coarsened += (b > 0) as u64;
-                let start = cursor.max(backend.next_free());
-                let mut end = accumulate_tile(&mut r, cfg, &out, cursor, start);
-                if reuse_on {
-                    // The signature was checked (and missed); charge it
-                    // and refresh the cache with the fresh result. A
-                    // coarsened tile's result is *not* cached: it was
-                    // produced at a boosted capacity the plain
-                    // signature does not encode.
-                    let sig_cycles = coherence::signature_check_cycles(out.prim_count);
-                    co.signature_cycles += sig_cycles;
-                    r.fp_idle_cycles += sig_cycles;
-                    end += sig_cycles;
-                    if b == 0 {
-                        let sig = ctx.reuse_plan[k].0;
-                        result_cache.store(ti_us, sig, out, Box::new(cout.clone()));
-                    }
+                fresh_tile(k)
+            };
+            // 4. With reuse on, every tile's signature was checked.
+            let sig_cycles =
+                if reuse_on { coherence::signature_check_cycles(out.prim_count) } else { 0 };
+            co.signature_cycles += sig_cycles;
+            // 5. The workload counters.
+            fold_tile(&mut r, &out);
+            // 6. The timeline: a rendered tile waits for a ZEB and spans
+            // its raster work, a skipped tile pays the list walk, a
+            // replay only the signature check.
+            let (start, span, idle) = match tp.verdict {
+                TileVerdict::Render { boost } => {
+                    coarsened += (boost > 0) as u64;
+                    let start = cursor.max(backend.next_free());
+                    r.zeb_stall_cycles += start - cursor;
+                    let (work, idle) = render_cycles(cfg, &out);
+                    (start, work, idle)
                 }
-                backend.merge_tile(tc, cout, start, end);
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.record_tile_raster(tc.x, tc.y, start, end, out.frags);
+                TileVerdict::SkipImage => {
+                    let walk = broadphase::skip_replay_cycles(out.prim_count);
+                    (cursor, walk, walk)
                 }
-                max_tile_cycles = max_tile_cycles.max(end - cursor);
-                cursor = end;
+                TileVerdict::Replay => (cursor, 0, 0),
+            };
+            r.fp_idle_cycles += idle + sig_cycles;
+            let end = start + span + sig_cycles;
+            // 7. Refresh the cache. A coarsened tile's result is *not*
+            // cached: it was produced at a boosted capacity the plain
+            // signature does not encode.
+            let cacheable =
+                matches!(tp.verdict, TileVerdict::Render { boost: 0 } | TileVerdict::SkipImage);
+            if reuse_on && cacheable {
+                result_cache.store(ti_us, tp.sig, out, Box::new(cout.clone()));
             }
+            // 8. Only a rendered tile claims a ZEB. A skipped tile's
+            // collisionable fragments all reached the unit, as without
+            // pruning, so its pairs and `rbcd.*` stay bit-identical.
+            if let TileVerdict::Render { .. } = tp.verdict {
+                backend.merge_tile(tc, cout, start, end);
+            } else {
+                backend.replay_tile(tc, cout, start, end);
+            }
+            // 9. Trace the tile, then its verdict.
+            if let Some(t) = tracer.as_deref_mut() {
+                t.record_tile_raster(tc.x, tc.y, start, end, out.frags);
+                for &mark in tp.verdict.marks() {
+                    t.record_tile_mark(tc.x, tc.y, mark, start);
+                }
+            }
+            max_tile_cycles = max_tile_cycles.max(end - cursor);
+            cursor = end;
         }
         if let Some(rep) = &mut report {
             rep.used_cycles = cursor;

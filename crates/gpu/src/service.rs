@@ -347,7 +347,7 @@ mod tests {
 
         fn make_worker(&self) {}
 
-        fn process_tile(_: &mut (), _: TileCoord, _: &[CollisionFragment]) {}
+        fn process_tile(_: &mut (), _: TileCoord, _: &[CollisionFragment], _: u8) {}
 
         fn next_free(&self) -> u64 {
             0

@@ -7,7 +7,7 @@ use crate::collision_unit::{quantize_depth, CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
-use crate::parallel::{FreshTiles, ParallelCollision};
+use crate::parallel::{FreshTiles, ParallelCollision, TilePlan};
 use crate::policy::FramePolicy;
 use crate::raster::{rasterize_rows_in_bounds, rasterize_triangle_in_tile, Fragment, ScreenTriangle};
 use crate::service::{self, ServiceError};
@@ -196,7 +196,7 @@ impl TileWorker {
     /// `self.coll_frags`. Pure per-tile work — no cache or
     /// collision-unit access — so tiles can run on any thread.
     ///
-    /// With `bp_skip` set (a broad-phase-pruned tile), image-side work
+    /// With `skip_image` set (a broad-phase-pruned tile), image-side work
     /// is elided: scenery primitives are skipped entirely and Early-Z
     /// never runs. Collidable primitives still rasterize in order, so
     /// `coll_frags` — captured before, and independent of, the depth
@@ -210,7 +210,7 @@ impl TileWorker {
         ids: &[u32],
         records: &[PrimRecord],
         mode: PipelineMode,
-        bp_skip: bool,
+        skip_image: bool,
     ) -> TileRasterOut {
         let tile_pixels = (cfg.tile_size * cfg.tile_size) as usize;
         self.zbuf[..tile_pixels].fill(1.0);
@@ -231,10 +231,10 @@ impl TileWorker {
             let draw = &trace.draws[prim.draw as usize];
             let coll_object =
                 if mode != PipelineMode::Baseline { draw.collidable } else { None };
-            if bp_skip && coll_object.is_none() {
+            if skip_image && coll_object.is_none() {
                 continue; // pruned tile: scenery feeds no consumer
             }
-            let early_z = !prim.tagged_cull && mode != PipelineMode::CollisionOnly && !bp_skip;
+            let early_z = !prim.tagged_cull && mode != PipelineMode::CollisionOnly && !skip_image;
             let (n, prim_fp_work) = match cfg.hot_path {
                 HotPathMode::Reference => {
                     frag_scratch.clear();
@@ -395,9 +395,9 @@ pub struct Simulator {
     /// Per-draw content hashes of the binned frame, computed by the
     /// geometry front-end (scratch, reused).
     pub(crate) draw_hashes: Vec<u64>,
-    /// Per-tile reuse decisions of the current frame (scratch, reused):
-    /// `(signature, reused)` per *active-list position*.
-    pub(crate) reuse_plan: Vec<(u64, bool)>,
+    /// The current frame's plan (scratch, reused): one [`TilePlan`] per
+    /// *active-list position*.
+    pub(crate) plan: Vec<TilePlan>,
     /// Cross-frame per-tile result cache (signature + cached outcome).
     pub(crate) result_cache: TileResultCache,
     /// Objects the circuit breaker routes straight to the CPU this
@@ -405,9 +405,6 @@ pub struct Simulator {
     /// backend sees them. Set per frame by the host before rendering,
     /// so the filtering is thread-count invariant.
     pub(crate) governor_blocked: BTreeSet<ObjectId>,
-    /// Per-tile coarsening plan of the current frame (scratch, reused):
-    /// capacity boost per *active-list position*, empty when ungoverned.
-    pub(crate) boost_plan: Vec<u8>,
     /// The last governed frame's report, taken by the host.
     pub(crate) governor_report: Option<GovernorFrameReport>,
     /// Per-draw geometry cache of the incremental front-end: this
@@ -420,14 +417,8 @@ pub struct Simulator {
     /// filled by the geometry front-ends only when the broad phase is
     /// on, so the default path pays nothing.
     pub(crate) draw_bounds: Vec<DrawBounds>,
-    /// Per-tile broad-phase skip decisions of the current frame
-    /// (scratch, reused): one flag per *active-list position*. Empty
-    /// when the broad phase is inert.
-    pub(crate) bp_plan: Vec<bool>,
-    /// Whether the broad phase actually pruned this frame (on, RBCD or
-    /// collision-only mode, ungoverned). Set by the raster planner.
-    pub(crate) bp_active: bool,
-    /// The last planned frame's broad-phase counters.
+    /// The last planned frame's broad-phase counters (all zero when the
+    /// broad phase was inert).
     pub(crate) bp_stats: BroadphaseStats,
     /// Reusable broad-phase sweep scratch.
     pub(crate) bp_scratch: SweepScratch,
@@ -463,16 +454,10 @@ pub(crate) fn replay_tile_cache(
     }
 }
 
-/// Folds one tile's results into the frame stats and the rasterizer
-/// timeline. `start` is when the tile was dispatched (`cursor` plus any
-/// ZEB stall); returns the tile's end cycle.
-pub(crate) fn accumulate_tile(
-    r: &mut RasterStats,
-    cfg: &GpuConfig,
-    o: &TileRasterOut,
-    cursor: u64,
-    start: u64,
-) -> u64 {
+/// Folds one tile's workload counters into the frame stats. Every
+/// verdict folds the same way, so a replayed tile's counters match the
+/// pass that produced them bit for bit.
+pub(crate) fn fold_tile(r: &mut RasterStats, o: &TileRasterOut) {
     r.tiles_processed += 1;
     r.primitives_fetched += o.prim_count;
     r.fragments_rasterized += o.frags;
@@ -483,11 +468,14 @@ pub(crate) fn accumulate_tile(
     r.rows_empty += o.rows_empty;
     r.rows_full += o.rows_full;
     r.fp_busy_cycles += o.fp_work;
+}
 
-    // Per-tile wall time. The Tile Fetcher prefetches the next tile's
-    // polygon list while the current tile rasterizes, so its misses
-    // stay off the critical path (charged to energy); its
-    // one-primitive-per-cycle issue rate can still bind.
+/// A rendered tile's wall time on the raster timeline and the part of
+/// it the fragment processors sit idle, as `(work, idle)`. The Tile
+/// Fetcher prefetches the next tile's polygon list while the current
+/// tile rasterizes, so its misses stay off the critical path (charged
+/// to energy); its one-primitive-per-cycle issue rate can still bind.
+pub(crate) fn render_cycles(cfg: &GpuConfig, o: &TileRasterOut) -> (u64, u64) {
     let fetch_cycles = o.prim_count;
     let insert_cycles = o.coll_frags; // ZEB sorted insertion: 1/cycle
     let shade_cycles = o.fp_work.div_ceil(cfg.fragment_processors as u64);
@@ -496,37 +484,7 @@ pub(crate) fn accumulate_tile(
         .max(insert_cycles)
         .max(o.fp_done)
         + cfg.tile_overhead_cycles;
-    r.fp_idle_cycles += work - shade_cycles;
-    r.zeb_stall_cycles += start - cursor;
-    start + work
-}
-
-/// Folds a *replayed* tile's results into the frame stats. The
-/// workload counters come from the given [`TileRasterOut`] unchanged,
-/// so they match the pass that produced them bit for bit; the timeline
-/// advances by only the replay cost `sig_cycles` (the fragment
-/// processors sit idle for that whole span, and no ZEB is claimed so
-/// there is no stall term). Used for both temporal-reuse replays
-/// (signature-check cost) and broad-phase-skipped tiles (list-walk
-/// cost). Returns the tile's end cycle.
-pub(crate) fn accumulate_reused_tile(
-    r: &mut RasterStats,
-    o: &TileRasterOut,
-    cursor: u64,
-    sig_cycles: u64,
-) -> u64 {
-    r.tiles_processed += 1;
-    r.primitives_fetched += o.prim_count;
-    r.fragments_rasterized += o.frags;
-    r.fragments_collisionable += o.coll_frags;
-    r.fragments_to_early_z += o.to_early_z;
-    r.pixels_covered += o.pixels_covered;
-    r.fragments_shaded += o.shaded;
-    r.rows_empty += o.rows_empty;
-    r.rows_full += o.rows_full;
-    r.fp_busy_cycles += o.fp_work;
-    r.fp_idle_cycles += sig_cycles;
-    cursor + sig_cycles
+    (work, work - shade_cycles)
 }
 
 /// Closes out the raster timeline: bus contention from the raster
@@ -571,16 +529,13 @@ impl Simulator {
             tracer,
             policy,
             draw_hashes: Vec::new(),
-            reuse_plan: Vec::new(),
+            plan: Vec::new(),
             result_cache: TileResultCache::default(),
             governor_blocked: BTreeSet::new(),
-            boost_plan: Vec::new(),
             governor_report: None,
             geom_cache: GeomCache::default(),
             mesh_memo: MeshHashMemo::default(),
             draw_bounds: Vec::new(),
-            bp_plan: Vec::new(),
-            bp_active: false,
             bp_stats: BroadphaseStats::default(),
             bp_scratch: SweepScratch::default(),
             config,

@@ -76,6 +76,32 @@ pub struct TileZebRecord {
     pub rung: u8,
 }
 
+/// What the merge did to a tile besides (or instead of) rendering it:
+/// one instant on the marker lane plus one count on the tile's heat
+/// plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileMark {
+    /// A temporal-coherence replay (`tile.reuse`, `reuse` plane).
+    Reuse,
+    /// A screen-space broad-phase skip: the frame's interval sweep
+    /// proved no feasible collision pair can touch the tile
+    /// (`tile.bp_skipped`, `broadphase` plane).
+    BpSkip,
+    /// An overload-governor shed (`tile.shed`, `shed` plane).
+    Shed,
+}
+
+impl TileMark {
+    /// The mark's event name, event category and heat plane.
+    fn names(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            TileMark::Reuse => ("tile.reuse", "coherence", "reuse"),
+            TileMark::BpSkip => ("tile.bp_skipped", "broadphase", "broadphase"),
+            TileMark::Shed => ("tile.shed", "governor", "shed"),
+        }
+    }
+}
+
 /// Lane ids, named for readability at the emission sites.
 const LANE_FRAME: u32 = 0;
 const LANE_GEOMETRY: u32 = 1;
@@ -160,52 +186,21 @@ impl TraceBuffer {
         });
     }
 
-    /// Records a temporal-coherence replay of tile (`x`, `y`): an
-    /// instant marker at the signature-check cycle plus the per-tile
-    /// reuse heat plane. `at` is a raster-timeline cycle.
-    pub fn record_tile_reuse(&mut self, x: u32, y: u32, at: u64) {
+    /// Records `mark` on tile (`x`, `y`): an instant marker at
+    /// raster-timeline cycle `at` (the cycle the merge reached the tile;
+    /// for a shed, the cycle the Tile Scheduler dropped it) plus one
+    /// count on the mark's heat plane.
+    pub fn record_tile_mark(&mut self, x: u32, y: u32, mark: TileMark, at: u64) {
+        let (name, cat, metric) = mark.names();
         self.events.push(TraceEvent {
-            name: "tile.reuse",
-            cat: "coherence",
+            name,
+            cat,
             ts: self.raster_base + at,
             tid: LANE_MARKS,
             kind: EventKind::Instant,
             args: vec![("x", x as u64), ("y", y as u64)],
         });
-        self.heat.add_reuse(x, y);
-    }
-
-    /// Records a screen-space broad-phase skip of tile (`x`, `y`): the
-    /// frame's interval sweep proved no feasible collision pair can
-    /// touch the tile, so raster and the Z-overlap scan were elided.
-    /// An instant marker at the cycle the merge reached the tile plus
-    /// the per-tile broadphase heat plane. `at` is a raster-timeline
-    /// cycle.
-    pub fn record_tile_bp_skip(&mut self, x: u32, y: u32, at: u64) {
-        self.events.push(TraceEvent {
-            name: "tile.bp_skipped",
-            cat: "broadphase",
-            ts: self.raster_base + at,
-            tid: LANE_MARKS,
-            kind: EventKind::Instant,
-            args: vec![("x", x as u64), ("y", y as u64)],
-        });
-        self.heat.add_broadphase(x, y);
-    }
-
-    /// Records an overload-governor shed of tile (`x`, `y`): an instant
-    /// marker at the cycle the Tile Scheduler dropped it plus the
-    /// per-tile shed heat plane. `at` is a raster-timeline cycle.
-    pub fn record_tile_shed(&mut self, x: u32, y: u32, at: u64) {
-        self.events.push(TraceEvent {
-            name: "tile.shed",
-            cat: "governor",
-            ts: self.raster_base + at,
-            tid: LANE_MARKS,
-            kind: EventKind::Instant,
-            args: vec![("x", x as u64), ("y", y as u64)],
-        });
-        self.heat.add_shed(x, y);
+        self.heat.add(metric, x, y);
     }
 
     /// Records one bin entry the incremental geometry front-end spliced
@@ -214,7 +209,7 @@ impl TraceBuffer {
     /// bit-identical between the incremental and rebuild front-ends
     /// (splicing is a host-side shortcut, not a simulated occurrence).
     pub fn record_bin_splice(&mut self, x: u32, y: u32) {
-        self.heat.add_splice(x, y);
+        self.heat.add("splice", x, y);
     }
 
     /// Folds one tile's RBCD-unit observations into the trace: insert
@@ -432,10 +427,11 @@ mod tests {
         let mut t = TraceBuffer::new(2, 2);
         t.begin_frame();
         t.geometry_done(100);
-        t.record_tile_reuse(1, 0, 7);
+        t.record_tile_mark(1, 0, TileMark::Reuse, 7);
         t.end_frame(300);
         let e = t.events().iter().find(|e| e.name == "tile.reuse").unwrap();
         assert_eq!(e.ts, 107);
+        assert_eq!(e.cat, "coherence");
         assert_eq!(e.kind, EventKind::Instant);
         assert_eq!(t.heat().total("reuse"), 1);
     }
@@ -445,7 +441,7 @@ mod tests {
         let mut t = TraceBuffer::new(2, 2);
         t.begin_frame();
         t.geometry_done(80);
-        t.record_tile_bp_skip(0, 1, 9);
+        t.record_tile_mark(0, 1, TileMark::BpSkip, 9);
         t.end_frame(200);
         let e = t.events().iter().find(|e| e.name == "tile.bp_skipped").unwrap();
         assert_eq!(e.ts, 89);
@@ -459,7 +455,7 @@ mod tests {
         let mut t = TraceBuffer::new(2, 2);
         t.begin_frame();
         t.geometry_done(50);
-        t.record_tile_shed(0, 1, 9);
+        t.record_tile_mark(0, 1, TileMark::Shed, 9);
         t.end_frame(200);
         let e = t.events().iter().find(|e| e.name == "tile.shed").unwrap();
         assert_eq!(e.ts, 59);

@@ -1,4 +1,5 @@
-//! Per-tile heat accumulation and CSV export.
+//! Per-tile heat accumulation and CSV export: one plane per
+//! [`HEATMAP_METRICS`] entry, each exported as one CSV grid.
 
 use crate::event::TileZebRecord;
 
@@ -18,50 +19,28 @@ pub const HEATMAP_METRICS: [&str; 10] = [
     "broadphase",
 ];
 
-/// A `tiles_x` × `tiles_y` grid of per-tile accumulators, folded over
-/// every [`TileZebRecord`] the trace sees (all frames summed; `rung`
-/// keeps the worst rung a tile ever hit). The `reuse` plane counts
-/// temporal-coherence replays per tile and is fed separately via
-/// [`HeatGrid::add_reuse`]; the `shed` plane counts overload-governor
-/// tile drops, fed via [`HeatGrid::add_shed`]; the `splice` plane
-/// counts bin entries the incremental geometry front-end spliced from
-/// its per-draw cache, fed via [`HeatGrid::add_splice`]; the
-/// `broadphase` plane counts screen-space broad-phase tile skips, fed
-/// via [`HeatGrid::add_broadphase`].
+/// A `tiles_x` × `tiles_y` grid of per-tile accumulators, one plane per
+/// [`HEATMAP_METRICS`] entry, all frames summed. [`HeatGrid::add_tile`]
+/// folds every [`TileZebRecord`] the trace sees into the `occupancy`,
+/// `overflows`, `scan_cycles`, `pairs`, `rung` (the worst rung a tile
+/// ever hit, not a sum) and `scan_skipped` planes. [`HeatGrid::add`]
+/// counts one event on any plane; the trace feeds `reuse`,
+/// `broadphase` and `shed` with its tile marks and `splice` with the
+/// incremental geometry front-end's bin splices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeatGrid {
     tiles_x: u32,
     tiles_y: u32,
-    occupancy: Vec<u64>,
-    overflows: Vec<u64>,
-    scan_cycles: Vec<u64>,
-    pairs: Vec<u64>,
-    rung: Vec<u64>,
-    reuse: Vec<u64>,
-    scan_skipped: Vec<u64>,
-    shed: Vec<u64>,
-    splice: Vec<u64>,
-    broadphase: Vec<u64>,
+    /// One row-major plane per [`HEATMAP_METRICS`] entry, in that
+    /// order; none on a defaulted grid.
+    planes: Vec<Vec<u64>>,
 }
 
 impl HeatGrid {
     /// Creates a zeroed grid for a `tiles_x` × `tiles_y` tile layout.
     pub fn new(tiles_x: u32, tiles_y: u32) -> Self {
         let n = tiles_x as usize * tiles_y as usize;
-        Self {
-            tiles_x,
-            tiles_y,
-            occupancy: vec![0; n],
-            overflows: vec![0; n],
-            scan_cycles: vec![0; n],
-            pairs: vec![0; n],
-            rung: vec![0; n],
-            reuse: vec![0; n],
-            scan_skipped: vec![0; n],
-            shed: vec![0; n],
-            splice: vec![0; n],
-            broadphase: vec![0; n],
-        }
+        Self { tiles_x, tiles_y, planes: vec![vec![0; n]; HEATMAP_METRICS.len()] }
     }
 
     /// Grid width in tiles.
@@ -74,75 +53,47 @@ impl HeatGrid {
         self.tiles_y
     }
 
+    /// Plane index of tile (`x`, `y`); `None` outside the grid.
+    fn cell(&self, x: u32, y: u32) -> Option<usize> {
+        (x < self.tiles_x && y < self.tiles_y)
+            .then(|| y as usize * self.tiles_x as usize + x as usize)
+    }
+
     /// Folds one tile record into the grid. Records outside the grid
     /// (possible only on a mis-sized grid) are ignored.
     pub fn add_tile(&mut self, rec: &TileZebRecord) {
-        if rec.tile_x >= self.tiles_x || rec.tile_y >= self.tiles_y {
+        let Some(i) = self.cell(rec.tile_x, rec.tile_y) else { return };
+        // The planes in `HEATMAP_METRICS` order.
+        let [occupancy, overflows, scan_cycles, pairs, rung, _reuse, scan_skipped, ..] =
+            &mut self.planes[..]
+        else {
             return;
-        }
-        let i = rec.tile_y as usize * self.tiles_x as usize + rec.tile_x as usize;
-        self.occupancy[i] += rec.occupancy;
-        self.overflows[i] += rec.overflows;
-        self.scan_cycles[i] += rec.scan_end.saturating_sub(rec.scan_start);
-        self.pairs[i] += rec.pairs_emitted;
-        self.rung[i] = self.rung[i].max(rec.rung as u64);
-        self.scan_skipped[i] += rec.scan_skipped;
+        };
+        occupancy[i] += rec.occupancy;
+        overflows[i] += rec.overflows;
+        scan_cycles[i] += rec.scan_end.saturating_sub(rec.scan_start);
+        pairs[i] += rec.pairs_emitted;
+        rung[i] = rung[i].max(rec.rung as u64);
+        scan_skipped[i] += rec.scan_skipped;
     }
 
-    /// Counts one temporal-coherence replay of tile (`x`, `y`).
-    /// Out-of-grid coordinates are ignored, matching
+    /// Counts one event of `metric` (a [`HEATMAP_METRICS`] name) on
+    /// tile (`x`, `y`). Out-of-grid coordinates are ignored, matching
     /// [`HeatGrid::add_tile`].
-    pub fn add_reuse(&mut self, x: u32, y: u32) {
-        if x >= self.tiles_x || y >= self.tiles_y {
-            return;
+    ///
+    /// # Panics
+    ///
+    /// On an unknown metric name.
+    pub fn add(&mut self, metric: &str, x: u32, y: u32) {
+        let plane = plane(metric).unwrap_or_else(|| panic!("unknown heat metric {metric:?}"));
+        if let Some(i) = self.cell(x, y) {
+            self.planes[plane][i] += 1;
         }
-        self.reuse[y as usize * self.tiles_x as usize + x as usize] += 1;
-    }
-
-    /// Counts one overload-governor shed of tile (`x`, `y`). Out-of-grid
-    /// coordinates are ignored, matching [`HeatGrid::add_tile`].
-    pub fn add_shed(&mut self, x: u32, y: u32) {
-        if x >= self.tiles_x || y >= self.tiles_y {
-            return;
-        }
-        self.shed[y as usize * self.tiles_x as usize + x as usize] += 1;
-    }
-
-    /// Counts one bin entry the incremental geometry front-end spliced
-    /// into tile (`x`, `y`) from its per-draw cache. Out-of-grid
-    /// coordinates are ignored, matching [`HeatGrid::add_tile`].
-    pub fn add_splice(&mut self, x: u32, y: u32) {
-        if x >= self.tiles_x || y >= self.tiles_y {
-            return;
-        }
-        self.splice[y as usize * self.tiles_x as usize + x as usize] += 1;
-    }
-
-    /// Counts one broad-phase skip of tile (`x`, `y`): the screen-space
-    /// sweep proved no feasible collision pair can touch it, so raster
-    /// and the Z-overlap scan were elided. Out-of-grid coordinates are
-    /// ignored, matching [`HeatGrid::add_tile`].
-    pub fn add_broadphase(&mut self, x: u32, y: u32) {
-        if x >= self.tiles_x || y >= self.tiles_y {
-            return;
-        }
-        self.broadphase[y as usize * self.tiles_x as usize + x as usize] += 1;
     }
 
     fn cells(&self, metric: &str) -> Option<&[u64]> {
-        match metric {
-            "occupancy" => Some(&self.occupancy),
-            "overflows" => Some(&self.overflows),
-            "scan_cycles" => Some(&self.scan_cycles),
-            "pairs" => Some(&self.pairs),
-            "rung" => Some(&self.rung),
-            "reuse" => Some(&self.reuse),
-            "scan_skipped" => Some(&self.scan_skipped),
-            "shed" => Some(&self.shed),
-            "splice" => Some(&self.splice),
-            "broadphase" => Some(&self.broadphase),
-            _ => None,
-        }
+        let plane = plane(metric)?;
+        Some(self.planes.get(plane).map_or(&[], Vec::as_slice))
     }
 
     /// Sum of `metric` over all tiles (for `rung`: the sum of per-tile
@@ -169,6 +120,11 @@ impl HeatGrid {
         }
         Some(out)
     }
+}
+
+/// The plane index of `metric`, its position in [`HEATMAP_METRICS`].
+fn plane(metric: &str) -> Option<usize> {
+    HEATMAP_METRICS.iter().position(|&m| m == metric)
 }
 
 #[cfg(test)]
@@ -206,16 +162,21 @@ mod tests {
         assert_eq!(g.total("scan_cycles"), 45);
         // rung keeps the per-tile max, not the sum.
         assert_eq!(g.total("rung"), 2);
+        assert_eq!(g.total("scan_skipped"), 3);
+        // Tile records feed only their own six planes.
+        for m in ["reuse", "shed", "splice", "broadphase"] {
+            assert_eq!(g.total(m), 0, "{m}");
+        }
         assert_eq!(g.total("bogus"), 0);
     }
 
     #[test]
     fn reuse_plane_counts_replays() {
         let mut g = HeatGrid::new(2, 2);
-        g.add_reuse(1, 1);
-        g.add_reuse(1, 1);
-        g.add_reuse(0, 0);
-        g.add_reuse(7, 7); // ignored, out of grid
+        g.add("reuse", 1, 1);
+        g.add("reuse", 1, 1);
+        g.add("reuse", 0, 0);
+        g.add("reuse", 7, 7); // ignored, out of grid
         assert_eq!(g.total("reuse"), 3);
         assert_eq!(g.csv("reuse").unwrap(), "1,0\n0,2\n");
     }
@@ -223,9 +184,9 @@ mod tests {
     #[test]
     fn shed_plane_counts_governor_drops() {
         let mut g = HeatGrid::new(2, 2);
-        g.add_shed(0, 1);
-        g.add_shed(0, 1);
-        g.add_shed(9, 0); // ignored, out of grid
+        g.add("shed", 0, 1);
+        g.add("shed", 0, 1);
+        g.add("shed", 9, 0); // ignored, out of grid
         assert_eq!(g.total("shed"), 2);
         assert_eq!(g.csv("shed").unwrap(), "0,0\n2,0\n");
     }
@@ -233,10 +194,10 @@ mod tests {
     #[test]
     fn splice_plane_counts_frontend_bin_splices() {
         let mut g = HeatGrid::new(2, 2);
-        g.add_splice(1, 0);
-        g.add_splice(1, 0);
-        g.add_splice(0, 1);
-        g.add_splice(4, 4); // ignored, out of grid
+        g.add("splice", 1, 0);
+        g.add("splice", 1, 0);
+        g.add("splice", 0, 1);
+        g.add("splice", 4, 4); // ignored, out of grid
         assert_eq!(g.total("splice"), 3);
         assert_eq!(g.csv("splice").unwrap(), "0,2\n1,0\n");
     }
@@ -244,10 +205,10 @@ mod tests {
     #[test]
     fn broadphase_plane_counts_tile_skips() {
         let mut g = HeatGrid::new(2, 2);
-        g.add_broadphase(0, 0);
-        g.add_broadphase(0, 0);
-        g.add_broadphase(1, 1);
-        g.add_broadphase(3, 0); // ignored, out of grid
+        g.add("broadphase", 0, 0);
+        g.add("broadphase", 0, 0);
+        g.add("broadphase", 1, 1);
+        g.add("broadphase", 3, 0); // ignored, out of grid
         assert_eq!(g.total("broadphase"), 3);
         assert_eq!(g.csv("broadphase").unwrap(), "2,0\n0,1\n");
     }
@@ -262,6 +223,23 @@ mod tests {
         for m in HEATMAP_METRICS {
             assert!(g.csv(m).is_some(), "metric {m} must render");
         }
+    }
+
+    #[test]
+    fn a_default_grid_has_no_planes_and_reads_empty() {
+        let mut g = HeatGrid::default();
+        g.add_tile(&rec(0, 0, 1, 1));
+        g.add("reuse", 0, 0);
+        for m in HEATMAP_METRICS {
+            assert_eq!(g.total(m), 0, "{m}");
+            assert_eq!(g.csv(m).as_deref(), Some(""), "{m}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown heat metric")]
+    fn adding_to_an_unknown_metric_panics() {
+        HeatGrid::new(1, 1).add("bogus", 0, 0);
     }
 
     #[test]

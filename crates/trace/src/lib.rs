@@ -31,5 +31,5 @@ mod heatmap;
 pub mod json;
 
 pub use counters::{CounterScopes, CounterSet};
-pub use event::{EventKind, TileZebRecord, TraceBuffer, TraceEvent};
+pub use event::{EventKind, TileMark, TileZebRecord, TraceBuffer, TraceEvent};
 pub use heatmap::{HeatGrid, HEATMAP_METRICS};
