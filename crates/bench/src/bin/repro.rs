@@ -940,10 +940,11 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn std::error::
 /// with the instrumentation layer on and export the simulated-cycle
 /// timeline as Chrome trace-event JSON plus one per-tile heatmap CSV
 /// per metric (`<stem>.<metric>.csv`). The JSON is re-parsed with the
-/// crate's own parser before it is trusted, and the heatmap totals are
-/// cross-checked against the RBCD unit's counters; any disagreement is
-/// an error (non-zero exit).
+/// crate's own parser before it is trusted, and the total of every heat
+/// plane that has a counter is cross-checked against it; any
+/// disagreement is an error (non-zero exit).
 fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
+    use rbcd_bench::runner::HEAT_PLANE_COUNTERS;
     use rbcd_trace::HEATMAP_METRICS;
 
     let scene = rbcd_workloads::cap();
@@ -976,10 +977,10 @@ fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std
         println!("wrote {out}");
     }
 
-    // The exports must agree with the unit's own books, read through
-    // the unified counter registry.
+    // Every heat plane that has a counter must agree with it, read
+    // through the unified counter registry.
     let heat = trace.heat();
-    for (metric, key) in [("overflows", "rbcd.overflows"), ("pairs", "rbcd.pairs_emitted")] {
+    for (metric, key) in HEAT_PLANE_COUNTERS {
         if heat.total(metric) != run.counters.get(key) {
             return Err(format!(
                 "heatmap {metric} total {} disagrees with counter {key} = {}",

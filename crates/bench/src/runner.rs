@@ -88,6 +88,19 @@ pub fn run_gpu_traced(
     (run, trace.expect("tracing was enabled"))
 }
 
+/// Every heat plane (a [`rbcd_trace::HEATMAP_METRICS`] name) that has a
+/// counter, with the counter-registry key its total over a traced run
+/// must equal.
+pub const HEAT_PLANE_COUNTERS: [(&str, &str); 7] = [
+    ("overflows", "rbcd.overflows"),
+    ("pairs", "rbcd.pairs_emitted"),
+    ("scan_skipped", "tile.scan_skipped"),
+    ("reuse", "coherence.tiles_reused"),
+    ("broadphase", "broadphase.tiles_skipped"),
+    ("shed", "governor.tiles_shed"),
+    ("splice", "geom.bin_splices"),
+];
+
 /// A simulator for `gpu` under `policy`.
 pub(crate) fn simulator(gpu: &GpuConfig, policy: FramePolicy) -> Simulator {
     SimulatorBuilder::from_config(gpu.clone())

@@ -11,7 +11,8 @@
 //! match the broad-phase-off run bit for bit; only the image-side
 //! planes (`raster.*` timing and fragment throughput, `coherence.*`,
 //! `broadphase.*`) may move. A final arm replays the trace instants as
-//! an oracle: a tile the sweep skipped must never contain a contact.
+//! an oracle, with reuse off and on: a tile the sweep skipped, replayed
+//! or not, must never contain a contact.
 
 use rbcd_core::{ContactPoint, FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
@@ -267,51 +268,71 @@ fn batch_service_matches_solo_with_broadphase_on() {
 /// check, frame by frame, that no contact the ZEB reported falls in a
 /// tile the broad phase skipped. A violation here means the sweep
 /// pruned a tile that *did* hold a feasible pair — exactly the bug
-/// class the conservative bounds are supposed to make impossible.
+/// class the conservative bounds are supposed to make impossible. With
+/// reuse on, a replayed tile the sweep proved pair-free must carry the
+/// skip mark too, so the oracle covers it as well.
 #[test]
 fn pruned_tiles_never_contain_contacts() {
     let script = random_script(29, 6);
-    let mut sim = SimulatorBuilder::from_config(cfg())
-        .policy(FramePolicy::new().with_broadphase(BroadPhase::On).with_tracing(true))
-        .build()
-        .expect("test configuration is valid");
-    let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
-        .expect("default RBCD configuration is valid");
-    let tile = cfg().tile_size;
-    let mut seen_events = 0usize;
-    let mut total_skipped = 0usize;
-    for (f, trace) in script.iter().enumerate() {
-        unit.new_frame();
-        let _ = sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, 1);
-        let events = sim.trace().expect("tracing is on").events();
-        let skipped: BTreeSet<(u64, u64)> = events[seen_events..]
-            .iter()
-            .filter(|e| e.name == "tile.bp_skipped")
-            .map(|e| {
-                let arg = |k: &str| {
-                    e.args
-                        .iter()
-                        .find(|(n, _)| *n == k)
-                        .map(|(_, v)| *v)
-                        .expect("bp_skipped instants carry tile coordinates")
-                };
-                (arg("x"), arg("y"))
-            })
-            .collect();
-        seen_events = events.len();
-        total_skipped += skipped.len();
-        let contacts: Vec<ContactPoint> = unit.take_contacts();
-        for c in &contacts {
-            let at = (u64::from(c.x / tile), u64::from(c.y / tile));
-            assert!(
-                !skipped.contains(&at),
-                "frame {f}: contact {:?} at pixel ({}, {}) lies in skipped tile {at:?}",
-                c.pair(),
-                c.x,
-                c.y
-            );
+    for reuse in [false, true] {
+        let mut sim = SimulatorBuilder::from_config(cfg())
+            .policy(
+                FramePolicy::new()
+                    .with_broadphase(BroadPhase::On)
+                    .with_reuse(reuse)
+                    .with_tracing(true),
+            )
+            .build()
+            .expect("test configuration is valid");
+        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
+            .expect("default RBCD configuration is valid");
+        let tile = cfg().tile_size;
+        let mut seen_events = 0usize;
+        let mut total_skipped = 0usize;
+        let mut replayed_skipped = 0usize;
+        for (f, trace) in script.iter().enumerate() {
+            unit.new_frame();
+            let _ = sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, 1);
+            let events = sim.trace().expect("tracing is on").events();
+            let marked = |name: &str| -> BTreeSet<(u64, u64)> {
+                events[seen_events..]
+                    .iter()
+                    .filter(|e| e.name == name)
+                    .map(|e| {
+                        let arg = |k: &str| {
+                            e.args
+                                .iter()
+                                .find(|(n, _)| *n == k)
+                                .map(|(_, v)| *v)
+                                .expect("tile marks carry tile coordinates")
+                        };
+                        (arg("x"), arg("y"))
+                    })
+                    .collect()
+            };
+            let skipped = marked("tile.bp_skipped");
+            replayed_skipped += skipped.intersection(&marked("tile.reuse")).count();
+            seen_events = events.len();
+            total_skipped += skipped.len();
+            let contacts: Vec<ContactPoint> = unit.take_contacts();
+            for c in &contacts {
+                let at = (u64::from(c.x / tile), u64::from(c.y / tile));
+                assert!(
+                    !skipped.contains(&at),
+                    "reuse {reuse}, frame {f}: contact {:?} at pixel ({}, {}) lies in \
+                     skipped tile {at:?}",
+                    c.pair(),
+                    c.x,
+                    c.y
+                );
+            }
+            assert!(!contacts.is_empty(), "frame {f}: the grazing pair must keep colliding");
         }
-        assert!(!contacts.is_empty(), "frame {f}: the grazing pair must keep colliding");
+        assert!(total_skipped > 0, "the scattered swarm must give the sweep something to skip");
+        if reuse {
+            assert!(replayed_skipped > 0, "replayed pair-free tiles must carry the skip mark");
+        } else {
+            assert_eq!(replayed_skipped, 0, "nothing replays with reuse off");
+        }
     }
-    assert!(total_skipped > 0, "the scattered swarm must give the sweep something to skip");
 }

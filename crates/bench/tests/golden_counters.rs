@@ -13,7 +13,7 @@
 //! own JSON parser and checks the schema fields the viewers rely on.
 
 use rbcd_bench::cli::CliOptions;
-use rbcd_bench::runner::{run_gpu, run_gpu_traced};
+use rbcd_bench::runner::{run_gpu, run_gpu_traced, HEAT_PLANE_COUNTERS};
 use rbcd_bench::RunOptions;
 use rbcd_core::{ObjectPair, RbcdConfig};
 use rbcd_gpu::{GovernorConfig, GpuConfig};
@@ -235,6 +235,18 @@ fn cli_opts() -> RunOptions {
     opts
 }
 
+/// The CLI policy under a tight governor: a 10k-cycle frame budget and
+/// coarsening from 8 binned primitives.
+fn governed_cli_opts() -> RunOptions {
+    let mut opts = cli_opts();
+    opts.policy = opts.policy.with_governor(Some(GovernorConfig {
+        frame_budget_cycles: 10_000,
+        coarsen_prims: 8,
+        ..GovernorConfig::default()
+    }));
+    opts
+}
+
 /// Renders 3 frames of `cap` under `opts` and checks the full counter
 /// set, the pair set, and the bit patterns of the simulated seconds
 /// and energy.
@@ -268,13 +280,22 @@ fn golden_counter_values_under_the_cli_policy() {
 /// and the frame sheds (216 tiles), replays (36) and coarsens (3).
 #[test]
 fn golden_counter_values_under_a_governed_cli_policy() {
-    let mut opts = cli_opts();
-    opts.policy = opts.policy.with_governor(Some(GovernorConfig {
-        frame_budget_cycles: 10_000,
-        coarsen_prims: 8,
-        ..GovernorConfig::default()
-    }));
-    assert_pinned(&opts, GOVERNED_VALUES, &[], (0x3f62_e19d_9450_03a3, 0x3f37_121f_025f_06aa));
+    let bits = (0x3f62_e19d_9450_03a3, 0x3f37_121f_025f_06aa);
+    assert_pinned(&governed_cli_opts(), GOVERNED_VALUES, &[], bits);
+}
+
+/// Every heat plane that has a counter totals to it under both pinned
+/// policies: the CLI's replays and broad-phase skips (a replayed
+/// pair-free tile counts on both planes) and the governed run's sheds.
+#[test]
+fn every_counted_heat_plane_matches_its_counter() {
+    for (tag, opts) in [("cli", cli_opts()), ("governed", governed_cli_opts())] {
+        let (run, trace) = run_gpu_traced(&rbcd_workloads::cap(), 3, &opts, RbcdConfig::default());
+        for (metric, key) in HEAT_PLANE_COUNTERS {
+            let (heat, counter) = (trace.heat().total(metric), run.counters.get(key));
+            assert_eq!(heat, counter, "{tag}: {metric} vs {key}");
+        }
+    }
 }
 
 const CLI_VALUES: &[(&str, u64)] = &[

@@ -153,7 +153,9 @@ pub(crate) enum TileVerdict {
     /// list walk instead of the raster span.
     SkipImage,
     /// Replay the tile's cached result; no worker touches the tile.
-    Replay,
+    /// `pair_free` carries the broad phase's proof that the tile holds
+    /// no feasible pair, so the trace marks the replay skipped too.
+    Replay { pair_free: bool },
 }
 
 impl TileVerdict {
@@ -162,7 +164,8 @@ impl TileVerdict {
         match self {
             TileVerdict::Render { .. } => &[],
             TileVerdict::SkipImage => &[TileMark::BpSkip],
-            TileVerdict::Replay => &[TileMark::Reuse],
+            TileVerdict::Replay { pair_free: false } => &[TileMark::Reuse],
+            TileVerdict::Replay { pair_free: true } => &[TileMark::Reuse, TileMark::BpSkip],
         }
     }
 }
@@ -231,7 +234,7 @@ impl TileComputeCtx<'_> {
         let (skip_image, boost) = match self.plan[k].verdict {
             TileVerdict::Render { boost } => (false, boost),
             TileVerdict::SkipImage => (true, 0),
-            TileVerdict::Replay => return None,
+            TileVerdict::Replay { .. } => return None,
         };
         let ti = self.bins.active()[k];
         let tiles_x = self.config.tiles_x();
@@ -356,7 +359,8 @@ impl Simulator {
                 };
                 co.tiles_checked += 1;
                 if self.result_cache.matches::<B::TileOut>(ti as usize, tp.sig) {
-                    tp.verdict = TileVerdict::Replay;
+                    let pair_free = tp.verdict == TileVerdict::SkipImage;
+                    tp.verdict = TileVerdict::Replay { pair_free };
                     co.tiles_reused += 1;
                 }
             }
@@ -372,7 +376,7 @@ impl Simulator {
                 let mut projected = 0u64;
                 for (tp, &ti) in self.plan.iter().zip(self.bins.active()) {
                     let n = prims(ti) as u64;
-                    projected += if tp.verdict == TileVerdict::Replay {
+                    projected += if matches!(tp.verdict, TileVerdict::Replay { .. }) {
                         coherence::signature_check_cycles(n)
                     } else {
                         n + self.config.tile_overhead_cycles
@@ -476,7 +480,7 @@ impl Simulator {
                         rep.shed_objects.insert(object);
                     }
                 }
-                if tp.verdict == TileVerdict::Replay {
+                if matches!(tp.verdict, TileVerdict::Replay { .. }) {
                     // The planned replay never happens.
                     co.tiles_reused -= 1;
                 }
@@ -491,7 +495,7 @@ impl Simulator {
             // counters stay bit-identical with reuse on or off.
             replay_tile_cache(tile_cache, cfg, ti_us, ctx.bins.tile(ti_us));
             // 3. The result: cached for a replay, fresh otherwise.
-            let (out, cout) = if tp.verdict == TileVerdict::Replay {
+            let (out, cout) = if matches!(tp.verdict, TileVerdict::Replay { .. }) {
                 let entry = result_cache.get(ti_us).expect("the plan vouched for this tile");
                 let cout = entry.capsule.downcast_ref::<B::TileOut>();
                 (entry.out, cout.expect("capsule type checked by the plan").clone())
@@ -519,7 +523,7 @@ impl Simulator {
                     let walk = broadphase::skip_replay_cycles(out.prim_count);
                     (cursor, walk, walk)
                 }
-                TileVerdict::Replay => (cursor, 0, 0),
+                TileVerdict::Replay { .. } => (cursor, 0, 0),
             };
             r.fp_idle_cycles += idle + sig_cycles;
             let end = start + span + sig_cycles;
@@ -937,6 +941,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn trace_marks_agree_with_the_counters() {
+        // Every tile the sweep proves pair-free counts toward
+        // `broadphase.tiles_skipped`, replayed or not, so the
+        // `broadphase` plane must mark replayed pair-free tiles too.
+        let trace = busy_trace();
+        let policy = pruned().with_reuse(true).with_tracing(true);
+        let mut sim = Simulator::with_policy(cfg(), policy);
+        let mut total = FrameStats::default();
+        for _ in 0..3 {
+            total.accumulate(&sim.render_frame_parallel(
+                &trace,
+                PipelineMode::Rbcd,
+                &mut NullCollisionUnit,
+                2,
+            ));
+        }
+        assert!(total.coherence.tiles_reused > 0 && total.broadphase.tiles_skipped > 0);
+        let buf = sim.take_trace().expect("tracing was enabled");
+        assert_eq!(buf.heat().total("reuse"), total.coherence.tiles_reused);
+        assert_eq!(buf.heat().total("broadphase"), total.broadphase.tiles_skipped);
     }
 
     #[test]
