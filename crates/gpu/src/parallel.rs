@@ -222,9 +222,9 @@ impl TileComputeCtx<'_> {
     /// into `tw`'s private scratch, the governor's blocked-object
     /// filter, and the collision backend's per-tile analysis on `cw`.
     /// Returns `None` for tiles the plan replays — no worker may touch
-    /// them. Pure per-tile work: identical output for
-    /// a given `k` regardless of thread, claim order, or what other
-    /// sessions share the pool.
+    /// them. Pure per-tile work: identical output for a given `k`
+    /// regardless of thread, claim order, or what other sessions share
+    /// the pool.
     pub(crate) fn compute_tile<B: ParallelCollision>(
         &self,
         k: usize,
@@ -304,8 +304,8 @@ impl Simulator {
         let gov = self.policy.governor;
         let reuse_on = self.policy.reuse || gov.is_some();
         self.plan.clear();
-        let fresh = TilePlan { verdict: TileVerdict::Render { boost: 0 }, sig: 0 };
-        self.plan.resize(self.bins.active().len(), fresh);
+        let render = TilePlan { verdict: TileVerdict::Render { boost: 0 }, sig: 0 };
+        self.plan.resize(self.bins.active().len(), render);
 
         // Broad phase. Inert in baseline mode (no pairs to preserve) and
         // under a governor (the deadline ladder's shed decisions are
@@ -460,7 +460,8 @@ impl Simulator {
             .map(|g| GovernorFrameReport { budget_cycles: g.frame_budget_cycles, ..Default::default() });
         let mut max_tile_cycles = 0u64;
         let mut coarsened = 0u64;
-        // Draw hashing (one digest hand-off cycle per hash) and the
+        // Draw hashing (one digest hand-off cycle per draw command in the
+        // trace, quarantined and unsubmitted draws included) and the
         // broad phase's sweep run once before any tile starts, keeping
         // the fragment pipe idle; each is 0 when its layer is off.
         co.signature_cycles += co.draw_hashes;
@@ -469,7 +470,7 @@ impl Simulator {
         for (k, (&ti, tp)) in ctx.bins.active().iter().zip(ctx.plan).enumerate() {
             let ti_us = ti as usize;
             let tc = coord(ti);
-            // 1. Shed: the merge's one override of the plan.
+            // Shed: the merge's one override of the plan.
             if budget > 0 && cursor >= budget {
                 let rep = report.as_mut().expect("a budget implies a governed frame");
                 rep.shed_tiles.push((tc.x, tc.y));
@@ -490,11 +491,10 @@ impl Simulator {
                 }
                 continue;
             }
-            // 2. The Tile Fetcher walks the polygon list whatever the
+            // The Tile Fetcher walks the polygon list whatever the
             // verdict (the signature check reads it), so the tile-cache
             // counters stay bit-identical with reuse on or off.
             replay_tile_cache(tile_cache, cfg, ti_us, ctx.bins.tile(ti_us));
-            // 3. The result: cached for a replay, fresh otherwise.
             let (out, cout) = if matches!(tp.verdict, TileVerdict::Replay { .. }) {
                 let entry = result_cache.get(ti_us).expect("the plan vouched for this tile");
                 let cout = entry.capsule.downcast_ref::<B::TileOut>();
@@ -502,13 +502,13 @@ impl Simulator {
             } else {
                 fresh_tile(k)
             };
-            // 4. With reuse on, every tile's signature was checked.
+            // With reuse on, every tile's signature was checked, hit or
+            // miss.
             let sig_cycles =
                 if reuse_on { coherence::signature_check_cycles(out.prim_count) } else { 0 };
             co.signature_cycles += sig_cycles;
-            // 5. The workload counters.
             fold_tile(&mut r, &out);
-            // 6. The timeline: a rendered tile waits for a ZEB and spans
+            // The timeline: a rendered tile waits for a ZEB and spans
             // its raster work, a skipped tile pays the list walk, a
             // replay only the signature check.
             let (start, span, idle) = match tp.verdict {
@@ -527,15 +527,14 @@ impl Simulator {
             };
             r.fp_idle_cycles += idle + sig_cycles;
             let end = start + span + sig_cycles;
-            // 7. Refresh the cache. A coarsened tile's result is *not*
-            // cached: it was produced at a boosted capacity the plain
-            // signature does not encode.
+            // A coarsened tile's result is *not* cached: it was produced
+            // at a boosted capacity the plain signature does not encode.
             let cacheable =
                 matches!(tp.verdict, TileVerdict::Render { boost: 0 } | TileVerdict::SkipImage);
             if reuse_on && cacheable {
                 result_cache.store(ti_us, tp.sig, out, Box::new(cout.clone()));
             }
-            // 8. Only a rendered tile claims a ZEB. A skipped tile's
+            // Only a rendered tile claims a ZEB. A skipped tile's
             // collisionable fragments all reached the unit, as without
             // pruning, so its pairs and `rbcd.*` stay bit-identical.
             if let TileVerdict::Render { .. } = tp.verdict {
@@ -543,7 +542,7 @@ impl Simulator {
             } else {
                 backend.replay_tile(tc, cout, start, end);
             }
-            // 9. Trace the tile, then its verdict.
+            // The tile's span comes first, then its marks.
             if let Some(t) = tracer.as_deref_mut() {
                 t.record_tile_raster(tc.x, tc.y, start, end, out.frags);
                 for &mark in tp.verdict.marks() {
@@ -924,7 +923,9 @@ mod tests {
     fn broadphase_composes_with_temporal_reuse() {
         let trace = busy_trace();
         let mut reuse_only = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
-        let mut both = Simulator::with_policy(cfg(), pruned().with_reuse(true));
+        let both_policy = pruned().with_reuse(true).with_tracing(true);
+        let mut both = Simulator::with_policy(cfg(), both_policy);
+        let mut total = FrameStats::default();
         for frame in 0..3 {
             let a = reuse_only.render_frame_parallel(
                 &trace,
@@ -940,28 +941,11 @@ mod tests {
                     "a static frame replays every tile, skipped ones included"
                 );
             }
+            total.accumulate(&b);
         }
-    }
-
-    #[test]
-    fn trace_marks_agree_with_the_counters() {
-        // Every tile the sweep proves pair-free counts toward
-        // `broadphase.tiles_skipped`, replayed or not, so the
-        // `broadphase` plane must mark replayed pair-free tiles too.
-        let trace = busy_trace();
-        let policy = pruned().with_reuse(true).with_tracing(true);
-        let mut sim = Simulator::with_policy(cfg(), policy);
-        let mut total = FrameStats::default();
-        for _ in 0..3 {
-            total.accumulate(&sim.render_frame_parallel(
-                &trace,
-                PipelineMode::Rbcd,
-                &mut NullCollisionUnit,
-                2,
-            ));
-        }
-        assert!(total.coherence.tiles_reused > 0 && total.broadphase.tiles_skipped > 0);
-        let buf = sim.take_trace().expect("tracing was enabled");
+        // `broadphase.tiles_skipped` counts every tile the sweep proves
+        // pair-free, replayed or not, and so does the `broadphase` plane.
+        let buf = both.take_trace().expect("tracing was enabled");
         assert_eq!(buf.heat().total("reuse"), total.coherence.tiles_reused);
         assert_eq!(buf.heat().total("broadphase"), total.broadphase.tiles_skipped);
     }

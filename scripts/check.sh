@@ -89,16 +89,23 @@ grep -q '"identical_results": true' BENCH_tile_pipeline.json \
 echo "== fault injection smoke (repro --smoke --faults all --threads 2) =="
 "$repro" --smoke --faults all --threads 2
 
-echo "== trace smoke (repro --smoke --frames 2 --trace) =="
+echo "== trace smoke (repro --smoke --frames 2 --trace, --threads 1 vs 4) =="
 # Renders two traced frames, re-parses the Chrome JSON with the crate's
-# own parser, and cross-checks heatmap totals against the unit's
-# counters; repro exits non-zero if anything disagrees. Then make sure
-# the artifacts actually landed and are non-empty.
-"$repro" --smoke --frames 2 --trace trace.json
-for f in trace.json trace.occupancy.csv trace.overflows.csv trace.scan_cycles.csv trace.pairs.csv trace.rung.csv trace.reuse.csv trace.scan_skipped.csv trace.shed.csv trace.splice.csv trace.broadphase.csv; do
-  [ -s "$f" ] || { echo "trace smoke: missing or empty $f"; exit 1; }
+# own parser, and cross-checks every heat plane that has a counter
+# against it; repro exits non-zero if anything disagrees. Then make sure
+# the artifacts actually landed and are non-empty, and that the run at
+# 4 threads wrote byte-identical ones: the trace is on the simulated
+# clock, so it must not depend on the thread count.
+mkdir trace.1 trace.4
+for t in 1 4; do
+  (cd "trace.$t" && "$repro" --smoke --frames 2 --threads "$t" --trace trace.json)
 done
-grep -q '"traceEvents"' trace.json || { echo "trace smoke: no traceEvents key"; exit 1; }
+for f in trace.json trace.occupancy.csv trace.overflows.csv trace.scan_cycles.csv trace.pairs.csv trace.rung.csv trace.reuse.csv trace.scan_skipped.csv trace.shed.csv trace.splice.csv trace.broadphase.csv; do
+  [ -s "trace.1/$f" ] || { echo "trace smoke: missing or empty $f"; exit 1; }
+  cmp -s "trace.1/$f" "trace.4/$f" \
+    || { echo "trace smoke: $f differs between 1 and 4 threads"; exit 1; }
+done
+grep -q '"traceEvents"' trace.1/trace.json || { echo "trace smoke: no traceEvents key"; exit 1; }
 
 echo "== temporal coherence smoke (repro --smoke temporal --threads 2) =="
 # Renders the static clips twice (reuse off, then on); repro exits
