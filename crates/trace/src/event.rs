@@ -22,8 +22,9 @@ pub enum EventKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event name (stable taxonomy: `frame`, `geometry`, `draw`,
-    /// `tile`, `zeb.insert`, `zeb.scan`, `zeb.overflow`, `ladder.rung`,
-    /// `rbcd` for counters).
+    /// `tile`, the [`TileMark`]s `tile.reuse`, `tile.bp_skipped` and
+    /// `tile.shed`, `zeb.insert`, `zeb.scan`, `zeb.overflow`,
+    /// `ladder.rung`, `rbcd` for counters).
     pub name: &'static str,
     /// Category, used by trace viewers for filtering.
     pub cat: &'static str,

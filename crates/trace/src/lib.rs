@@ -10,8 +10,9 @@
 //!   (`GeometryStats`, `RasterStats`, `RbcdStats`) behind one uniform
 //!   surface for metrics, reports, and golden tests.
 //! * [`TraceBuffer`] — the structured event recorder: frame → geometry
-//!   → tile → ZEB insert/scan/overflow/ladder-rung events on the
-//!   simulated timeline, exported as Chrome trace-event JSON
+//!   → tile (plus its reuse, broad-phase or shed [`TileMark`]) → ZEB
+//!   insert/scan/overflow/ladder-rung events on the simulated timeline,
+//!   exported as Chrome trace-event JSON
 //!   ([`TraceBuffer::to_chrome_json`], loadable in `chrome://tracing`
 //!   or Perfetto) and as per-tile heatmap CSVs
 //!   ([`TraceBuffer::heatmap_csv`]).
