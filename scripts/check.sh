@@ -5,7 +5,8 @@
 # The benchmark crate (perf/, its own workspace) is built and listed so a
 # library change that breaks it fails here, not at benchmark time, and
 # each of its workloads runs briefly so a batch-path bug that perf would
-# report as "correct": false fails here too. Every repro smoke runs
+# report as "correct": false fails here too; the simulated metrics of
+# those runs must match scripts/perf_smoke_sim.txt. Every repro smoke runs
 # inside a fresh temporary directory and its greps and cmps read the
 # artifacts written there: the committed full-length BENCH_*.json files
 # are never overwritten by 2-frame smoke numbers.
@@ -54,22 +55,30 @@ echo "== benchmark build (perf/) =="
 cargo build --release --frozen --manifest-path perf/Cargo.toml
 cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf -- --list > /dev/null
 
+# Smokes write their artifacts into the working directory: run them all
+# in a scratch directory so the committed artifacts stay untouched.
+repro="$PWD/target/release/repro"
+sim_pin="$PWD/scripts/perf_smoke_sim.txt"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
 echo "== benchmark correctness smoke (perf --frames 8, every workload) =="
 # Short runs of every workload: perf exits non-zero when a step fails,
 # when a sampled frame reports a pair the software oracle lacks, or when
 # a later pass does not reproduce the first pass's per-step simulated
-# fingerprint. Only the checks matter here, not the timings.
+# fingerprint. Those checks pass as long as a run agrees with itself, so
+# the simulated end-to-end metrics are also compared against the pinned
+# scripts/perf_smoke_sim.txt: a change that moves a simulated number on
+# purpose regenerates that file and says why.
 for w in paper swarm overflow service; do
   cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf -- \
-    --workload "$w" --seed 1 --frames 8 --seconds 0 --trace 0 > /dev/null \
+    --workload "$w" --seed 1 --frames 8 --seconds 0 --trace 0 > "$work/perf.$w.txt" \
     || { echo "perf smoke: workload $w failed its correctness checks"; exit 1; }
+  awk -v w="$w" '$1 == "sim_kcycles_per_frame" || $1 == "sim_uj_per_frame" || $1 == "pair_recall" { print w, $0 }' \
+    "$work/perf.$w.txt" >> "$work/perf_sim.txt"
 done
-
-# Smokes write their artifacts into the working directory: run them all
-# in a scratch directory so the committed artifacts stay untouched.
-repro="$PWD/target/release/repro"
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+diff "$sim_pin" "$work/perf_sim.txt" \
+  || { echo "perf smoke: simulated metrics differ from scripts/perf_smoke_sim.txt (diff above)"; exit 1; }
 cd "$work"
 
 echo "== determinism diff (repro suite figures, --threads 1 vs 4) =="
