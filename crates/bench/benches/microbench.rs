@@ -15,8 +15,8 @@ use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
     rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, Facing,
-    FramePolicy, FrameTrace, FrontendMode, GpuConfig, NullCollisionUnit, ObjectId,
-    ParallelCollision, PipelineMode, ScreenTriangle, Simulator, SimulatorBuilder, TileCoord,
+    FrameTrace, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision, PipelineMode,
+    ScreenTriangle, Simulator, SimulatorBuilder, TileCoord,
 };
 use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::hint::black_box;
@@ -187,8 +187,8 @@ fn bench_small_triangles() {
     });
 }
 
-/// The geometry front-end alone (`bench_bin_frame`, incremental, full
-/// 800×480 viewport) over a window of eight consecutive `cap` frames,
+/// The geometry front-end alone (`bench_bin_frame`, full 800×480
+/// viewport) over a window of eight consecutive `cap` frames,
 /// each call binning the next frame of the window: once with `cap`'s
 /// fixed camera, where still draws hit the geometry cache, and once with
 /// a camera that moves every frame, where every draw is shaded.
@@ -207,10 +207,7 @@ fn bench_frontend() {
     for (name, frames) in
         [("bin_frame_cap_window", &window), ("bin_frame_cap_window_moving_camera", &moving)]
     {
-        let mut sim = SimulatorBuilder::new()
-            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
-            .build()
-            .expect("Table 1 defaults are valid");
+        let mut sim = SimulatorBuilder::new().build().expect("Table 1 defaults are valid");
         let mut f = 0;
         bench(name, || {
             let trace = black_box(&frames[f % frames.len()]);

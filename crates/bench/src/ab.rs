@@ -1,5 +1,5 @@
-//! The A/B harness behind `repro bench`, `hotpath`, `frontend` and
-//! `broadphase`: one table row per experiment, one code path for all.
+//! The A/B harness behind `repro bench`, `hotpath` and `broadphase`:
+//! one table row per experiment, one code path for all.
 //!
 //! Each [`Row`] switches one knob between an off arm and an on arm and
 //! holds only what differs between the experiments: the two arms, the
@@ -38,8 +38,8 @@ use crate::runner::{rbcd_unit, run_gpu, simulator, RunOptions};
 use crate::{geomean, schema};
 use rbcd_core::{ContactPoint, FaultPlan, RbcdConfig, RbcdUnit};
 use rbcd_gpu::{
-    render_batch, BatchJob, BroadPhase, FramePolicy, FrameStats, FrameTrace, FrontendMode,
-    GovernorConfig, HotPathMode, PipelineMode, Simulator,
+    render_batch, BatchJob, BroadPhase, FramePolicy, FrameStats, FrameTrace, GovernorConfig,
+    HotPathMode, PipelineMode, Simulator,
 };
 use rbcd_workloads::Scene;
 use std::collections::BTreeSet;
@@ -61,9 +61,6 @@ enum Stage {
     /// ([`Simulator::bench_raster_pass`]): rasterize, insert and scan,
     /// without per-frame geometry work.
     RasterPass,
-    /// The geometry front-end over the clip
-    /// ([`Simulator::bench_bin_frame`]), without the raster stage.
-    Geometry,
     /// Whole rendered frames over the clip: on one worker, unless the
     /// row's knob is the worker count.
     Frames,
@@ -73,7 +70,6 @@ impl Stage {
     fn label(self) -> &'static str {
         match self {
             Self::RasterPass => "raster pass over frame 0",
-            Self::Geometry => "geometry passes",
             Self::Frames => "whole frames",
         }
     }
@@ -116,8 +112,8 @@ pub struct Row {
     passes: usize,
 }
 
-/// The four A/B experiments, in the order `repro` runs them.
-pub const ROWS: [Row; 4] = [
+/// The three A/B experiments, in the order `repro` runs them.
+pub const ROWS: [Row; 3] = [
     Row {
         id: "bench",
         bench: "tile_pipeline",
@@ -147,23 +143,6 @@ pub const ROWS: [Row; 4] = [
         stands_down_when_governed: false,
         stage: Stage::RasterPass,
         passes: 40,
-    },
-    Row {
-        id: "frontend",
-        bench: "geometry_frontend",
-        title: "Geometry front-end — rebuild vs incremental (host ns per geometry pass)",
-        arms: ["rebuild", "incremental"],
-        arm: |o, on| {
-            o.policy.frontend = if on { FrontendMode::Incremental } else { FrontendMode::Rebuild }
-        },
-        checked: rbcd_workloads::temporal_suite,
-        timed: rbcd_workloads::temporal_suite,
-        frames: None,
-        may_move: |k| k.starts_with("geom."),
-        witness: &["geom.reuse_draws"],
-        stands_down_when_governed: false,
-        stage: Stage::Geometry,
-        passes: 30,
     },
     Row {
         id: "broadphase",
@@ -415,9 +394,6 @@ impl Stack {
                     let _ = self.sim.bench_raster_pass(trace, PipelineMode::Rbcd, &mut self.unit);
                     let _ = self.unit.take_contacts();
                 }
-                Stage::Geometry => {
-                    let _ = self.sim.bench_bin_frame(trace, PipelineMode::Rbcd);
-                }
                 Stage::Frames => {
                     let _ = self.frame(trace, self.threads);
                 }
@@ -429,8 +405,8 @@ impl Stack {
 
 /// Times `passes` interleaved pairs of the two arms after one warm-up
 /// pair, which bills lazy allocations to neither arm and starts the
-/// incremental front-end's cache warm, the steady state a long-running
-/// session lives in. Returns each arm's best ns per frame and the
+/// geometry cache warm, the steady state a long-running session lives
+/// in. Returns each arm's best ns per frame and the
 /// median of the per-pair off/on ratios.
 fn time_pairs(
     passes: usize,
@@ -627,8 +603,7 @@ mod tests {
                 o.gpu.viewport = Viewport::new(o.gpu.viewport.width + 16, o.gpu.viewport.height);
             }
         }
-        let arms: [fn(&mut RunOptions, bool); 4] =
-            [widened::<0>, widened::<1>, widened::<2>, widened::<3>];
+        let arms: [fn(&mut RunOptions, bool); 3] = [widened::<0>, widened::<1>, widened::<2>];
         let (opts, scenes) = small();
         for (row, arm) in ROWS.iter().zip(arms) {
             let exact = whole_runs(&Row { arm, ..*row }, &opts, &scenes);

@@ -15,14 +15,13 @@
 //! parser before it is written; repro exits non-zero if one fails to
 //! land.
 //!
-//! `bench`, `hotpath`, `frontend` and `broadphase` are host-wall-clock
-//! A/Bs of one layer each (opt-in, not part of `all`), rows of the one
-//! table in `rbcd_bench::ab`: the tile pool against one worker
+//! `bench`, `hotpath` and `broadphase` are host-wall-clock A/Bs of one
+//! layer each (opt-in, not part of `all`), rows of the one table in
+//! `rbcd_bench::ab`: the tile pool against one worker
 //! (`BENCH_tile_pipeline.json`), the span-mask hot path against the
-//! reference rasterizer (`BENCH_raster_hotpath.json`), the incremental
-//! geometry front-end against a full rebuild
-//! (`BENCH_geometry_frontend.json`), and the screen-space broad phase
-//! against an unpruned run (`BENCH_broadphase.json`). Each first checks
+//! reference rasterizer (`BENCH_raster_hotpath.json`), and the
+//! screen-space broad phase against an unpruned run
+//! (`BENCH_broadphase.json`). Each first checks
 //! that its two arms agree on every result the layer may not move —
 //! across thread counts, reuse, a governed budget, fault storms and the
 //! batch service — and that they really ran different modes, and exits
@@ -42,17 +41,15 @@
 //! simulated-cycle timeline), `--hot-path mask|reference` selects the
 //! intra-tile hot path for every experiment (mask is the default; the
 //! two are bit-identical in every result, differing only in host
-//! wall-clock), `--frontend incremental|rebuild` selects the geometry
-//! front-end the same way (incremental is the CLI default; the library
-//! default stays rebuild so golden counters are cache-free),
-//! `--broadphase on|off` selects the screen-space broad phase the same
-//! way (on is the CLI default; the library default stays off so golden
-//! counters are pruning-free — pairs and `rbcd.*` counters are
-//! bit-identical either way, only image-side timing moves), `--smoke`
-//! shrinks every experiment to a quick
-//! configuration and defaults the experiment list to `bench temporal`,
-//! and `--scene <alias>` restricts multi-scene experiments to one
-//! workload. All flags parse through the shared option table in
+//! wall-clock), `--broadphase on|off` selects the screen-space broad
+//! phase the same way (on is the CLI default; the library default
+//! stays off so golden counters are pruning-free — pairs and `rbcd.*`
+//! counters are bit-identical either way, only image-side timing
+//! moves), `--smoke` shrinks every experiment to a quick configuration
+//! and defaults the experiment list to `bench temporal`, and `--scene
+//! <alias>` restricts multi-scene experiments to one workload. The
+//! geometry front-end's per-draw cache has no flag: it keys each draw
+//! exactly, so it is always on. All flags parse through the shared option table in
 //! `rbcd_bench::cli`; an unknown flag, a missing value, or an unknown
 //! experiment id exits with status 2.
 //!
@@ -149,9 +146,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         run_fault_experiment(plan, &opts, smoke)?;
     }
 
-    // The A/B experiments (`bench`, `hotpath`, `frontend`,
-    // `broadphase`) are opt-in (not part of `all`): they time the host
-    // clock, which is meaningless in CI artifact regeneration.
+    // The A/B experiments (`bench`, `hotpath`, `broadphase`) are opt-in
+    // (not part of `all`): they time the host clock, which is
+    // meaningless in CI artifact regeneration.
     for row in &ab::ROWS {
         if wanted.iter().any(|w| w == row.id) {
             ab::run(row, &opts, smoke)?;

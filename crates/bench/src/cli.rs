@@ -10,7 +10,7 @@
 use crate::runner::RunOptions;
 use rbcd_core::faults::PRESETS;
 use rbcd_core::FaultPlan;
-use rbcd_gpu::{BroadPhase, FramePolicy, FrontendMode, GpuConfig, HotPathMode};
+use rbcd_gpu::{BroadPhase, FramePolicy, GpuConfig, HotPathMode};
 use rbcd_math::Viewport;
 use rbcd_workloads::Scene;
 use std::fmt;
@@ -47,7 +47,7 @@ struct FlagSpec {
 /// Every experiment id `repro` dispatches — the one list a positional
 /// argument is checked against, so a typo exits with usage code 2
 /// instead of silently running nothing.
-const EXPERIMENTS: [&str; 29] = [
+const EXPERIMENTS: [&str; 28] = [
     "all",
     "table1",
     "table2",
@@ -72,7 +72,6 @@ const EXPERIMENTS: [&str; 29] = [
     "temporal",
     "bench",
     "hotpath",
-    "frontend",
     "broadphase",
     "overload",
     "serve",
@@ -85,7 +84,6 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec { name: "--smoke", value: None },
     FlagSpec { name: "--no-reuse", value: None },
     FlagSpec { name: "--hot-path", value: Some("a mode (mask|reference)") },
-    FlagSpec { name: "--frontend", value: Some("a mode (incremental|rebuild)") },
     FlagSpec { name: "--broadphase", value: Some("a mode (on|off)") },
     FlagSpec { name: "--trace", value: Some("an output path (e.g. trace.json)") },
     FlagSpec { name: "--faults", value: Some("a plan name") },
@@ -106,13 +104,13 @@ pub struct CliOptions {
     /// The execution policy every experiment runs under. The CLI
     /// default turns every layer on: cross-frame tile reuse
     /// (`--no-reuse` clears it), the mask hot path (`--hot-path
-    /// mask|reference`), the incremental front-end (`--frontend
-    /// incremental|rebuild`) and the broad phase (`--broadphase
-    /// on|off`). Each keeps pairs bit-identical and is the faster host
-    /// path on the workloads it targets. The *library* default turns
-    /// them off, so golden counters and embedders are untouched; only
-    /// the CLI flips them. Tracing and the governor stay off here:
-    /// `--trace` and `overload` turn them on for their own runs.
+    /// mask|reference`) and the broad phase (`--broadphase on|off`).
+    /// Each keeps pairs bit-identical and is the faster host path on
+    /// the workloads it targets. The *library* default turns them off,
+    /// so golden counters and embedders are untouched; only the CLI
+    /// flips them. Tracing and the governor stay off here: `--trace`
+    /// and `overload` turn them on for their own runs. The geometry
+    /// cache is not a knob: every simulator runs it.
     pub policy: FramePolicy,
     /// `--trace <path>`: run the trace experiment, writing there.
     pub trace: Option<String>,
@@ -134,7 +132,6 @@ impl Default for CliOptions {
             policy: FramePolicy::new()
                 .with_reuse(true)
                 .with_hot_path(HotPathMode::Mask)
-                .with_frontend(FrontendMode::Incremental)
                 .with_broadphase(BroadPhase::On),
             trace: None,
             faults: None,
@@ -245,18 +242,6 @@ pub fn parse_args(args: Vec<String>) -> Result<CliOptions, UsageError> {
                     }
                 });
             }
-            "--frontend" => {
-                out.policy.frontend = match value(&mut it)?.as_str() {
-                    "incremental" => FrontendMode::Incremental,
-                    "rebuild" => FrontendMode::Rebuild,
-                    _ => {
-                        return Err(UsageError {
-                            flag: "--frontend".into(),
-                            expected: "a mode (incremental|rebuild)".into(),
-                        })
-                    }
-                };
-            }
             "--broadphase" => {
                 out.policy.broadphase = match value(&mut it)?.as_str() {
                     "on" => BroadPhase::On,
@@ -328,7 +313,6 @@ mod tests {
         assert!(!o.smoke);
         assert!(o.policy.reuse);
         assert_eq!(o.policy.hot_path, Some(HotPathMode::Mask));
-        assert_eq!(o.policy.frontend, FrontendMode::Incremental);
         assert_eq!(o.policy.broadphase, BroadPhase::On, "CLI default on; library default off");
         assert!(o.rest.is_empty());
     }
@@ -343,18 +327,6 @@ mod tests {
         let e = parse(&["--broadphase", "sweep"]).expect_err("rejected");
         assert_eq!(e.flag, "--broadphase");
         assert!(e.to_string().contains("on|off"));
-    }
-
-    #[test]
-    fn frontend_flag_parses_both_modes_and_rejects_others() {
-        let o = parse(&["--frontend", "rebuild"]).expect("valid");
-        assert_eq!(o.policy.frontend, FrontendMode::Rebuild);
-        assert_eq!(o.run_options().policy.frontend, FrontendMode::Rebuild);
-        let o = parse(&["--frontend", "incremental"]).expect("valid");
-        assert_eq!(o.policy.frontend, FrontendMode::Incremental);
-        let e = parse(&["--frontend", "turbo"]).expect_err("rejected");
-        assert_eq!(e.flag, "--frontend");
-        assert!(e.to_string().contains("incremental|rebuild"));
     }
 
     #[test]
@@ -383,6 +355,9 @@ mod tests {
         let e = parse(&["--fames", "3"]).expect_err("typo must be caught");
         assert_eq!(e.flag, "--fames");
         assert!(e.expected.contains("--frames"), "{e}");
+        // The geometry front-end has no switch: the flag is gone.
+        let e = parse(&["--frontend", "rebuild"]).expect_err("no such flag");
+        assert_eq!(e.flag, "--frontend");
     }
 
     #[test]
@@ -425,8 +400,6 @@ mod tests {
         use rbcd_gpu::SimulatorBuilder;
         let o = parse(&[
             "--no-reuse",
-            "--frontend",
-            "rebuild",
             "--broadphase",
             "off",
             "--hot-path",
@@ -440,7 +413,6 @@ mod tests {
         let sim = SimulatorBuilder::from_config(r.gpu).policy(r.policy).build().expect("valid");
         let p = sim.policy();
         assert!(!p.reuse);
-        assert_eq!(p.frontend, FrontendMode::Rebuild);
         assert_eq!(p.broadphase, BroadPhase::Off);
         assert_eq!(p.hot_path, Some(HotPathMode::Reference), "the simulator reports its mode");
         assert!(!p.tracing && p.governor.is_none());
@@ -452,7 +424,6 @@ mod tests {
         let default = FramePolicy::new()
             .with_reuse(true)
             .with_hot_path(HotPathMode::Mask)
-            .with_frontend(FrontendMode::Incremental)
             .with_broadphase(BroadPhase::On);
         assert_eq!(CliOptions::default().frame_policy(), default);
     }

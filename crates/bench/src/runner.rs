@@ -33,13 +33,13 @@ pub struct RunOptions {
     /// deterministically); this only changes host wall-clock time.
     pub threads: usize,
     /// Execution policy of every simulator the run builds: temporal
-    /// tile reuse, geometry front-end, broad phase, governor. Each
-    /// layer keeps pairs bit-identical (the [`FramePolicy`] fields say
-    /// which counters may move). The default policy
-    /// turns every optional layer off, so golden counters and the
-    /// paper-facing tables are unaffected unless asked for; the `repro`
-    /// CLI turns reuse, the incremental front-end and the broad phase
-    /// on. The hot path lives in `gpu.hot_path` and `policy.hot_path`
+    /// tile reuse, broad phase, governor. Each layer keeps pairs
+    /// bit-identical (the [`FramePolicy`] fields say which counters may
+    /// move). The default policy turns every optional layer off, so
+    /// golden counters and the paper-facing tables are unaffected
+    /// unless asked for; the `repro` CLI turns reuse and the broad
+    /// phase on. The geometry cache is not a policy knob: every
+    /// simulator runs it. The hot path lives in `gpu.hot_path` and `policy.hot_path`
     /// stays `None`: an override here would silently beat an
     /// experiment arm that sets `gpu.hot_path` on purpose. Experiments
     /// that sweep per-frame budgets (`repro overload`) retune the

@@ -1,24 +1,28 @@
-//! Satellite check: the incremental geometry front-end is bit-identical
-//! to the full-rebuild front-end under adversarial conditions.
+//! The geometry cache is bit-identical to shading every draw of every
+//! frame under adversarial conditions.
 //!
-//! Random motion scripts (seeded, so failures replay) hold some objects
-//! still — the cache-hit path — and move others — the invalidation
-//! path — while the matrix sweeps worker threads, fault-storm and
-//! overflow presets, and an active governor budget. Per-frame
-//! [`FrameStats`], collision pairs, and derived counters must match the
-//! rebuild run bit for bit; only the accounting-only `geom.*` counters
-//! may differ. A second arm pins the two-generation cache: a draw that
-//! skips a frame is re-shaded when it returns, results never change,
-//! and the cache never holds more than the last two frames' draws.
+//! The reference renders the same frames with every mesh freshly
+//! allocated: such draws can never hit the cache, since a hit requires
+//! the very allocation a cached draw was shaded from. Random motion
+//! scripts (seeded, so failures replay) hold some objects still — the
+//! cache-hit path — and move others — the invalidation path — while the
+//! matrix sweeps worker threads, fault-storm and overflow presets, and
+//! an active governor budget. Per-frame [`FrameStats`], collision
+//! pairs, and derived counters must match the reference bit for bit;
+//! only the accounting-only `geom.*` counters may differ. A second arm
+//! pins the two-generation cache: a draw that skips a frame is
+//! re-shaded when it returns, results never change, and the cache never
+//! holds more than the last two frames' draws.
 
 use rbcd_core::{FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
 use rbcd_gpu::{
-    Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace, FrontendMode, GovernorConfig,
-    GpuConfig, ObjectId, PipelineMode, SimulatorBuilder,
+    Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace, GovernorConfig, GpuConfig,
+    ObjectId, PipelineMode, SimulatorBuilder,
 };
 use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn cfg() -> GpuConfig {
     GpuConfig { viewport: Viewport::new(192, 128), ..GpuConfig::default() }
@@ -71,25 +75,33 @@ fn random_script(seed: u64, frames: usize) -> Vec<FrameTrace> {
         .collect()
 }
 
+/// `trace` with every mesh copied into a fresh allocation: the same
+/// frame, whose draws can never hit the geometry cache.
+fn fresh_meshes(trace: &FrameTrace) -> FrameTrace {
+    let draws = trace
+        .draws
+        .iter()
+        .map(|d| DrawCommand { mesh: Arc::new((*d.mesh).clone()), ..d.clone() })
+        .collect();
+    FrameTrace::new(trace.camera, draws)
+}
+
 /// Renders a script end to end, returning per-frame stats and the
 /// accumulated pair set. Faults corrupt each frame's trace on the way
-/// in (same plan, same frame index → same corruption for both
-/// front-ends).
+/// in (same plan, same frame index → same corruption for every run);
+/// with `fresh` set, every mesh of the corrupted frame is then
+/// re-allocated, duplicated draws included, so no draw can hit and the
+/// run is the shade-every-draw reference.
 fn run_script(
     script: &[FrameTrace],
-    frontend: FrontendMode,
+    fresh: bool,
     threads: usize,
     reuse: bool,
     faults: Option<&FaultPlan>,
     governor: Option<GovernorConfig>,
 ) -> (Vec<FrameStats>, BTreeSet<ObjectPair>) {
     let mut sim = SimulatorBuilder::from_config(cfg())
-        .policy(
-            FramePolicy::new()
-                .with_reuse(reuse)
-                .with_frontend(frontend)
-                .with_governor(governor),
-        )
+        .policy(FramePolicy::new().with_reuse(reuse).with_governor(governor))
         .build()
         .expect("test configuration is valid");
     let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
@@ -98,13 +110,17 @@ fn run_script(
     let mut pairs = BTreeSet::new();
     for (f, trace) in script.iter().enumerate() {
         unit.new_frame();
-        let stats = match faults {
-            Some(plan) => {
-                let (corrupted, _log) = plan.apply(trace, f as u64);
-                sim.render_frame_parallel(&corrupted, PipelineMode::Rbcd, &mut unit, threads)
-            }
-            None => sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut unit, threads),
+        let mut frame = match faults {
+            Some(plan) => plan.apply(trace, f as u64).0,
+            None => trace.clone(),
         };
+        if fresh {
+            frame = fresh_meshes(&frame);
+        }
+        let stats = sim.render_frame_parallel(&frame, PipelineMode::Rbcd, &mut unit, threads);
+        if fresh {
+            assert_eq!(stats.geometry.reuse_draws, 0, "frame {f}: fresh allocations never hit");
+        }
         frames.push(stats);
         for c in unit.take_contacts() {
             pairs.insert(c.object_pair());
@@ -114,7 +130,7 @@ fn run_script(
 }
 
 /// Zeroes the accounting-only `geom.*` counters — the only fields the
-/// exactness contract lets the incremental front-end move.
+/// exactness contract lets the geometry cache move.
 fn no_geom_accounting(mut s: FrameStats) -> FrameStats {
     s.geometry.reuse_draws = 0;
     s.geometry.shaded_draws = 0;
@@ -134,24 +150,17 @@ fn incremental_matches_rebuild_on_random_motion_scripts() {
         let script = random_script(seed, frames);
         for (fname, plan) in &faults {
             for reuse in [false, true] {
-                let (base, base_pairs) =
-                    run_script(&script, FrontendMode::Rebuild, 1, reuse, plan.as_ref(), None);
+                let (base, base_pairs) = run_script(&script, true, 1, reuse, plan.as_ref(), None);
                 for threads in [1, 2, 4] {
-                    let (inc, inc_pairs) = run_script(
-                        &script,
-                        FrontendMode::Incremental,
-                        threads,
-                        reuse,
-                        plan.as_ref(),
-                        None,
-                    );
+                    let (inc, inc_pairs) =
+                        run_script(&script, false, threads, reuse, plan.as_ref(), None);
                     let tag =
                         format!("seed {seed}, faults {fname}, reuse {reuse}, {threads} threads");
                     assert_eq!(base_pairs, inc_pairs, "{tag}: pair set diverged");
                     assert_eq!(base.len(), inc.len());
                     for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
                         assert_eq!(
-                            *a,
+                            no_geom_accounting(*a),
                             no_geom_accounting(*b),
                             "{tag}: frame {f} FrameStats diverged"
                         );
@@ -173,22 +182,21 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
     // Probe the ungoverned timeline, then budget half of it per frame:
     // deep enough into overload that tiles are shed and the policy
     // ladder (forced reuse included) actually engages.
-    let (probe, _) = run_script(&script, FrontendMode::Rebuild, 1, false, None, None);
+    let (probe, _) = run_script(&script, true, 1, false, None, None);
     let per_frame: u64 =
         probe.iter().map(|s| s.raster.cycles).sum::<u64>() / probe.len() as u64 / 2;
     let gov = GovernorConfig { frame_budget_cycles: per_frame.max(1), ..GovernorConfig::default() };
-    let (base, base_pairs) = run_script(&script, FrontendMode::Rebuild, 1, false, None, Some(gov));
+    let (base, base_pairs) = run_script(&script, true, 1, false, None, Some(gov));
     assert!(
         base.iter().map(|s| s.governor.tiles_shed).sum::<u64>() > 0,
         "a half budget must shed tiles, or this arm only covers the idle path"
     );
     for threads in [1, 2, 4] {
-        let (inc, inc_pairs) =
-            run_script(&script, FrontendMode::Incremental, threads, false, None, Some(gov));
+        let (inc, inc_pairs) = run_script(&script, false, threads, false, None, Some(gov));
         assert_eq!(base_pairs, inc_pairs, "governed pairs at {threads} threads");
         for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
             assert_eq!(
-                *a,
+                no_geom_accounting(*a),
                 no_geom_accounting(*b),
                 "governed frame {f} diverged at {threads} threads"
             );
@@ -236,14 +244,10 @@ fn drop_out_script() -> Vec<FrameTrace> {
 #[test]
 fn bounded_cache_evicts_without_changing_results() {
     let script = drop_out_script();
-    let (base, base_pairs) = run_script(&script, FrontendMode::Rebuild, 1, true, None, None);
+    let (base, base_pairs) = run_script(&script, true, 1, true, None, None);
     for threads in [1, 2] {
         let mut sim = SimulatorBuilder::from_config(cfg())
-            .policy(
-                FramePolicy::new()
-                    .with_reuse(true)
-                    .with_frontend(FrontendMode::Incremental),
-            )
+            .policy(FramePolicy::new().with_reuse(true))
             .build()
             .expect("test configuration is valid");
         let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
@@ -267,7 +271,11 @@ fn bounded_cache_evicts_without_changing_results() {
         }
         assert_eq!(base_pairs, pairs, "{threads} threads: pair set diverged");
         for (f, (a, b)) in base.iter().zip(&frames).enumerate() {
-            assert_eq!(*a, no_geom_accounting(*b), "{threads} threads: frame {f} diverged");
+            assert_eq!(
+                no_geom_accounting(*a),
+                no_geom_accounting(*b),
+                "{threads} threads: frame {f} diverged"
+            );
         }
         // Frames GAP - 1 and GAP + 1 share a camera and a cast; only
         // the returning draw, absent for frame GAP, must shade again.

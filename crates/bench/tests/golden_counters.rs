@@ -148,14 +148,13 @@ const GOLDEN_VALUES: &[(&str, u64)] = &[
     ("coherence.tiles_checked", 0),
     ("coherence.tiles_reused", 0),
     ("frames", 2),
-    // Incremental-front-end accounting: zero under the library-default
-    // full-rebuild front-end (same mask-only convention as
+    // Geometry-cache accounting (same mask-only convention as
     // `tile.scan_skipped` — never read by the energy model, so the
-    // incremental front-end changes `geom.*` without perturbing any
-    // energy-bearing counter).
-    ("geom.bin_splices", 0),
-    ("geom.reuse_draws", 0),
-    ("geom.shaded_draws", 0),
+    // cache moves `geom.*` without perturbing any energy-bearing
+    // counter): frame 1 replays `cap`'s still draws.
+    ("geom.bin_splices", 3833),
+    ("geom.reuse_draws", 63),
+    ("geom.shaded_draws", 151),
     ("geometry.bin_entries", 22798),
     ("geometry.cycles", 592046),
     ("geometry.draws_quarantined", 0),
@@ -227,7 +226,7 @@ const GOLDEN_VALUES: &[(&str, u64)] = &[
 ];
 
 /// The CLI policy (`CliOptions::default()`: reuse, mask hot path,
-/// incremental front-end, broad phase) at the golden scene's 192x128
+/// broad phase) at the golden scene's 192x128
 /// viewport, over `cap`'s first 3 frames.
 fn cli_opts() -> RunOptions {
     let mut opts = CliOptions::default().run_options();

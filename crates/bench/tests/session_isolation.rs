@@ -2,12 +2,12 @@
 //! any interleaving of K sessions over a shared worker pool yields
 //! per-session artifacts byte-identical to running each session solo —
 //! at 1, 2, and 4 workers, under fault injection, governed budgets,
-//! tracing, the incremental front-end and broad phase, and arbitrary
+//! tracing, the broad phase, and arbitrary
 //! admission staggers — with a leak-free admission ledger throughout.
 
 use rbcd_core::sched::{AdmissionError, Scheduler, SessionSpec};
 use rbcd_core::FaultPlan;
-use rbcd_gpu::{BroadPhase, FramePolicy, FrontendMode, GovernorConfig, GpuConfig};
+use rbcd_gpu::{BroadPhase, FramePolicy, GovernorConfig, GpuConfig};
 
 const WORKER_SWEEP: [usize; 3] = [1, 2, 4];
 const FRAMES: usize = 2;
@@ -33,8 +33,8 @@ impl Rng {
 
 /// The session mix under test: every scene drawn from the workload
 /// pools, with policies cycling through reuse, tracing, storm faults,
-/// a governed budget, and `repro`'s default layers (the incremental
-/// front-end and the broad phase, on odd-indexed sessions) — the full
+/// a governed budget, and `repro`'s broad phase (on odd-indexed
+/// sessions) — the full
 /// space of per-session state that could leak across the shared pool.
 fn session_mix() -> Vec<SessionSpec> {
     let mut pool = rbcd_workloads::suite();
@@ -47,9 +47,7 @@ fn session_mix() -> Vec<SessionSpec> {
             let clip: Vec<_> = (0..FRAMES).map(|f| scene.frame_trace(f)).collect();
             let mut policy = FramePolicy::new().with_reuse(i % 2 == 0);
             if i % 2 == 1 {
-                policy = policy
-                    .with_frontend(FrontendMode::Incremental)
-                    .with_broadphase(BroadPhase::On);
+                policy = policy.with_broadphase(BroadPhase::On);
             }
             if i % 3 == 0 {
                 policy = policy.with_tracing(true);

@@ -131,8 +131,8 @@ pub struct SessionSpec {
     /// effective GPU hot path (policy override or `gpu.hot_path`), so
     /// one knob switches the whole session's pipeline.
     pub rbcd: RbcdConfig,
-    /// Execution policy (reuse, hot path, front-end, broad phase,
-    /// tracing, governor), fixed when the session is admitted and its
+    /// Execution policy (reuse, hot path, broad phase, tracing,
+    /// governor), fixed when the session is admitted and its
     /// simulator built. Worker threads are not part of it: the
     /// scheduler's shared pool is sized once for all sessions.
     pub policy: FramePolicy,

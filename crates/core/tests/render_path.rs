@@ -9,9 +9,8 @@ use rbcd_core::software::OracleUnit;
 use rbcd_core::{ContactPoint, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
 use rbcd_gpu::{
-    BroadPhase, Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace, FrontendMode,
-    GovernorConfig, GovernorFrameReport, GpuConfig, ObjectId, PipelineMode, Simulator,
-    SimulatorBuilder,
+    BroadPhase, Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace, GovernorConfig,
+    GovernorFrameReport, GpuConfig, ObjectId, PipelineMode, Simulator, SimulatorBuilder,
 };
 use rbcd_math::{Mat4, Vec3, Viewport};
 
@@ -70,8 +69,7 @@ fn run(policy: FramePolicy, threads: Option<usize>, frames: usize) -> Vec<FrameO
 fn render_frame_honours_the_whole_policy() {
     let policy = FramePolicy::new()
         .with_reuse(true)
-        .with_broadphase(BroadPhase::On)
-        .with_frontend(FrontendMode::Incremental);
+        .with_broadphase(BroadPhase::On);
     let solo = run(policy, None, 3);
     for threads in [1, 4] {
         assert_eq!(solo, run(policy, Some(threads), 3), "reuse + broad phase, {threads} threads");

@@ -13,8 +13,8 @@
 //! 1. **Per-draw screen bounds.** Each draw's binned triangles fold
 //!    into an integer pixel AABB (from the binner's own
 //!    `pixel_bounds`) plus a window-space z-interval, memoized through
-//!    the incremental front-end's per-draw geometry cache so cached
-//!    draws pay nothing ([`DrawBounds`]).
+//!    the front-end's per-draw geometry cache so cached draws pay
+//!    nothing ([`DrawBounds`]).
 //! 2. **A deterministic interval sweep** over per-object union bounds
 //!    (sorted by minimum x, then object id) marking the pair-feasible
 //!    object set ([`plan_frame`]).
@@ -108,8 +108,8 @@ const Z_SLACK: f32 = 2.0 / 65535.0;
 /// the integer pixel AABB the binner itself computed (exact fragment
 /// coverage bounds, NaN-proof by construction) and the window-space
 /// z-interval of the surviving vertices. Cached alongside the draw's
-/// geometry by the incremental front-end, so unchanged draws pay
-/// nothing per frame.
+/// geometry by the front-end, so unchanged draws pay nothing per
+/// frame.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DrawBounds {
     min: Vec3,

@@ -355,18 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_frontend_reaches_the_simulator() {
-        use crate::frontend::FrontendMode;
-        let default = SimulatorBuilder::new().build().unwrap();
-        assert_eq!(default.policy().frontend, FrontendMode::Rebuild);
-        let incremental = SimulatorBuilder::new()
-            .policy(FramePolicy::new().with_frontend(FrontendMode::Incremental))
-            .build()
-            .unwrap();
-        assert_eq!(incremental.policy().frontend, FrontendMode::Incremental);
-    }
-
-    #[test]
     fn policy_broadphase_reaches_the_simulator() {
         use crate::broadphase::BroadPhase;
         let default = SimulatorBuilder::new().build().unwrap();

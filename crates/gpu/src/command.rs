@@ -122,7 +122,7 @@ impl Facing {
 }
 
 /// Which faces the fixed-function Face Culling stage removes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CullMode {
     /// Cull nothing.
     None,
@@ -145,7 +145,7 @@ impl CullMode {
 
 /// Per-draw programmable-stage cost, standing in for the shader programs
 /// a real trace would carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShaderCost {
     /// Vertex processor cycles per vertex.
     pub vertex_cycles: u32,

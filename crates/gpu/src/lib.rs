@@ -76,7 +76,6 @@ pub use command::{
     Camera, CullMode, DrawCommand, Facing, FrameTrace, ObjectId, SceneError, ShaderCost,
 };
 pub use config::{GovernorConfig, GpuConfig, HotPathMode};
-pub use frontend::FrontendMode;
 pub use imr::{ImrSimulator, ImrStats};
 pub use parallel::ParallelCollision;
 pub use policy::FramePolicy;

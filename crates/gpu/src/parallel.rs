@@ -328,10 +328,9 @@ impl Simulator {
 
         // Temporal reuse.
         if reuse_on {
-            // The geometry front-end hashed every draw command of the
-            // frame and folded the hashes into every record's digest;
-            // the simulated per-draw hand-off is charged per hash here.
-            co.draw_hashes = self.draw_hashes.len() as u64;
+            // The simulated per-draw digest hand-off, charged per draw
+            // command of the trace.
+            co.draw_hashes = trace.draws.len() as u64;
             // The blocked-object filter changes what the backend sees,
             // so the blocked set is folded into the frame seed: cached
             // results are only replayed under the exact routing that
@@ -570,7 +569,7 @@ mod tests {
     use super::*;
     use crate::command::{Camera, DrawCommand, ObjectId};
     use crate::config::{GovernorConfig, GpuConfig};
-    use crate::frontend::FrontendMode;
+    use crate::frontend::fresh_meshes;
     use crate::policy::FramePolicy;
     use crate::NullCollisionUnit;
     use rbcd_geometry::shapes;
@@ -753,8 +752,7 @@ mod tests {
     }
 
     /// Zeroes the accounting-only `geom.*` counters — the only fields
-    /// allowed to differ between the rebuild and incremental
-    /// front-ends.
+    /// the geometry cache may move.
     fn no_geom_accounting(mut s: FrameStats) -> FrameStats {
         s.geometry.reuse_draws = 0;
         s.geometry.shaded_draws = 0;
@@ -762,6 +760,8 @@ mod tests {
         s
     }
 
+    /// The geometry cache against the shade-every-draw reference: the
+    /// same frames with every mesh freshly allocated.
     #[test]
     fn incremental_frontend_is_bit_identical_to_rebuild() {
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
@@ -769,26 +769,28 @@ mod tests {
                 for threads in [1, 2, 4] {
                     let trace = busy_trace();
                     let policy = FramePolicy::new().with_reuse(reuse);
-                    let mut rebuild = Simulator::with_policy(cfg(), policy);
-                    let mut inc = Simulator::with_policy(
-                        cfg(),
-                        policy.with_frontend(FrontendMode::Incremental),
-                    );
+                    let mut fresh = Simulator::with_policy(cfg(), policy);
+                    let mut cached = Simulator::with_policy(cfg(), policy);
                     for frame in 0..3 {
-                        let a = rebuild.render_frame_parallel(
+                        let a = fresh.render_frame_parallel(
+                            &fresh_meshes(&trace),
+                            mode,
+                            &mut NullCollisionUnit,
+                            threads,
+                        );
+                        assert_eq!(a.geometry.reuse_draws, 0, "fresh allocations never hit");
+                        let b = cached.render_frame_parallel(
                             &trace,
                             mode,
                             &mut NullCollisionUnit,
                             threads,
                         );
-                        let b =
-                            inc.render_frame_parallel(&trace, mode, &mut NullCollisionUnit, threads);
                         assert_eq!(
-                            a,
+                            no_geom_accounting(a),
                             no_geom_accounting(b),
                             "mode {mode:?}, reuse {reuse}, {threads} threads, frame {frame}"
                         );
-                        if mode != PipelineMode::CollisionOnly && frame > 0 {
+                        if frame > 0 {
                             assert!(
                                 b.geometry.reuse_draws > 0,
                                 "a static frame replays its draws from the geometry cache"
@@ -803,21 +805,20 @@ mod tests {
     #[test]
     fn incremental_frontend_traces_match_rebuild_events() {
         let trace = busy_trace();
-        let events_of = |frontend: FrontendMode| {
-            let policy = FramePolicy::new().with_tracing(true).with_frontend(frontend);
-            let mut sim = Simulator::with_policy(cfg(), policy);
+        let events_of = |fresh: bool| {
+            let mut sim = Simulator::with_policy(cfg(), FramePolicy::new().with_tracing(true));
             for _ in 0..2 {
-                sim.render_frame_parallel(&trace, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
+                let frame = if fresh { fresh_meshes(&trace) } else { trace.clone() };
+                sim.render_frame_parallel(&frame, PipelineMode::Rbcd, &mut NullCollisionUnit, 2);
             }
             sim.take_trace().expect("tracing was enabled")
         };
-        let rebuild = events_of(FrontendMode::Rebuild);
-        let inc = events_of(FrontendMode::Incremental);
+        let (reference, cached) = (events_of(true), events_of(false));
         // The timeline is simulated, so splicing must be invisible to
         // the event stream; only the splice heat plane may differ.
-        assert_eq!(rebuild.events(), inc.events());
-        assert!(inc.heat().total("splice") > 0, "warm frame splices bins");
-        assert_eq!(rebuild.heat().total("splice"), 0);
+        assert_eq!(reference.events(), cached.events());
+        assert!(cached.heat().total("splice") > 0, "warm frame splices bins");
+        assert_eq!(reference.heat().total("splice"), 0);
     }
 
     /// Zeroes every counter the broad phase is *allowed* to move —

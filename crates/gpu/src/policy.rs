@@ -3,8 +3,8 @@
 //!
 //! A simulator's hardware shape comes from [`GpuConfig`](crate::GpuConfig).
 //! How it executes every frame — temporal tile reuse, the intra-tile
-//! hot path, the geometry front-end, the screen-space broad phase,
-//! tracing and the overload governor — comes from one `FramePolicy`,
+//! hot path, the screen-space broad phase, tracing and the overload
+//! governor — comes from one `FramePolicy`,
 //! handed to [`SimulatorBuilder::policy`](crate::SimulatorBuilder::policy)
 //! or to a session (`rbcd_core::sched::SessionSpec::with_policy`). The
 //! policy is fixed when [`SimulatorBuilder::build`](crate::SimulatorBuilder::build)
@@ -16,7 +16,9 @@
 //! reports the policy in force.
 //!
 //! `FramePolicy::default()` turns every optional layer off, which is
-//! what the golden counters pin. New fields can be added without
+//! what the golden counters pin. The geometry front-end's per-draw
+//! cache is not a knob: it keys each draw exactly, so its hits equal
+//! shading, and every simulator runs it. New fields can be added without
 //! breaking construction sites: build a policy with
 //! [`FramePolicy::new`] and the `with_*` methods, not a struct literal.
 //!
@@ -27,20 +29,18 @@
 
 use crate::broadphase::BroadPhase;
 use crate::config::{GovernorConfig, HotPathMode};
-use crate::frontend::FrontendMode;
 
 /// Every frame-execution knob in one place: temporal tile reuse, the
-/// intra-tile hot path, the geometry front-end, tracing, the overload
-/// governor and the broad phase. Worker threads are not a knob of the
+/// intra-tile hot path, tracing, the overload governor and the broad
+/// phase. Worker threads are not a knob of the
 /// simulator: every render call takes its worker count as an argument.
 ///
 /// ```
-/// use rbcd_gpu::{FramePolicy, FrontendMode, GovernorConfig, HotPathMode, SimulatorBuilder};
+/// use rbcd_gpu::{FramePolicy, GovernorConfig, HotPathMode, SimulatorBuilder};
 ///
 /// let policy = FramePolicy::new()
 ///     .with_reuse(true)
 ///     .with_hot_path(HotPathMode::Mask)
-///     .with_frontend(FrontendMode::Incremental)
 ///     .with_governor(Some(GovernorConfig { frame_budget_cycles: 50_000, ..GovernorConfig::default() }));
 /// let sim = SimulatorBuilder::new().policy(policy).build().expect("valid configuration");
 /// assert_eq!(*sim.policy(), policy);
@@ -66,24 +66,6 @@ pub struct FramePolicy {
     /// bit-identical in every result — this knob only trades host
     /// wall-clock. A built simulator reports the mode it resolved.
     pub hot_path: Option<HotPathMode>,
-    /// Geometry front-end arrangement. Full rebuild by default.
-    ///
-    /// With [`FrontendMode::Incremental`], draws whose content hash
-    /// (plus camera/viewport/mode seed) matches a cached entry skip
-    /// vertex shading, near-clipping, and face culling; their screen
-    /// triangles and bin records are spliced from the per-draw geometry
-    /// cache. Changed draws are shaded on the whole worker pool when
-    /// the frame is the only job of its batch, and on the thread that
-    /// plans the session otherwise. The cache holds two generations,
-    /// this frame's draws and last frame's: a draw hits only if the
-    /// previous frame, or an earlier draw of this one, submitted the
-    /// same content under the same camera, so cached geometry never
-    /// exceeds two frames of input. Every result — bins, pairs, event
-    /// counters, energy, traces — is bit-identical to the rebuild
-    /// front-end at any thread count; only host wall-clock and the
-    /// accounting-only `geom.*` counters differ (see
-    /// `crate::frontend`).
-    pub frontend: FrontendMode,
     /// Structured simulated-cycle tracing. Off by default (the
     /// zero-overhead path); when on, the simulator owns a
     /// [`TraceBuffer`](rbcd_trace::TraceBuffer) sized to its tile grid.
@@ -126,7 +108,6 @@ impl Default for FramePolicy {
         Self {
             reuse: false,
             hot_path: None,
-            frontend: FrontendMode::Rebuild,
             tracing: false,
             governor: None,
             broadphase: BroadPhase::Off,
@@ -135,8 +116,8 @@ impl Default for FramePolicy {
 }
 
 impl FramePolicy {
-    /// The default policy: no reuse, config-selected hot path, rebuild
-    /// front-end, no tracing, no governor, no broad phase.
+    /// The default policy: no reuse, config-selected hot path, no
+    /// tracing, no governor, no broad phase.
     pub fn new() -> Self {
         Self::default()
     }
@@ -151,14 +132,6 @@ impl FramePolicy {
     /// in results; this selects the host-side implementation).
     pub fn with_hot_path(mut self, mode: HotPathMode) -> Self {
         self.hot_path = Some(mode);
-        self
-    }
-
-    /// Selects the geometry front-end (both modes are bit-identical in
-    /// simulated results; the incremental one caches per-draw geometry
-    /// to cut host wall-clock).
-    pub fn with_frontend(mut self, frontend: FrontendMode) -> Self {
-        self.frontend = frontend;
         self
     }
 
@@ -193,7 +166,6 @@ mod tests {
         let p = FramePolicy::default();
         assert!(!p.reuse);
         assert!(p.hot_path.is_none());
-        assert_eq!(p.frontend, FrontendMode::Rebuild);
         assert!(!p.tracing);
         assert!(p.governor.is_none());
         assert_eq!(p.broadphase, BroadPhase::Off);
@@ -206,13 +178,11 @@ mod tests {
         let p = FramePolicy::new()
             .with_reuse(true)
             .with_hot_path(HotPathMode::Reference)
-            .with_frontend(FrontendMode::Incremental)
             .with_tracing(true)
             .with_governor(Some(gov))
             .with_broadphase(BroadPhase::On);
         assert!(p.reuse);
         assert_eq!(p.hot_path, Some(HotPathMode::Reference));
-        assert_eq!(p.frontend, FrontendMode::Incremental);
         assert!(p.tracing);
         assert_eq!(p.governor, Some(gov));
         assert_eq!(p.broadphase, BroadPhase::On);

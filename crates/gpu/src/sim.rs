@@ -2,11 +2,11 @@
 
 use crate::broadphase::{BroadPhase, DrawBounds, SweepScratch};
 use crate::cache::CacheModel;
-use crate::coherence::{self, MeshHashMemo, TileResultCache};
+use crate::coherence::TileResultCache;
 use crate::collision_unit::{quantize_depth, CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
-use crate::frontend::{self, CachedDrawGeom, FrontendMode, GeomCache};
+use crate::frontend::{self, CachedDrawGeom, DrawKey, GeomCache, ViewKey};
 use crate::parallel::{FreshTiles, ParallelCollision, TilePlan};
 use crate::policy::FramePolicy;
 use crate::raster::{rasterize_rows_in_bounds, rasterize_triangle_in_tile, Fragment, ScreenTriangle};
@@ -44,8 +44,8 @@ pub(crate) struct PrimRecord {
     /// Inclusive viewport pixel bounds, `tri.pixel_bounds(..)` as
     /// binning computed them; the mask rasterizer clips them per tile.
     pub(crate) bounds: (u32, u32, u32, u32),
-    /// Signature digest ([`coherence::prim_digest`]): each bin entry
-    /// contributes this one word to its tile's signature.
+    /// Signature digest ([`crate::coherence::prim_digest`]): each bin
+    /// entry contributes this one word to its tile's signature.
     pub(crate) digest: u64,
     pub(crate) draw: u32,
     pub(crate) facing: Facing,
@@ -392,9 +392,6 @@ pub struct Simulator {
     /// The execution policy, fixed at construction with its hot path
     /// resolved; only the governor may change between frames.
     pub(crate) policy: FramePolicy,
-    /// Per-draw content hashes of the binned frame, computed by the
-    /// geometry front-end (scratch, reused).
-    pub(crate) draw_hashes: Vec<u64>,
     /// The current frame's plan (scratch, reused): one [`TilePlan`] per
     /// *active-list position*.
     pub(crate) plan: Vec<TilePlan>,
@@ -407,14 +404,11 @@ pub struct Simulator {
     pub(crate) governor_blocked: BTreeSet<ObjectId>,
     /// The last governed frame's report, taken by the host.
     pub(crate) governor_report: Option<GovernorFrameReport>,
-    /// Per-draw geometry cache of the incremental front-end: this
-    /// frame's and last frame's draws.
+    /// Per-draw geometry cache of the front-end: this frame's and last
+    /// frame's draws.
     pub(crate) geom_cache: GeomCache,
-    /// Pointer-keyed mesh content-hash memo behind the per-frame draw
-    /// hashes.
-    pub(crate) mesh_memo: MeshHashMemo,
     /// Per-draw screen bounds of the current frame (scratch, reused);
-    /// filled by the geometry front-ends only when the broad phase is
+    /// filled by the geometry front-end only when the broad phase is
     /// on, so the default path pays nothing.
     pub(crate) draw_bounds: Vec<DrawBounds>,
     /// The last planned frame's broad-phase counters (all zero when the
@@ -432,7 +426,7 @@ const BIN_BASE: u64 = 2 << 40;
 /// (filled by the shading stage for misses).
 struct DrawPlan {
     draw: u32,
-    key: u64,
+    key: DrawKey,
     hit: bool,
     geom: Option<Arc<CachedDrawGeom>>,
 }
@@ -528,13 +522,11 @@ impl Simulator {
             worker: TileWorker::new(&config),
             tracer,
             policy,
-            draw_hashes: Vec::new(),
             plan: Vec::new(),
             result_cache: TileResultCache::default(),
             governor_blocked: BTreeSet::new(),
             governor_report: None,
             geom_cache: GeomCache::default(),
-            mesh_memo: MeshHashMemo::default(),
             draw_bounds: Vec::new(),
             bp_stats: BroadphaseStats::default(),
             bp_scratch: SweepScratch::default(),
@@ -567,9 +559,8 @@ impl Simulator {
         self.bp_stats
     }
 
-    /// Draws currently held by the incremental front-end's per-draw
-    /// geometry cache, at most the draws of the last two frames (zero
-    /// under [`FrontendMode::Rebuild`]). Exposed for tests.
+    /// Draws currently held by the front-end's per-draw geometry cache,
+    /// at most the draws of the last two frames. Exposed for tests.
     pub fn geom_cache_len(&self) -> usize {
         self.geom_cache.len()
     }
@@ -677,17 +668,16 @@ impl Simulator {
     /// Geometry Pipeline: vertex processing, primitive assembly,
     /// clipping, (deferred) face culling, and binning into `self.bins`.
     ///
-    /// Each live draw is classified in draw order: under
-    /// [`FrontendMode::Incremental`] a draw whose cache key hits the
-    /// geometry cache reuses its cached records, and every other draw
-    /// is shaded ([`frontend::shade_draw`]). Misses shade on up to
-    /// `threads` pool threads in incremental mode (the batch service
-    /// passes its worker count for a one-job batch and 1 otherwise) and
-    /// on the calling thread in rebuild mode. The ordered merge then
-    /// bins every draw in draw order, replaying the exact cache-model
-    /// access sequence, so results are bit-identical at any `threads`
-    /// and between the two front-ends; only host wall-clock and the
-    /// `geom.*` accounting counters differ (see `crate::frontend`).
+    /// Each live draw is classified in draw order: a draw whose
+    /// [`DrawKey`] hits the geometry cache reuses its cached records,
+    /// and every other draw is shaded ([`frontend::shade_draw`]) on up
+    /// to `threads` pool threads (the batch service passes its worker
+    /// count for a one-job batch and 1 otherwise). The ordered merge
+    /// then bins every draw in draw order, replaying the exact
+    /// cache-model access sequence, so results are bit-identical at any
+    /// `threads` and to shading every draw; only host wall-clock and the
+    /// `geom.*` accounting counters see the cache (see
+    /// `crate::frontend`).
     ///
     /// # Errors
     ///
@@ -698,7 +688,6 @@ impl Simulator {
         mode: PipelineMode,
         threads: usize,
     ) -> Result<GeometryStats, ServiceError> {
-        let incremental = self.policy.frontend == FrontendMode::Incremental;
         let tiles_x = self.config.tiles_x();
         let tiles_y = self.config.tiles_y();
         self.bins.begin_frame((tiles_x * tiles_y) as usize);
@@ -716,16 +705,7 @@ impl Simulator {
         // known (per-draw timing is not modelled below phase
         // granularity).
         let mut draw_log: Vec<(u64, u64, u64)> = Vec::new();
-
-        // Per-draw content hashes, memoized per mesh allocation. Every
-        // record's signature digest folds its draw's hash, the cache
-        // key is derived from it, and `plan_raster` reads the same
-        // hashes for the frame's reuse plan.
-        coherence::hash_draws_memo(trace, &mut self.draw_hashes, &mut self.mesh_memo);
-        let seed = frontend::geom_seed(&self.config, mode, &view_proj);
-        if incremental {
-            self.geom_cache.begin_frame();
-        }
+        self.geom_cache.begin_frame(ViewKey::new(mode, &view_proj, &self.config));
 
         // Classify on the planning thread: mode skips, quarantine, and
         // cache lookups happen in draw order, independent of `threads`.
@@ -736,32 +716,29 @@ impl Simulator {
             }
             // Ingest validation (always on the planning thread, so
             // quarantine decisions are thread-count independent):
-            // forged ids and non-finite input never reach the rasterizer.
+            // forged ids and non-finite input never reach the rasterizer
+            // or the cache.
             if draw.validate().is_err() {
                 g.draws_quarantined += 1;
                 continue;
             }
-            let key = coherence::mix(seed, self.draw_hashes[draw_idx]);
-            let geom = if incremental { self.geom_cache.get(key) } else { None };
+            let key = DrawKey::new(draw);
+            let geom = self.geom_cache.get(&key);
             plan.push(DrawPlan { draw: draw_idx as u32, key, hit: geom.is_some(), geom });
         }
 
-        // Shade the misses. Each is a pure function of (draw, draw hash,
-        // view-projection, config, mode), so the fan-out is free of
-        // shared state; each result lands in its own plan entry.
+        // Shade the misses. Each is a pure function of its draw and
+        // view keys, so the fan-out is free of shared state; each result
+        // lands in its own plan entry.
         let cfg = &self.config;
-        let draw_hashes = &self.draw_hashes;
         let view_proj = &view_proj;
         service::fan_out(
             plan.iter_mut().filter(|p| !p.hit).collect(),
-            if incremental { threads } else { 1 },
+            threads,
             Vec::new,
             |scratch, p: &mut DrawPlan| {
-                let d = p.draw as usize;
-                let draw = &trace.draws[d];
-                let geom =
-                    frontend::shade_draw(draw, draw_hashes[d], view_proj, cfg, mode, scratch);
-                p.geom = Some(Arc::new(geom));
+                let draw = &trace.draws[p.draw as usize];
+                p.geom = Some(Arc::new(frontend::shade_draw(draw, view_proj, cfg, mode, scratch)));
             },
         )?;
 
@@ -771,10 +748,10 @@ impl Simulator {
         let vrb = self.config.vertex_record_bytes;
         let prb = self.config.prim_record_bytes;
         let ts = self.config.tile_size;
-        for p in &plan {
+        for p in plan {
             let draw_idx = p.draw as usize;
             let draw = &trace.draws[draw_idx];
-            let geom = p.geom.as_ref().expect("every planned draw was cached or shaded");
+            let geom = p.geom.expect("every planned draw was cached or shaded");
             let base_addr = (draw_idx as u64) << 32;
             for vi in 0..geom.verts {
                 self.vertex_cache.read_span(base_addr + vi * vrb, vrb);
@@ -790,11 +767,9 @@ impl Simulator {
             g.triangles_degenerate += geom.degenerate;
             g.triangles_culled += geom.culled;
             g.triangles_tagged += geom.tagged;
-            // The `geom.*` counters account for the cache, so the
-            // rebuild front-end leaves them at zero.
             if p.hit {
                 g.reuse_draws += 1;
-            } else if incremental {
+            } else {
                 g.shaded_draws += 1;
             }
             if bp {
@@ -826,8 +801,8 @@ impl Simulator {
                     }
                 }
             }
-            if incremental && !p.hit {
-                self.geom_cache.insert(p.key, geom.clone());
+            if !p.hit {
+                self.geom_cache.insert(p.key, geom);
             }
         }
         Ok(self.seal_geometry(g, &draw_log))
@@ -1036,37 +1011,37 @@ mod tests {
         assert!(stats.geometry.cycles > 0);
     }
 
+    /// The geometry cache against the shade-every-draw reference: the
+    /// same frames with every mesh freshly allocated.
     #[test]
     fn both_front_ends_build_identical_record_tables() {
-        use crate::frontend::FrontendMode;
         let camera = Camera::perspective(Vec3::new(0.0, 1.0, 6.0), Vec3::ZERO, 1.0, 0.1, 100.0);
+        let cast = [
+            DrawCommand::scenery(shapes::ground_quad(12.0, 12.0))
+                .with_model(rbcd_math::Mat4::translation(Vec3::new(0.0, -1.2, 0.0))),
+            DrawCommand::collidable(shapes::icosphere(0.8, 2), ObjectId::new(1)),
+            DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(2)),
+        ];
         let frame = |x: f32| {
-            FrameTrace::new(
-                camera,
-                vec![
-                    DrawCommand::scenery(shapes::ground_quad(12.0, 12.0))
-                        .with_model(rbcd_math::Mat4::translation(Vec3::new(0.0, -1.2, 0.0))),
-                    DrawCommand::collidable(shapes::icosphere(0.8, 2), ObjectId::new(1))
-                        .with_model(rbcd_math::Mat4::translation(Vec3::new(x, 0.0, 0.0))),
-                    DrawCommand::collidable(shapes::cube(1.0), ObjectId::new(2)),
-                ],
-            )
+            let mut draws = cast.to_vec();
+            draws[1].model = rbcd_math::Mat4::translation(Vec3::new(x, 0.0, 0.0));
+            FrameTrace::new(camera, draws)
         };
         let cfg = GpuConfig { viewport: Viewport::new(96, 80), ..GpuConfig::default() };
         for mode in [PipelineMode::Baseline, PipelineMode::Rbcd, PipelineMode::CollisionOnly] {
-            let mut rebuild = Simulator::new(cfg.clone());
-            let policy = FramePolicy::new().with_frontend(FrontendMode::Incremental);
-            let mut inc = Simulator::with_policy(cfg.clone(), policy);
-            // Frame 1 moves one draw, so the incremental front-end bins
-            // cached and freshly shaded draws side by side.
+            let mut fresh = Simulator::new(cfg.clone());
+            let mut cached = Simulator::new(cfg.clone());
+            // Frame 1 moves one draw, so the cache bins cached and
+            // freshly shaded draws side by side.
             for (f, x) in [0.4f32, 0.3].into_iter().enumerate() {
                 let trace = frame(x);
-                rebuild.bench_bin_frame(&trace, mode);
-                let g = inc.bench_bin_frame(&trace, mode);
-                if f == 1 && mode != PipelineMode::CollisionOnly {
+                let r = fresh.bench_bin_frame(&frontend::fresh_meshes(&trace), mode);
+                assert_eq!(r.reuse_draws, 0, "{mode:?}: fresh allocations never hit");
+                let g = cached.bench_bin_frame(&trace, mode);
+                if f == 1 {
                     assert!(g.reuse_draws > 0 && g.shaded_draws > 0, "{mode:?}: {g:?}");
                 }
-                let (a, b) = (&rebuild.bins, &inc.bins);
+                let (a, b) = (&fresh.bins, &cached.bins);
                 assert!(!a.records().is_empty(), "{mode:?}");
                 assert_eq!(a.records(), b.records(), "{mode:?}, frame {f}: record tables");
                 assert_eq!(a.active(), b.active(), "{mode:?}, frame {f}: active tiles");

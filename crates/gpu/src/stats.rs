@@ -38,17 +38,16 @@ pub struct GeometryStats {
     /// Geometry Pipeline cycles.
     pub cycles: u64,
     /// Draws whose post-transform geometry was replayed from the
-    /// incremental front-end cache instead of being re-shaded. Zero
-    /// under the full-rebuild front-end. Accounting-only, like
-    /// `tile.scan_skipped`: the energy model never reads it.
+    /// front-end's geometry cache instead of being re-shaded.
+    /// Accounting-only, like `tile.scan_skipped`: the energy model never
+    /// reads it.
     pub reuse_draws: u64,
-    /// Draws shaded/clipped fresh by the incremental front-end (cache
-    /// misses). Zero under the full-rebuild front-end. Accounting-only;
-    /// excluded from the energy model.
+    /// Draws shaded/clipped fresh by the front-end (geometry cache
+    /// misses). Accounting-only; excluded from the energy model.
     pub shaded_draws: u64,
     /// Bin entries spliced into `BinnedTiles` from cached draw geometry
-    /// rather than recomputed. Zero under the full-rebuild front-end.
-    /// Accounting-only; excluded from the energy model.
+    /// rather than recomputed. Accounting-only; excluded from the
+    /// energy model.
     pub bin_splices: u64,
 }
 

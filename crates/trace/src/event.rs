@@ -204,11 +204,11 @@ impl TraceBuffer {
         self.heat.add(metric, x, y);
     }
 
-    /// Records one bin entry the incremental geometry front-end spliced
-    /// into tile (`x`, `y`) from its per-draw cache. Heat-plane only —
+    /// Records one bin entry the geometry front-end spliced into tile
+    /// (`x`, `y`) from its per-draw cache. Heat-plane only —
     /// deliberately **no** timeline event, so the event stream stays
-    /// bit-identical between the incremental and rebuild front-ends
-    /// (splicing is a host-side shortcut, not a simulated occurrence).
+    /// bit-identical to shading every draw (splicing is a host-side
+    /// shortcut, not a simulated occurrence).
     pub fn record_bin_splice(&mut self, x: u32, y: u32) {
         self.heat.add("splice", x, y);
     }

@@ -26,7 +26,7 @@ pub const HEATMAP_METRICS: [&str; 10] = [
 /// ever hit, not a sum) and `scan_skipped` planes. [`HeatGrid::add`]
 /// counts one event on any plane; the trace feeds `reuse`,
 /// `broadphase` and `shed` with its tile marks and `splice` with the
-/// incremental geometry front-end's bin splices.
+/// geometry front-end's bin splices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeatGrid {
     tiles_x: u32,

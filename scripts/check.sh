@@ -24,14 +24,13 @@
 # renders static clips with tile reuse off vs on and fails unless
 # results are bit-identical and the cache actually replayed tiles
 # (BENCH_temporal_coherence.json). The timed A/B smokes (hotpath,
-# frontend, broadphase) each check one layer's two arms for
-# bit-identical results and fail on any divergence or wall-clock
-# regression (BENCH_raster_hotpath.json, BENCH_geometry_frontend.json,
-# BENCH_broadphase.json). The overload smoke sweeps the
-# frame-deadline governor down to a 25% cycle budget under the storm
-# fault plan (repro exits non-zero on any budget violation or silent
-# oracle miss) and re-runs it at 1/2/4 threads, requiring byte-identical
-# BENCH_overload.json artifacts. The serve smoke pushes 8 staggered
+# broadphase) each check one layer's two arms for bit-identical results
+# and fail on any divergence or wall-clock regression
+# (BENCH_raster_hotpath.json, BENCH_broadphase.json). The overload smoke
+# sweeps the frame-deadline governor down to a 25% cycle budget under
+# the storm fault plan (repro exits non-zero on any budget violation or
+# silent oracle miss) and re-runs it at 1/2/4 threads, requiring
+# byte-identical BENCH_overload.json artifacts. The serve smoke pushes 8 staggered
 # sessions through the multi-session scheduler at 1/2/4 workers and
 # requires zero cross-session interference, a leak-free admission
 # ledger, and a byte-identical report (modulo host_* wall-clock lines)
@@ -130,15 +129,14 @@ if grep -q '"reuse_rate": 0\.000000' BENCH_temporal_coherence.json; then
 fi
 
 # The timed A/B smokes: the span-mask hot path against the reference
-# rasterizer, the incremental geometry front-end against a full rebuild,
-# and the screen-space broad phase against an unpruned run. repro exits
-# non-zero unless the two arms agree on every result the layer may not
-# move, across thread counts, reuse, fault storms, a governed budget and
-# the batch service, and unless they really ran different modes. On top
-# of that, guard against a wall-clock regression: the on arm must never
-# be slower than the off arm it replaced.
-for ab in hotpath:BENCH_raster_hotpath.json frontend:BENCH_geometry_frontend.json \
-          broadphase:BENCH_broadphase.json; do
+# rasterizer, and the screen-space broad phase against an unpruned run.
+# repro exits non-zero unless the two arms agree on every result the
+# layer may not move, across thread counts, reuse, fault storms, a
+# governed budget and the batch service, and unless they really ran
+# different modes. On top of that, guard against a wall-clock
+# regression: the on arm must never be slower than the off arm it
+# replaced.
+for ab in hotpath:BENCH_raster_hotpath.json broadphase:BENCH_broadphase.json; do
   id=${ab%%:*} artifact=${ab#*:}
   echo "== $id A/B smoke (repro --smoke $id) =="
   "$repro" --smoke "$id"
