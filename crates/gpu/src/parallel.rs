@@ -329,8 +329,8 @@ impl Simulator {
         // Temporal reuse.
         if reuse_on {
             // The simulated per-draw digest hand-off, charged per draw
-            // command of the trace.
-            co.draw_hashes = trace.draws.len() as u64;
+            // the geometry pass submitted.
+            co.draw_hashes = self.submitted_draws;
             // The blocked-object filter changes what the backend sees,
             // so the blocked set is folded into the frame seed: cached
             // results are only replayed under the exact routing that
@@ -459,10 +459,10 @@ impl Simulator {
             .map(|g| GovernorFrameReport { budget_cycles: g.frame_budget_cycles, ..Default::default() });
         let mut max_tile_cycles = 0u64;
         let mut coarsened = 0u64;
-        // Draw hashing (one digest hand-off cycle per draw command in the
-        // trace, quarantined and unsubmitted draws included) and the
-        // broad phase's sweep run once before any tile starts, keeping
-        // the fragment pipe idle; each is 0 when its layer is off.
+        // Draw hashing (one digest hand-off cycle per submitted draw)
+        // and the broad phase's sweep run once before any tile starts,
+        // keeping the fragment pipe idle; each is 0 when its layer is
+        // off.
         co.signature_cycles += co.draw_hashes;
         let mut cursor = co.draw_hashes + bp_stats.sweep_cycles;
         r.fp_idle_cycles += cursor;
@@ -726,6 +726,25 @@ mod tests {
         }
         assert_eq!(frames_by_threads[0], frames_by_threads[1]);
         assert_eq!(frames_by_threads[0], frames_by_threads[2]);
+    }
+
+    #[test]
+    fn the_digest_charge_counts_submitted_draws() {
+        // A forged id is quarantined before binning; `CollisionOnly`
+        // never submits the two scenery draws.
+        let mut trace = busy_trace();
+        let forged = ObjectId::from_raw_unchecked(ObjectId::MAX + 1);
+        trace.draws.push(DrawCommand { collidable: Some(forged), ..trace.draws[1].clone() });
+        for (mode, submitted) in [(PipelineMode::Rbcd, 5), (PipelineMode::CollisionOnly, 3)] {
+            let mut sim = Simulator::with_policy(cfg(), FramePolicy::new().with_reuse(true));
+            let s = sim.render_frame(&trace, mode, &mut NullCollisionUnit);
+            assert_eq!(s.geometry.draws_quarantined, 1, "{mode:?}");
+            assert_eq!(s.coherence.draw_hashes, submitted, "{mode:?}");
+            let tile_len = |ti: &u32| sim.bins.tile(*ti as usize).len() as u64;
+            let checks: u64 =
+                sim.bins.active().iter().map(|ti| coherence::signature_check_cycles(tile_len(ti))).sum();
+            assert_eq!(s.coherence.signature_cycles, submitted + checks, "{mode:?}");
+        }
     }
 
     #[test]

@@ -407,6 +407,10 @@ pub struct Simulator {
     /// Per-draw geometry cache of the front-end: this frame's and last
     /// frame's draws.
     pub(crate) geom_cache: GeomCache,
+    /// Draws the last geometry pass submitted: the trace's draws minus
+    /// the scenery a `CollisionOnly` pass skips and the quarantined
+    /// ones. Each costs the reuse layer one digest hand-off cycle.
+    pub(crate) submitted_draws: u64,
     /// Per-draw screen bounds of the current frame (scratch, reused);
     /// filled by the geometry front-end only when the broad phase is
     /// on, so the default path pays nothing.
@@ -527,6 +531,7 @@ impl Simulator {
             governor_blocked: BTreeSet::new(),
             governor_report: None,
             geom_cache: GeomCache::default(),
+            submitted_draws: 0,
             draw_bounds: Vec::new(),
             bp_stats: BroadphaseStats::default(),
             bp_scratch: SweepScratch::default(),
@@ -726,6 +731,7 @@ impl Simulator {
             let geom = self.geom_cache.get(&key);
             plan.push(DrawPlan { draw: draw_idx as u32, key, hit: geom.is_some(), geom });
         }
+        self.submitted_draws = plan.len() as u64;
 
         // Shade the misses. Each is a pure function of its draw and
         // view keys, so the fan-out is free of shared state; each result

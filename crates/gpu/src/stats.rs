@@ -95,9 +95,9 @@ pub struct RasterStats {
 /// same shape either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoherenceStats {
-    /// Per-draw content hashes charged this frame: one per draw command
-    /// in the trace, quarantined draws and the scenery a
-    /// `CollisionOnly` pass never submits included.
+    /// Per-draw digests charged this frame: one per draw the geometry
+    /// pass submitted, so neither quarantined draws nor the scenery a
+    /// `CollisionOnly` pass skips count.
     pub draw_hashes: u64,
     /// Cycles charged for draw hashing plus per-tile signature checks —
     /// the only cost a reused tile pays.
