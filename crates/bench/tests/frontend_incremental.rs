@@ -9,16 +9,19 @@
 //! matrix sweeps worker threads, fault-storm and overflow presets, and
 //! an active governor budget. Per-frame [`FrameStats`], collision
 //! pairs, and derived counters must match the reference bit for bit;
-//! only the accounting-only `geom.*` counters may differ. A second arm
-//! pins the two-generation cache: a draw that skips a frame is
-//! re-shaded when it returns, results never change, and the cache never
-//! holds more than the last two frames' draws.
+//! only the accounting-only `geom.*` counters may differ. The temporal
+//! clips, whose still draws hit most, run the same comparison under the
+//! CLI policy, solo and as sessions of one batch. A last arm pins the
+//! two-generation cache: a draw that skips a frame is re-shaded when it
+//! returns, results never change, and the cache never holds more than
+//! the last two frames' draws.
 
+use rbcd_bench::cli::CliOptions;
 use rbcd_core::{FaultPlan, ObjectPair, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
 use rbcd_gpu::{
-    Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace, GovernorConfig, GpuConfig,
-    ObjectId, PipelineMode, SimulatorBuilder,
+    render_batch, BatchJob, Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace,
+    GovernorConfig, GpuConfig, ObjectId, PipelineMode, Simulator, SimulatorBuilder,
 };
 use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::collections::BTreeSet;
@@ -86,6 +89,21 @@ fn fresh_meshes(trace: &FrameTrace) -> FrameTrace {
     FrameTrace::new(trace.camera, draws)
 }
 
+/// A simulator under `policy` and a default RBCD unit, both at the test
+/// viewport.
+fn stack(policy: FramePolicy) -> (Simulator, RbcdUnit) {
+    let sim = SimulatorBuilder::from_config(cfg())
+        .policy(policy)
+        .build()
+        .expect("test configuration is valid");
+    let unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
+        .expect("default RBCD configuration is valid");
+    (sim, unit)
+}
+
+/// Per-frame stats and the accumulated pair set of one run.
+type Run = (Vec<FrameStats>, BTreeSet<ObjectPair>);
+
 /// Renders a script end to end, returning per-frame stats and the
 /// accumulated pair set. Faults corrupt each frame's trace on the way
 /// in (same plan, same frame index → same corruption for every run);
@@ -96,16 +114,10 @@ fn run_script(
     script: &[FrameTrace],
     fresh: bool,
     threads: usize,
-    reuse: bool,
+    policy: FramePolicy,
     faults: Option<&FaultPlan>,
-    governor: Option<GovernorConfig>,
-) -> (Vec<FrameStats>, BTreeSet<ObjectPair>) {
-    let mut sim = SimulatorBuilder::from_config(cfg())
-        .policy(FramePolicy::new().with_reuse(reuse).with_governor(governor))
-        .build()
-        .expect("test configuration is valid");
-    let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
-        .expect("default RBCD configuration is valid");
+) -> Run {
+    let (mut sim, mut unit) = stack(policy);
     let mut frames = Vec::with_capacity(script.len());
     let mut pairs = BTreeSet::new();
     for (f, trace) in script.iter().enumerate() {
@@ -150,10 +162,11 @@ fn incremental_matches_rebuild_on_random_motion_scripts() {
         let script = random_script(seed, frames);
         for (fname, plan) in &faults {
             for reuse in [false, true] {
-                let (base, base_pairs) = run_script(&script, true, 1, reuse, plan.as_ref(), None);
+                let policy = FramePolicy::new().with_reuse(reuse);
+                let (base, base_pairs) = run_script(&script, true, 1, policy, plan.as_ref());
                 for threads in [1, 2, 4] {
                     let (inc, inc_pairs) =
-                        run_script(&script, false, threads, reuse, plan.as_ref(), None);
+                        run_script(&script, false, threads, policy, plan.as_ref());
                     let tag =
                         format!("seed {seed}, faults {fname}, reuse {reuse}, {threads} threads");
                     assert_eq!(base_pairs, inc_pairs, "{tag}: pair set diverged");
@@ -182,17 +195,18 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
     // Probe the ungoverned timeline, then budget half of it per frame:
     // deep enough into overload that tiles are shed and the policy
     // ladder (forced reuse included) actually engages.
-    let (probe, _) = run_script(&script, true, 1, false, None, None);
+    let (probe, _) = run_script(&script, true, 1, FramePolicy::new(), None);
     let per_frame: u64 =
         probe.iter().map(|s| s.raster.cycles).sum::<u64>() / probe.len() as u64 / 2;
     let gov = GovernorConfig { frame_budget_cycles: per_frame.max(1), ..GovernorConfig::default() };
-    let (base, base_pairs) = run_script(&script, true, 1, false, None, Some(gov));
+    let governed = FramePolicy::new().with_governor(Some(gov));
+    let (base, base_pairs) = run_script(&script, true, 1, governed, None);
     assert!(
         base.iter().map(|s| s.governor.tiles_shed).sum::<u64>() > 0,
         "a half budget must shed tiles, or this arm only covers the idle path"
     );
     for threads in [1, 2, 4] {
-        let (inc, inc_pairs) = run_script(&script, false, threads, false, None, Some(gov));
+        let (inc, inc_pairs) = run_script(&script, false, threads, governed, None);
         assert_eq!(base_pairs, inc_pairs, "governed pairs at {threads} threads");
         for (f, (a, b)) in base.iter().zip(&inc).enumerate() {
             assert_eq!(
@@ -201,6 +215,61 @@ fn incremental_matches_rebuild_under_a_governed_budget() {
                 "governed frame {f} diverged at {threads} threads"
             );
         }
+    }
+}
+
+/// The clips whose still draws hit most, under the CLI policy (reuse,
+/// mask hot path, broad phase). Each renders cached against fresh-mesh
+/// at (1 thread, reuse off) and (4 threads, reuse on); then all of them
+/// run as sessions of one 2-worker batch against their fresh-mesh solo
+/// runs.
+#[test]
+fn temporal_clips_match_fresh_meshes_solo_and_batched() {
+    const FRAMES: usize = 4;
+    let scenes = rbcd_workloads::temporal_suite();
+    let clips: Vec<Vec<FrameTrace>> =
+        scenes.iter().map(|s| (0..FRAMES).map(|f| s.frame_trace(f)).collect()).collect();
+    let cli = CliOptions::default().frame_policy();
+    let same = |tag: &str, (a, a_pairs): &Run, (b, b_pairs): &Run| {
+        assert_eq!(a_pairs, b_pairs, "{tag}: pair set diverged");
+        assert_eq!(a.len(), b.len(), "{tag}");
+        for (f, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(no_geom_accounting(*x), no_geom_accounting(*y), "{tag}: frame {f} diverged");
+        }
+        let reused: u64 = b.iter().map(|s| s.geometry.reuse_draws).sum();
+        assert!(reused > 0, "{tag}: still draws must hit the cache");
+    };
+
+    for (scene, clip) in scenes.iter().zip(&clips) {
+        for (threads, reuse) in [(1, false), (4, true)] {
+            let policy = cli.with_reuse(reuse);
+            let tag = format!("{}, {threads} threads, reuse {reuse}", scene.alias);
+            let reference = run_script(clip, true, threads, policy, None);
+            same(&tag, &reference, &run_script(clip, false, threads, policy, None));
+        }
+    }
+
+    let policy = cli.with_reuse(true);
+    let solo: Vec<Run> = clips.iter().map(|clip| run_script(clip, true, 1, policy, None)).collect();
+    let mut stacks: Vec<(Simulator, RbcdUnit)> = clips.iter().map(|_| stack(policy)).collect();
+    let mut batched: Vec<Run> = vec![Run::default(); clips.len()];
+    for f in 0..FRAMES {
+        let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = stacks
+            .iter_mut()
+            .zip(&clips)
+            .map(|((sim, unit), clip)| {
+                unit.new_frame();
+                BatchJob { sim, backend: unit, trace: &clip[f], mode: PipelineMode::Rbcd }
+            })
+            .collect();
+        let stats = render_batch(&mut jobs, 2).expect("batch jobs are well-formed");
+        for ((run, (_, unit)), s) in batched.iter_mut().zip(&mut stacks).zip(stats) {
+            run.0.push(s);
+            run.1.extend(unit.take_contacts().iter().map(|c| c.object_pair()));
+        }
+    }
+    for ((scene, solo), batched) in scenes.iter().zip(&solo).zip(&batched) {
+        same(&format!("{} in a batch of {}", scene.alias, scenes.len()), solo, batched);
     }
 }
 
@@ -244,14 +313,10 @@ fn drop_out_script() -> Vec<FrameTrace> {
 #[test]
 fn bounded_cache_evicts_without_changing_results() {
     let script = drop_out_script();
-    let (base, base_pairs) = run_script(&script, true, 1, true, None, None);
+    let policy = FramePolicy::new().with_reuse(true);
+    let (base, base_pairs) = run_script(&script, true, 1, policy, None);
     for threads in [1, 2] {
-        let mut sim = SimulatorBuilder::from_config(cfg())
-            .policy(FramePolicy::new().with_reuse(true))
-            .build()
-            .expect("test configuration is valid");
-        let mut unit = RbcdUnit::new(RbcdConfig::default(), cfg().tile_size)
-            .expect("default RBCD configuration is valid");
+        let (mut sim, mut unit) = stack(policy);
         let mut frames = Vec::new();
         let mut pairs = BTreeSet::new();
         for (f, trace) in script.iter().enumerate() {
