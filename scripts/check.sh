@@ -11,9 +11,11 @@
 # artifacts written there: the committed full-length BENCH_*.json files
 # are never overwritten by 2-frame smoke numbers.
 #
-# The determinism diff renders the paper's suite figures at 1 and at 4
-# worker threads and requires byte-identical stdout: every simulated
-# number must be independent of the thread count.
+# The determinism diff runs every experiment that `repro` runs by
+# default (`all`) at 1 and at 4 worker threads and diffs each stdout
+# against the pinned scripts/repro_smoke.txt: every simulated number
+# must be independent of the thread count, and none may move unless
+# the pin is regenerated on purpose.
 #
 # The parallel smoke (repro --smoke --threads 2) runs the `bench` A/B,
 # which checks that one worker and a tile pool produce bit-identical
@@ -58,6 +60,7 @@ cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf 
 # in a scratch directory so the committed artifacts stay untouched.
 repro="$PWD/target/release/repro"
 sim_pin="$PWD/scripts/perf_smoke_sim.txt"
+repro_pin="$PWD/scripts/repro_smoke.txt"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -80,14 +83,17 @@ diff "$sim_pin" "$work/perf_sim.txt" \
   || { echo "perf smoke: simulated metrics differ from scripts/perf_smoke_sim.txt (diff above)"; exit 1; }
 cd "$work"
 
-echo "== determinism diff (repro suite figures, --threads 1 vs 4) =="
-# The suite experiments print simulated results only (host timings go
-# to stderr), so their stdout must match byte for byte.
+echo "== determinism diff (repro --frames 2, --threads 1 and 4 vs scripts/repro_smoke.txt) =="
+# With no experiment id, repro runs every experiment in `all`. Those
+# print simulated results only (host timings go to stderr), so their
+# stdout must match the pin byte for byte at any thread count. A change
+# that moves a figure on purpose regenerates the pin and says why.
+mkdir determinism
 for t in 1 4; do
-  "$repro" fig9a table3 fig8a fig10 sec52 --frames 2 --threads "$t" > "suite.$t.txt"
+  (cd determinism && "$repro" --frames 2 --threads "$t") > "all.$t.txt"
+  diff "$repro_pin" "all.$t.txt" \
+    || { echo "determinism diff: repro --frames 2 --threads $t differs from scripts/repro_smoke.txt (diff above)"; exit 1; }
 done
-cmp -s suite.1.txt suite.4.txt \
-  || { echo "determinism diff: suite output differs between 1 and 4 threads"; diff suite.1.txt suite.4.txt | head -20; exit 1; }
 
 echo "== parallel pipeline smoke (repro --smoke --threads 2) =="
 "$repro" --smoke --threads 2
