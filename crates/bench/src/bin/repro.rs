@@ -1,38 +1,21 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, plus
+//! the extension experiments.
 //!
 //! ```text
-//! cargo run -p rbcd-bench --release --bin repro            # everything
+//! cargo run -p rbcd-bench --release --bin repro            # everything in `all`
 //! cargo run -p rbcd-bench --release --bin repro -- fig8a   # one experiment
 //! cargo run -p rbcd-bench --release --bin repro -- --frames 12 all
 //! ```
 //!
-//! Experiment ids: table1 table2 fig2 fig8a fig8b fig8c fig8d fig9a
-//! fig9b fig10 fig11 table3 sec52 sec53 ablation-zebs all — plus the
-//! extension experiments imr, spares, timesteps, tbdr, resolution, and
-//! temporal (run by `all` too). Every `BENCH_*.json` artifact opens
-//! with the shared `rbcd_bench::schema` header (`schema_version`, bench
-//! id, host, geomean) and is re-validated with the workspace's own JSON
-//! parser before it is written; repro exits non-zero if one fails to
-//! land.
-//!
-//! `bench`, `hotpath` and `broadphase` are host-wall-clock A/Bs of one
-//! layer each (opt-in, not part of `all`), rows of the one table in
-//! `rbcd_bench::ab`: the tile pool against one worker
-//! (`BENCH_tile_pipeline.json`), the span-mask hot path against the
-//! reference rasterizer (`BENCH_raster_hotpath.json`), and the
-//! screen-space broad phase against an unpruned run
-//! (`BENCH_broadphase.json`). Each first checks
-//! that its two arms agree on every result the layer may not move —
-//! across thread counts, reuse, a governed budget, fault storms and the
-//! batch service — and that they really ran different modes, and exits
-//! non-zero otherwise; then it times the arms in interleaved pairs.
-//!
-//! `temporal` measures the signature-based tile-reuse layer on the
-//! static/resting clips of `rbcd_workloads::temporal_suite()` against a
-//! reuse-off run of the same frames, reports per-scene reuse rate and
-//! the simulated-cycle speedup, writes `BENCH_temporal_coherence.json`,
-//! and exits non-zero if reuse ever changes a pair set or an `rbcd.*`
-//! counter.
+//! [`EXPERIMENTS`] is the one list of experiment ids: each entry holds
+//! its id, whether `all` runs it, and what it runs. A bare `repro` runs
+//! `all`. The wanted entries run in table order, whatever order the
+//! command line names them in, and the benchmark suite is simulated
+//! once, before the first entry that prints from it. Every
+//! `BENCH_*.json` artifact opens with the shared `rbcd_bench::schema`
+//! header (`schema_version`, bench id, host, geomean) and is
+//! re-validated with the workspace's own JSON parser before it is
+//! written; repro exits non-zero if one fails to land.
 //!
 //! Flags: `--frames N` overrides frames per benchmark, `--threads N`
 //! sets the worker-thread count (simulated numbers are bit-identical
@@ -47,61 +30,95 @@
 //! counters are bit-identical either way, only image-side timing
 //! moves), `--smoke` shrinks every experiment to a quick configuration
 //! and defaults the experiment list to `bench temporal`, and `--scene
-//! <alias>` restricts multi-scene experiments to one workload. The
-//! geometry front-end's per-draw cache has no flag: it keys each draw
-//! exactly, so it is always on. All flags parse through the shared option table in
-//! `rbcd_bench::cli`; an unknown flag, a missing value, or an unknown
-//! experiment id exits with status 2.
+//! <alias>` restricts the suite to one workload. The geometry
+//! front-end's per-draw cache has no flag: it keys each draw exactly,
+//! so it is always on. All flags parse through the shared option table
+//! in `rbcd_bench::cli`; an unknown flag, a missing value, or an
+//! unknown experiment id exits with status 2.
 //!
-//! `--trace <out.json>` runs the trace experiment: render the `cap`
-//! workload with the deterministic instrumentation layer enabled and
-//! write the simulated-cycle timeline as Chrome trace-event JSON plus
-//! per-tile heatmap CSVs (`<stem>.<metric>.csv` for occupancy,
-//! overflows, scan_cycles, pairs, and rung). Exits non-zero if the
-//! emitted JSON does not re-parse or the heatmap totals disagree with
-//! the RBCD unit's counters.
+//! Two experiments are flags rather than ids, and run before any id:
 //!
-//! `--faults <plan>` runs the fault-injection experiment instead (also
-//! opt-in, not part of `all`): corrupt every workload trace with the
-//! named plan (`all`, `overflow`, `spare`, `nan`, `degenerate`,
-//! `badid`, `dup`, `storm`), sweep the forced list capacity over
-//! M ∈ {1,2,4,8} with the degradation ladder enabled, and report
-//! recovery against the software oracle plus the ladder-rung histogram.
-//! Writes `BENCH_fault_tolerance.json`; exits non-zero on any silent
-//! pair loss.
-//!
-//! `overload` runs the frame-deadline governor experiment (opt-in, not
-//! part of `all` — every frame is rendered several times): render
-//! `storm`-faulted frames under per-frame cycle budgets of
-//! 100/75/50/25 % of an ungoverned baseline, with the policy ladder
-//! (forced reuse → scan coarsening → tile shedding), the escalation
-//! circuit breaker, and full degraded-result accounting (exact /
-//! cpu-verified / stale partitions) engaged. Writes
-//! `BENCH_overload.json`; exits non-zero on any budget violation or
-//! silent oracle miss.
-//!
-//! `serve` runs the multi-session scheduler experiment (opt-in): admit
-//! eight staggered sessions — every workload scene with a mix of
-//! reuse, storm-fault, and governed-budget policies — to one
-//! `rbcd_core::sched::Scheduler` and serve them over a shared worker
-//! pool at 1/2/4 workers, plus deliberate over-capacity and empty-clip
-//! submissions to exercise typed rejection. Byte-compares every
-//! session's artifact against its solo run, checks the admission
-//! ledger, and reports latency percentiles, throughput, per-session
-//! counters, and scheduler overhead. Writes `BENCH_multi_session.json`;
-//! exits non-zero on any cross-session interference or ledger leak.
+//! * `--trace <out.json>` renders the `cap` workload with the
+//!   deterministic instrumentation layer enabled and writes the
+//!   simulated-cycle timeline as Chrome trace-event JSON plus one
+//!   per-tile heatmap CSV per metric (`<stem>.<metric>.csv`). Exits
+//!   non-zero if the emitted JSON does not re-parse or a heatmap total
+//!   disagrees with the RBCD unit's counters.
+//! * `--faults <plan>` corrupts every workload trace with the named
+//!   plan (`all`, `overflow`, `spare`, `nan`, `degenerate`, `badid`,
+//!   `dup`, `storm`), sweeps the forced list capacity over
+//!   M ∈ {1,2,4,8} with the degradation ladder enabled, and reports
+//!   recovery against the software oracle plus the ladder-rung
+//!   histogram. Writes `BENCH_fault_tolerance.json`; exits non-zero on
+//!   any silent pair loss.
 
-use rbcd_bench::cli::{self, UsageError};
+use rbcd_bench::cli::{self, CliOptions, UsageError};
 use rbcd_bench::report::{fmt_norm, fmt_pct, fmt_x, Table, TableError};
-use rbcd_bench::{ab, accuracy, geomean, run_gpu_traced, run_suite, RunOptions, SuiteResult};
+use rbcd_bench::{ab, accuracy, geomean, run_gpu_traced, run_suite, serve, RunOptions, SuiteResult};
 use rbcd_core::{FaultPlan, RbcdConfig};
 use rbcd_gpu::GpuConfig;
+use std::error::Error;
 use std::time::Instant;
 
-struct PaperRef {
-    /// Paper-reported geomean (or headline) value, for side-by-side
-    /// printing. Values transcribed from §5 of the paper.
-    note: &'static str,
+/// The parsed command line, as the experiments read it.
+struct Ctx {
+    cli: CliOptions,
+    opts: RunOptions,
+}
+
+/// What an experiment runs.
+enum Run {
+    /// Runs from the parsed flags.
+    Flags(fn(&Ctx) -> Result<(), Box<dyn Error>>),
+    /// Prints from the simulated benchmark suite.
+    Suite(fn(&SuiteResult) -> Result<(), TableError>),
+}
+
+/// One experiment `repro` can run.
+struct Experiment {
+    /// The id the command line names it by.
+    id: &'static str,
+    /// Whether `all` runs it. Experiments that time the host clock or
+    /// render every frame many times stay out, and so does `debug`.
+    in_all: bool,
+    /// What it runs.
+    run: Run,
+}
+
+/// Every experiment, in the order `repro` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { id: ab::ROWS[0].id, in_all: false, run: Run::Flags(ab_row::<0>) },
+    Experiment { id: ab::ROWS[1].id, in_all: false, run: Run::Flags(ab_row::<1>) },
+    Experiment { id: ab::ROWS[2].id, in_all: false, run: Run::Flags(ab_row::<2>) },
+    Experiment { id: "overload", in_all: false, run: Run::Flags(|c| run_overload_experiment(&c.opts, c.cli.smoke)) },
+    Experiment { id: "serve", in_all: false, run: Run::Flags(|c| serve::run_serve_experiment(&c.cli)) },
+    Experiment { id: "temporal", in_all: true, run: Run::Flags(|c| run_temporal_experiment(&c.opts)) },
+    Experiment { id: "table1", in_all: true, run: Run::Flags(|c| Ok(print_table1(&c.opts)?)) },
+    Experiment { id: "table2", in_all: true, run: Run::Flags(|_| Ok(print_table2()?)) },
+    Experiment { id: "fig2", in_all: true, run: Run::Flags(|c| Ok(print_fig2(&c.opts)?)) },
+    Experiment { id: "sec53", in_all: true, run: Run::Flags(|c| Ok(print_sec53(&c.opts)?)) },
+    Experiment { id: "imr", in_all: true, run: Run::Flags(|c| Ok(print_imr(&c.opts)?)) },
+    Experiment { id: "spares", in_all: true, run: Run::Flags(|c| Ok(print_spares(&c.opts)?)) },
+    Experiment { id: "timesteps", in_all: true, run: Run::Flags(|c| Ok(print_timesteps(&c.opts)?)) },
+    Experiment { id: "tbdr", in_all: true, run: Run::Flags(|c| Ok(print_tbdr(&c.opts)?)) },
+    Experiment { id: "resolution", in_all: true, run: Run::Flags(|_| Ok(print_resolution()?)) },
+    Experiment { id: "fig8a", in_all: true, run: Run::Suite(|s| print_fig8_speedup(s, false)) },
+    Experiment { id: "fig8b", in_all: true, run: Run::Suite(|s| print_fig8_energy(s, false)) },
+    Experiment { id: "fig8c", in_all: true, run: Run::Suite(|s| print_fig8_speedup(s, true)) },
+    Experiment { id: "fig8d", in_all: true, run: Run::Suite(|s| print_fig8_energy(s, true)) },
+    Experiment { id: "fig9a", in_all: true, run: Run::Suite(|s| print_fig9(s, true)) },
+    Experiment { id: "fig9b", in_all: true, run: Run::Suite(|s| print_fig9(s, false)) },
+    Experiment { id: "fig10", in_all: true, run: Run::Suite(print_fig10) },
+    Experiment { id: "fig11", in_all: true, run: Run::Suite(print_fig11) },
+    Experiment { id: "table3", in_all: true, run: Run::Suite(print_table3) },
+    Experiment { id: "sec52", in_all: true, run: Run::Suite(print_sec52) },
+    Experiment { id: "ablation-zebs", in_all: true, run: Run::Suite(print_ablation) },
+    Experiment { id: "debug", in_all: false, run: Run::Suite(print_debug) },
+];
+
+/// Runs row `I` of the A/B table.
+fn ab_row<const I: usize>(c: &Ctx) -> Result<(), Box<dyn Error>> {
+    ab::run(&ab::ROWS[I], &c.opts, c.cli.smoke)
 }
 
 fn main() {
@@ -111,107 +128,49 @@ fn main() {
     }
 }
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    // All flags go through the shared option table (`rbcd_bench::cli`),
-    // so `--threads`, `--scene`, `--hot-path`, `--no-reuse`, … parse
-    // identically for every experiment.
-    let parsed = cli::parse_args(std::env::args().skip(1).collect())?;
-    let smoke = parsed.smoke;
-    let wanted: Vec<String> = if parsed.rest.is_empty() {
-        if parsed.faults.is_some() || parsed.trace.is_some() {
-            Vec::new() // --faults / --trace alone run just that experiment
-        } else if smoke {
-            vec!["bench".into(), "temporal".into()]
-        } else {
-            vec!["all".into()]
-        }
+fn run() -> Result<(), Box<dyn Error>> {
+    let ids: Vec<&str> = std::iter::once("all").chain(EXPERIMENTS.iter().map(|e| e.id)).collect();
+    let cli = cli::parse_args(std::env::args().skip(1).collect(), &ids)?;
+    let named: Vec<String> = if !cli.rest.is_empty() {
+        cli.rest.clone()
+    } else if cli.faults.is_some() || cli.trace.is_some() {
+        Vec::new() // --faults / --trace alone run just that experiment
+    } else if cli.smoke {
+        vec!["bench".into(), "temporal".into()]
     } else {
-        parsed.rest.clone()
+        vec!["all".into()]
     };
-    let want = |id: &str| wanted.iter().any(|w| w == id || w == "all");
+    let named = |id: &str| named.iter().any(|n| n == id);
+    let ctx = Ctx { opts: cli.run_options(), cli };
 
-    let opts = parsed.run_options();
-
-    // `--trace` is opt-in (not part of `all`): it re-renders one
-    // workload with the instrumentation layer on and exports the
-    // simulated-cycle timeline instead of reproducing a figure.
-    if let Some(path) = &parsed.trace {
-        run_trace_experiment(path, &opts)?;
+    if let Some(path) = &ctx.cli.trace {
+        run_trace_experiment(path, &ctx.opts)?;
     }
-
-    // `--faults` is opt-in (not part of `all`): it renders every frame
-    // twice (ladder + oracle) and measures robustness, not the paper's
-    // figures.
-    if let Some(plan) = &parsed.faults {
-        run_fault_experiment(plan, &opts, smoke)?;
+    if let Some(plan) = &ctx.cli.faults {
+        run_fault_experiment(plan, &ctx.opts, ctx.cli.smoke)?;
     }
-
-    // The A/B experiments (`bench`, `hotpath`, `broadphase`) are opt-in
-    // (not part of `all`): they time the host clock, which is
-    // meaningless in CI artifact regeneration.
-    for row in &ab::ROWS {
-        if wanted.iter().any(|w| w == row.id) {
-            ab::run(row, &opts, smoke)?;
+    let mut suite = None;
+    for e in EXPERIMENTS.iter().filter(|e| named(e.id) || (e.in_all && named("all"))) {
+        match e.run {
+            Run::Flags(run) => run(&ctx)?,
+            Run::Suite(print) => {
+                if suite.is_none() {
+                    suite = Some(simulate_suite(&ctx)?);
+                }
+                print(suite.as_ref().expect("simulated above"))?;
+            }
         }
     }
+    Ok(())
+}
 
-    // `overload` is opt-in for the same reason as `--faults`: every
-    // frame is rendered once per budget point plus an ungoverned
-    // baseline pass and a lossless oracle pass.
-    if wanted.iter().any(|w| w == "overload") {
-        run_overload_experiment(&opts, smoke)?;
-    }
-
-    // `serve` is opt-in for the same reason as the A/Bs: it measures
-    // multi-session service throughput/latency and scheduler overhead
-    // on the host clock, enforcing the per-session determinism contract.
-    if wanted.iter().any(|w| w == "serve") {
-        rbcd_bench::serve::run_serve_experiment(&parsed)?;
-    }
-
-    if want("temporal") {
-        run_temporal_experiment(&opts)?;
-    }
-
-    if want("table1") {
-        print_table1(&opts)?;
-    }
-    if want("table2") {
-        print_table2()?;
-    }
-    if want("fig2") {
-        print_fig2(&opts)?;
-    }
-    if want("sec53") {
-        print_sec53(&opts)?;
-    }
-    if want("imr") {
-        print_imr(&opts)?;
-    }
-    if want("spares") {
-        print_spares(&opts)?;
-    }
-    if want("timesteps") {
-        print_timesteps(&opts)?;
-    }
-    if want("tbdr") {
-        print_tbdr(&opts)?;
-    }
-    if want("resolution") {
-        print_resolution(&opts)?;
-    }
-
-    let need_suite = ["fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b", "fig10", "fig11", "table3", "sec52", "ablation-zebs", "debug"]
-        .iter()
-        .any(|id| want(id));
-    if !need_suite {
-        return Ok(());
-    }
-
+/// Simulates the benchmark suite the `Suite` entries print from, on
+/// the `--scene` the command line picked.
+fn simulate_suite(ctx: &Ctx) -> Result<SuiteResult, Box<dyn Error>> {
     eprintln!("running the benchmark suite (this simulates every frame three+ times)...");
     let t0 = Instant::now();
-    let scenes = cli::filter_scenes(rbcd_workloads::suite(), parsed.scene.as_deref())?;
-    let suite = run_suite(&scenes, &opts);
+    let scenes = cli::filter_scenes(rbcd_workloads::suite(), ctx.cli.scene.as_deref())?;
+    let suite = run_suite(&scenes, &ctx.opts);
     eprintln!("suite simulated in {:.1?} of host time", t0.elapsed());
     let (checked, reused) = suite.benchmarks.iter().fold((0u64, 0u64), |acc, b| {
         let c = &b.rbcd2.stats.coherence;
@@ -224,44 +183,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             fmt_pct(reused as f64 / checked as f64)
         );
     }
-
-    if want("fig8a") {
-        print_fig8_speedup(&suite, false, PaperRef { note: "paper geomean ~250x (1 ZEB), ~600x (2 ZEB)" })?;
-    }
-    if want("fig8b") {
-        print_fig8_energy(&suite, false, PaperRef { note: "paper geomean ~273x (1 ZEB), ~448x (2 ZEB)" })?;
-    }
-    if want("fig8c") {
-        print_fig8_speedup(&suite, true, PaperRef { note: "paper geomean ~1400x (1 ZEB), ~3400x (2 ZEB)" })?;
-    }
-    if want("fig8d") {
-        print_fig8_energy(&suite, true, PaperRef { note: "paper geomean ~1750x (1 ZEB), ~2875x (2 ZEB)" })?;
-    }
-    if want("fig9a") {
-        print_fig9(&suite, true)?;
-    }
-    if want("fig9b") {
-        print_fig9(&suite, false)?;
-    }
-    if want("fig10") {
-        print_fig10(&suite)?;
-    }
-    if want("fig11") {
-        print_fig11(&suite)?;
-    }
-    if want("table3") {
-        print_table3(&suite)?;
-    }
-    if want("sec52") {
-        print_sec52(&suite)?;
-    }
-    if want("ablation-zebs") {
-        print_ablation(&suite)?;
-    }
-    if wanted.iter().any(|w| w == "debug") {
-        print_debug(&suite)?;
-    }
-    Ok(())
+    Ok(suite)
 }
 
 fn print_table1(opts: &RunOptions) -> Result<(), TableError> {
@@ -336,9 +258,12 @@ fn print_sec53(opts: &RunOptions) -> Result<(), TableError> {
     Ok(())
 }
 
-fn print_fig8_speedup(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result<(), TableError> {
-    let which = if gjk { "GJK-CD" } else { "Broad-CD" };
-    let id = if gjk { "Figure 8c" } else { "Figure 8a" };
+fn print_fig8_speedup(suite: &SuiteResult, gjk: bool) -> Result<(), TableError> {
+    let (id, which, paper) = if gjk {
+        ("Figure 8c", "GJK-CD", "paper geomean ~1400x (1 ZEB), ~3400x (2 ZEB)")
+    } else {
+        ("Figure 8a", "Broad-CD", "paper geomean ~250x (1 ZEB), ~600x (2 ZEB)")
+    };
     let mut t = Table::new(
         &format!("{id} — RBCD speedup vs {which} (eq. 1)"),
         &["benchmark", "1 ZEB", "2 ZEB"],
@@ -355,13 +280,16 @@ fn print_fig8_speedup(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result
     }
     t.row(vec!["geo.mean".into(), fmt_x(geomean(s1)), fmt_x(geomean(s2))])?;
     print!("{}", t.render());
-    println!("({})", paper.note);
+    println!("({paper})");
     Ok(())
 }
 
-fn print_fig8_energy(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result<(), TableError> {
-    let which = if gjk { "GJK-CD" } else { "Broad-CD" };
-    let id = if gjk { "Figure 8d" } else { "Figure 8b" };
+fn print_fig8_energy(suite: &SuiteResult, gjk: bool) -> Result<(), TableError> {
+    let (id, which, paper) = if gjk {
+        ("Figure 8d", "GJK-CD", "paper geomean ~1750x (1 ZEB), ~2875x (2 ZEB)")
+    } else {
+        ("Figure 8b", "Broad-CD", "paper geomean ~273x (1 ZEB), ~448x (2 ZEB)")
+    };
     let mut t = Table::new(
         &format!("{id} — RBCD energy reduction vs {which} (eq. 2)"),
         &["benchmark", "1 ZEB", "2 ZEB"],
@@ -378,7 +306,7 @@ fn print_fig8_energy(suite: &SuiteResult, gjk: bool, paper: PaperRef) -> Result<
     }
     t.row(vec!["geo.mean".into(), fmt_x(geomean(s1)), fmt_x(geomean(s2))])?;
     print!("{}", t.render());
-    println!("({})", paper.note);
+    println!("({paper})");
     Ok(())
 }
 
@@ -765,7 +693,7 @@ fn print_tbdr(opts: &RunOptions) -> Result<(), TableError> {
 /// sample at pixel centres, discretization *erodes* silhouettes, so the
 /// resolution limit manifests as missed sub-pixel overlap slivers —
 /// which shrink as resolution grows.
-fn print_resolution(_opts: &RunOptions) -> Result<(), TableError> {
+fn print_resolution() -> Result<(), TableError> {
     use rbcd_core::{detect_frame_collisions, RbcdConfig};
     use rbcd_gpu::{Camera, DrawCommand, FrameTrace, ObjectId};
     use rbcd_math::{Mat4, Vec3, Viewport};
@@ -819,15 +747,14 @@ fn print_resolution(_opts: &RunOptions) -> Result<(), TableError> {
     Ok(())
 }
 
-/// Temporal-coherence experiment (`temporal`, run by `all` and by
-/// `--smoke`): render the static/resting clips of
+/// Temporal-coherence experiment (`temporal`): render the static/resting clips of
 /// [`rbcd_workloads::temporal_suite`] twice — reuse off, then reuse on
 /// — and report per-scene reuse rate plus the simulated-cycle speedup
 /// the signature-based tile replay buys. The exactness contract is
 /// enforced, not assumed: if reuse changes a pair set or any `rbcd.*`
 /// counter the run exits non-zero. Writes
 /// `BENCH_temporal_coherence.json`.
-fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
+fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn Error>> {
     use rbcd_bench::runner::run_gpu;
 
     let scenes = rbcd_workloads::temporal_suite();
@@ -862,11 +789,11 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn std::error::
         // RBCD-unit books. Only the timeline may shrink.
         let identical = on.pairs == off.pairs && on.rbcd == off.rbcd;
         if !identical {
-            eprintln!(
+            return Err(format!(
                 "REUSE DIVERGENCE on {}: reuse-on results differ from reuse-off",
                 scene.alias
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
 
         let tiles_checked = on.counters.get("coherence.tiles_checked");
@@ -940,7 +867,7 @@ fn run_temporal_experiment(opts: &RunOptions) -> Result<(), Box<dyn std::error::
 /// crate's own parser before it is trusted, and the total of every heat
 /// plane that has a counter is cross-checked against it; any
 /// disagreement is an error (non-zero exit).
-fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
+fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn Error>> {
     use rbcd_bench::runner::HEAT_PLANE_COUNTERS;
     use rbcd_trace::HEATMAP_METRICS;
 
@@ -1002,7 +929,7 @@ fn run_trace_experiment(path: &str, opts: &RunOptions) -> Result<(), Box<dyn std
 /// much of the software oracle's pair set survives — per fault class
 /// and per ladder rung. Writes `BENCH_fault_tolerance.json` and exits
 /// non-zero if any pair was lost without a counted overflow.
-fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn std::error::Error>> {
+fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn Error>> {
     use rbcd_bench::faults::run_fault_tolerance;
 
     const SEED: u64 = 0xFA01_7B5E;
@@ -1141,16 +1068,19 @@ fn run_fault_experiment(plan_name: &str, opts: &RunOptions, smoke: bool) -> Resu
     println!("wrote {path}");
 
     if silent > 0 {
-        eprintln!("SILENT PAIR LOSS: {silent} pairs vanished without a counted overflow");
-        std::process::exit(1);
+        return Err(format!("SILENT PAIR LOSS: {silent} pairs vanished without a counted overflow").into());
     }
     Ok(())
 }
 
-/// The frame-deadline governor sweep: storm-faulted frames at 100 / 75
-/// / 50 / 25 % of each scene's ungoverned cycle baseline, with full
-/// degraded-result accounting and an oracle soundness check per frame.
-fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn std::error::Error>> {
+/// The frame-deadline governor sweep (`overload`): storm-faulted
+/// frames at 100 / 75 / 50 / 25 % of each scene's ungoverned cycle
+/// baseline, with the policy ladder (forced reuse → scan coarsening →
+/// tile shedding), the escalation circuit breaker, full degraded-result
+/// accounting and an oracle soundness check per frame. Writes
+/// `BENCH_overload.json`, then fails on any budget violation or silent
+/// oracle miss.
+fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn Error>> {
     use rbcd_bench::overload::run_overload;
 
     const SEED: u64 = 0x0E_2108;
@@ -1258,10 +1188,10 @@ fn run_overload_experiment(opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn
     println!("wrote {path}");
 
     if violations > 0 || misses > 0 {
-        eprintln!(
+        return Err(format!(
             "GOVERNOR CONTRACT BROKEN: {violations} budget violations, {misses} silent oracle misses"
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
     Ok(())
 }
