@@ -32,11 +32,10 @@
 # sweeps the frame-deadline governor down to a 25% cycle budget under
 # the storm fault plan (repro exits non-zero on any budget violation or
 # silent oracle miss) and re-runs it at 1/2/4 threads, requiring
-# byte-identical BENCH_overload.json artifacts. The serve smoke pushes 8 staggered
+# byte-identical BENCH_overload.json artifacts. The serve smoke pushes 9 staggered
 # sessions through the multi-session scheduler at 1/2/4 workers and
 # requires zero cross-session interference, a leak-free admission
-# ledger, and a byte-identical report (modulo host_* wall-clock lines)
-# across thread counts.
+# ledger, and a byte-identical report across thread counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -177,24 +176,23 @@ for t in 2 4; do
 done
 
 echo "== multi-session service smoke (repro serve --smoke) =="
-# Admits 8 staggered sessions (mixed reuse/fault/governor policies) plus
+# Admits 9 staggered sessions (mixed reuse/fault/governor policies) plus
 # deliberate over-capacity and empty-clip submissions, serves them at
 # 1/2/4 workers, and byte-compares every session's artifact against its
 # solo run in-process; repro exits non-zero on any interference or
 # ledger leak. On top of that, the report itself must be deterministic:
-# after stripping host_* wall-clock lines, runs at 1, 2, and 4 threads
-# must land byte-identical BENCH_multi_session.json artifacts.
+# it holds simulated results only, so runs at 1, 2, and 4 threads must
+# land byte-identical BENCH_multi_session.json artifacts.
 "$repro" serve --smoke --threads 1
 [ -s BENCH_multi_session.json ] || { echo "serve smoke: missing BENCH_multi_session.json"; exit 1; }
 grep -q '"interference_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: cross-session interference detected"; exit 1; }
 grep -q '"leak_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: admission ledger leaked a session"; exit 1; }
-grep -v '"host_' BENCH_multi_session.json > serve.1.json
+cp BENCH_multi_session.json serve.1.json
 for t in 2 4; do
   "$repro" serve --smoke --threads "$t"
-  grep -v '"host_' BENCH_multi_session.json > "serve.$t.json"
-  cmp -s serve.1.json "serve.$t.json" \
+  cmp -s serve.1.json BENCH_multi_session.json \
     || { echo "serve smoke: session report diverged at $t threads"; exit 1; }
 done
 
