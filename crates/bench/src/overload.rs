@@ -389,8 +389,6 @@ mod tests {
         let gov = GovernorConfig {
             frame_budget_cycles: (baseline / 100).max(1),
             coarsen_prims: 1,
-            coarsen_shift: 2,
-            shed_overhead_cycles: 0,
         };
         let run = |threads: usize| {
             let mut sim = simulator(&o.gpu, FramePolicy::new().with_governor(Some(gov)));

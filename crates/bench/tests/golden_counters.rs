@@ -238,11 +238,9 @@ fn cli_opts() -> RunOptions {
 /// coarsening from 8 binned primitives.
 fn governed_cli_opts() -> RunOptions {
     let mut opts = cli_opts();
-    opts.policy = opts.policy.with_governor(Some(GovernorConfig {
-        frame_budget_cycles: 10_000,
-        coarsen_prims: 8,
-        ..GovernorConfig::default()
-    }));
+    opts.policy = opts
+        .policy
+        .with_governor(Some(GovernorConfig { frame_budget_cycles: 10_000, coarsen_prims: 8 }));
     opts
 }
 

@@ -46,16 +46,6 @@ pub struct GovernorConfig {
     /// scan coarsening (policy rung 2) when the projected frame cost
     /// exceeds the budget.
     pub coarsen_prims: usize,
-    /// Capacity boost applied to coarsened tiles: the collision
-    /// backend's effective list capacity `M` is left-shifted by this
-    /// amount, skipping doomed base-capacity passes under overflow
-    /// storms. `0` disables rung 2.
-    pub coarsen_shift: u8,
-    /// Cycles charged to the merge timeline per shed tile (the Tile
-    /// Scheduler's drop-and-log cost). Kept at `0` by default so the
-    /// budget guarantee stays exact: used cycles never exceed the
-    /// budget by more than one tile's own work.
-    pub shed_overhead_cycles: u64,
 }
 
 impl Default for GovernorConfig {
@@ -63,8 +53,6 @@ impl Default for GovernorConfig {
         Self {
             frame_budget_cycles: 0,
             coarsen_prims: 64,
-            coarsen_shift: 2,
-            shed_overhead_cycles: 0,
         }
     }
 }
@@ -79,11 +67,6 @@ impl Default for GovernorConfig {
 pub struct GpuConfig {
     /// Core clock in Hz (Table 1: 400 MHz).
     pub frequency_hz: u64,
-    /// Supply voltage in volts (Table 1: 1 V); informational, folded into
-    /// the energy constants.
-    pub voltage: f32,
-    /// Process node in nanometres (Table 1: 32 nm); informational.
-    pub technology_nm: u32,
     /// Render target (Table 1: 800×480 WVGA).
     pub viewport: Viewport,
     /// Tile edge in pixels (Table 1: 16×16).
@@ -130,17 +113,6 @@ pub struct GpuConfig {
     /// Size in bytes of one vertex record fetched by the vertex fetcher.
     pub vertex_record_bytes: u64,
 
-    /// Queue capacities, for configuration echo (Table 1). The timing
-    /// model abstracts queues through the `memory_parallelism` and
-    /// per-tile `max()` overlap rules.
-    pub vertex_queue_entries: u32,
-    /// Triangle queue capacity (Table 1: 16 entries).
-    pub triangle_queue_entries: u32,
-    /// Fragment queue capacity (Table 1: 64 entries).
-    pub fragment_queue_entries: u32,
-    /// Tile queue capacity (Table 1: 16 entries).
-    pub tile_queue_entries: u32,
-
     /// Host-side implementation of the rasterizer's inner loop. Never
     /// changes simulated results; see [`HotPathMode`].
     pub hot_path: HotPathMode,
@@ -150,8 +122,6 @@ impl Default for GpuConfig {
     fn default() -> Self {
         Self {
             frequency_hz: 400_000_000,
-            voltage: 1.0,
-            technology_nm: 32,
             viewport: Viewport::new(800, 480),
             tile_size: 16,
             vertex_processors: 1,
@@ -170,10 +140,6 @@ impl Default for GpuConfig {
             l2_cache: CacheConfig { line_bytes: 64, ways: 8, size_bytes: 128 * 1024 },
             prim_record_bytes: 32,
             vertex_record_bytes: 16,
-            vertex_queue_entries: 16,
-            triangle_queue_entries: 16,
-            fragment_queue_entries: 64,
-            tile_queue_entries: 16,
             hot_path: HotPathMode::Mask,
         }
     }

@@ -52,6 +52,12 @@ use crate::sim::{
 use crate::stats::{BroadphaseStats, CoherenceStats, FrameStats, RasterStats};
 use rbcd_trace::TileMark;
 
+/// Capacity boost of a coarsened tile (policy rung 2): the collision
+/// backend's effective list capacity `M` is left-shifted by this many
+/// doublings, skipping base-capacity passes an overflow storm would
+/// doom anyway.
+const COARSEN_SHIFT: u8 = 2;
+
 /// A collision backend attached at the rasterizer's
 /// collisionable-fragment output (the paper's Figure 3).
 ///
@@ -370,7 +376,7 @@ impl Simulator {
         // collision capacity pre-elevated, skipping base-capacity
         // passes that an overflow storm would doom anyway.
         if let Some(g) = gov {
-            if g.frame_budget_cycles > 0 && g.coarsen_shift > 0 {
+            if g.frame_budget_cycles > 0 {
                 let prims = |ti: u32| self.bins.tile(ti as usize).len();
                 let mut projected = 0u64;
                 for (tp, &ti) in self.plan.iter().zip(self.bins.active()) {
@@ -385,7 +391,7 @@ impl Simulator {
                     for (tp, &ti) in self.plan.iter_mut().zip(self.bins.active()) {
                         if let TileVerdict::Render { boost } = &mut tp.verdict {
                             if prims(ti) >= g.coarsen_prims {
-                                *boost = g.coarsen_shift;
+                                *boost = COARSEN_SHIFT;
                             }
                         }
                     }
@@ -454,7 +460,6 @@ impl Simulator {
         let coord = |ti: u32| TileCoord { x: ti % tiles_x, y: ti / tiles_x };
 
         let budget = gov.map_or(0, |g| g.frame_budget_cycles);
-        let shed_overhead = gov.map_or(0, |g| g.shed_overhead_cycles);
         let mut report = gov
             .map(|g| GovernorFrameReport { budget_cycles: g.frame_budget_cycles, ..Default::default() });
         let mut max_tile_cycles = 0u64;
@@ -484,7 +489,6 @@ impl Simulator {
                     // The planned replay never happens.
                     co.tiles_reused -= 1;
                 }
-                cursor += shed_overhead;
                 if let Some(t) = tracer.as_deref_mut() {
                     t.record_tile_mark(tc.x, tc.y, TileMark::Shed, cursor);
                 }
