@@ -131,7 +131,7 @@ fn main() {
 fn run() -> Result<(), Box<dyn Error>> {
     let ids: Vec<&str> = std::iter::once("all").chain(EXPERIMENTS.iter().map(|e| e.id)).collect();
     let cli = cli::parse_args(std::env::args().skip(1).collect(), &ids)?;
-    let named: Vec<String> = if !cli.rest.is_empty() {
+    let wanted: Vec<String> = if !cli.rest.is_empty() {
         cli.rest.clone()
     } else if cli.faults.is_some() || cli.trace.is_some() {
         Vec::new() // --faults / --trace alone run just that experiment
@@ -140,7 +140,7 @@ fn run() -> Result<(), Box<dyn Error>> {
     } else {
         vec!["all".into()]
     };
-    let named = |id: &str| named.iter().any(|n| n == id);
+    let named = |id: &str| wanted.iter().any(|w| w == id);
     let ctx = Ctx { opts: cli.run_options(), cli };
 
     if let Some(path) = &ctx.cli.trace {

@@ -4,7 +4,9 @@
 //!
 //! The `repro` binary drives this library; `cargo run -p rbcd-bench
 //! --release --bin repro` regenerates everything, `repro <id>` one
-//! experiment (ids listed in DESIGN.md §5).
+//! experiment. Its `EXPERIMENTS` table (`src/bin/repro.rs`) defines
+//! the ids and which of them `all` runs; DESIGN.md §5 maps each paper
+//! result to its id.
 
 #![warn(missing_docs)]
 

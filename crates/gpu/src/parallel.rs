@@ -54,8 +54,7 @@ use rbcd_trace::TileMark;
 
 /// Capacity boost of a coarsened tile (policy rung 2): the collision
 /// backend's effective list capacity `M` is left-shifted by this many
-/// doublings, skipping base-capacity passes an overflow storm would
-/// doom anyway.
+/// doublings.
 const COARSEN_SHIFT: u8 = 2;
 
 /// A collision backend attached at the rasterizer's
