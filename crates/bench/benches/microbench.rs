@@ -14,9 +14,9 @@ use rbcd_core::{scan_list, FfStack, RbcdConfig, RbcdStats, RbcdUnit, Zeb, ZebEle
 use rbcd_cpu_cd::{gjk, CdBody, Cost, CpuCollisionDetector, Phase};
 use rbcd_geometry::{hull, intersect, shapes};
 use rbcd_gpu::{
-    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, Facing,
-    FrameTrace, GpuConfig, NullCollisionUnit, ObjectId, ParallelCollision, PipelineMode,
-    ScreenTriangle, Simulator, SimulatorBuilder, TileCoord,
+    rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked_rows, Camera, CollisionBackend,
+    Facing, FrameTrace, GpuConfig, NullCollisionUnit, ObjectId, PipelineMode, ScreenTriangle,
+    Simulator, SimulatorBuilder, TileCoord,
 };
 use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::hint::black_box;

@@ -13,7 +13,7 @@
 //! * [`RbcdUnit`] — the complete unit: one insertion unit, one Z-overlap
 //!   unit and one or more ZEBs, double-buffered so scanning the previous
 //!   tile overlaps rasterizing the next (§3.5). It plugs into the GPU
-//!   simulator through [`rbcd_gpu::ParallelCollision`]: per-tile
+//!   simulator through [`rbcd_gpu::CollisionBackend`]: per-tile
 //!   insertion and scan run on [`ZebTileWorker`]s, and the unit merges
 //!   each tile's results in tile order, replaying the ZEB claim and scan
 //!   timing. It accounts its own cycles, energy events, and overflows

@@ -1,6 +1,6 @@
 //! Per-thread RBCD collision workers: the compute half of the unit.
 //!
-//! [`rbcd_gpu::ParallelCollision`] splits collision detection into an
+//! [`rbcd_gpu::CollisionBackend`] splits collision detection into an
 //! order-free compute half and an order-dependent merge half.
 //! [`ZebTileWorker`] is the compute half for the hardware model: it
 //! owns a private software ZEB + FF-Stack and produces an owned
@@ -19,7 +19,7 @@ use crate::software::OracleUnit;
 use crate::stats::RbcdStats;
 use crate::unit::{ladder_zeb_tile, ContactPoint, RbcdConfig};
 use crate::zeb::Zeb;
-use rbcd_gpu::{CollisionFragment, ObjectId, ParallelCollision, TileCoord};
+use rbcd_gpu::{CollisionBackend, CollisionFragment, ObjectId, TileCoord};
 
 /// One worker's private collision state: a software ZEB and FF-Stack,
 /// reused across the tiles the worker claims.
@@ -103,7 +103,7 @@ impl ZebTileWorker {
 /// The software oracle has no per-tile state or timing: workers copy
 /// the fragments out and the merge files them under their tile, in
 /// tile order (its results are order-insensitive anyway).
-impl ParallelCollision for OracleUnit {
+impl CollisionBackend for OracleUnit {
     type Worker = ();
     type TileOut = Vec<CollisionFragment>;
 
@@ -167,17 +167,17 @@ mod tests {
         let out = worker.process_tile(tile, &tile_frags(), 0);
 
         let mut merged = RbcdUnit::new(config, 16).unwrap();
-        ParallelCollision::merge_tile(&mut merged, tile, out.clone(), 0, 40);
+        CollisionBackend::merge_tile(&mut merged, tile, out.clone(), 0, 40);
 
         let mut replayed = RbcdUnit::new(config, 16).unwrap();
         replayed.set_tile_logging(true);
-        ParallelCollision::replay_tile(&mut replayed, tile, out, 0, 40);
+        CollisionBackend::replay_tile(&mut replayed, tile, out, 0, 40);
 
         assert_eq!(merged.contacts(), replayed.contacts());
         assert_eq!(merged.stats(), replayed.stats());
-        assert!(ParallelCollision::idle_at(&merged) > 0, "merge occupies the scan unit");
-        assert_eq!(ParallelCollision::idle_at(&replayed), 0, "replay must not");
-        assert_eq!(ParallelCollision::next_free(&replayed), 0);
+        assert!(CollisionBackend::idle_at(&merged) > 0, "merge occupies the scan unit");
+        assert_eq!(CollisionBackend::idle_at(&replayed), 0, "replay must not");
+        assert_eq!(CollisionBackend::next_free(&replayed), 0);
         let log = replayed.take_tile_records();
         assert_eq!(log.len(), 1, "replayed tiles still log for observability");
         assert!(log[0].scan_end > log[0].scan_start);
@@ -188,8 +188,8 @@ mod tests {
     #[test]
     fn coherence_key_tracks_the_whole_config() {
         let base = RbcdUnit::new(RbcdConfig::default(), 16).unwrap();
-        let key = ParallelCollision::coherence_key(&base);
-        assert_eq!(key, ParallelCollision::coherence_key(&base));
+        let key = CollisionBackend::coherence_key(&base);
+        assert_eq!(key, CollisionBackend::coherence_key(&base));
         for other in [
             RbcdConfig { zeb_count: 1, ..RbcdConfig::default() },
             RbcdConfig { list_capacity: 4, ..RbcdConfig::default() },
@@ -199,7 +199,7 @@ mod tests {
             RbcdConfig { hot_path: rbcd_gpu::HotPathMode::Reference, ..RbcdConfig::default() },
         ] {
             let unit = RbcdUnit::new(other, 16).unwrap();
-            assert_ne!(key, ParallelCollision::coherence_key(&unit), "{other:?}");
+            assert_ne!(key, CollisionBackend::coherence_key(&unit), "{other:?}");
         }
     }
 

@@ -8,7 +8,7 @@ use crate::stats::RbcdStats;
 use crate::zeb::Zeb;
 use crate::ZebElement;
 use rbcd_gpu::{
-    CollisionFragment, FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId, ParallelCollision,
+    CollisionBackend, CollisionFragment, FrameStats, FrameTrace, GpuConfig, HotPathMode, ObjectId,
     PipelineMode, Simulator, TileCoord,
 };
 use rbcd_trace::TileZebRecord;
@@ -124,7 +124,7 @@ impl ContactPoint {
 /// The RBCD unit: ZEBs + sorted insertion + Z-overlap test, with the
 /// paper's tile double-buffering timing protocol.
 ///
-/// The unit is a [`ParallelCollision`] backend: its
+/// The unit is a [`CollisionBackend`] backend: its
 /// [`ZebTileWorker`]s insert and scan each tile's fragments in a
 /// private ZEB + FF-Stack, and the unit itself keeps the timing state
 /// (per-ZEB busy-until cycles and the single Z-overlap unit's clock),
@@ -448,7 +448,7 @@ fn escalate(frags: &[CollisionFragment], escalated: &mut Vec<ObjectId>) {
     escalated.extend(ids);
 }
 
-impl ParallelCollision for RbcdUnit {
+impl CollisionBackend for RbcdUnit {
     type Worker = ZebTileWorker;
     type TileOut = TileCollisions;
 
@@ -495,7 +495,7 @@ impl ParallelCollision for RbcdUnit {
 
     /// Replays one tile's cached collision results (temporal coherence):
     /// the tile's event counters, contacts, and escalations accumulate
-    /// exactly as [`ParallelCollision::merge_tile`] would have, but no
+    /// exactly as [`CollisionBackend::merge_tile`] would have, but no
     /// ZEB is claimed and neither clock advances — the hardware never
     /// ran, so it holds no resource. The tile-log record keeps its
     /// cached scan duration for observability, anchored at the

@@ -7,7 +7,7 @@
 
 use rbcd_core::software::OracleUnit;
 use rbcd_core::{RbcdConfig, RbcdUnit};
-use rbcd_gpu::{quantize_depth, CollisionFragment, Facing, ObjectId, ParallelCollision, TileCoord};
+use rbcd_gpu::{quantize_depth, CollisionBackend, CollisionFragment, Facing, ObjectId, TileCoord};
 use rbcd_math::Rng;
 
 const CASES: usize = 256;

@@ -151,7 +151,7 @@ pub(crate) fn signature_check_cycles(prims: u64) -> u64 {
 
 /// One cached tile outcome: the signature it is valid for, the raster
 /// counters, and the collision backend's per-tile capsule (type-erased
-/// so the cache works for any [`crate::ParallelCollision`] backend).
+/// so the cache works for any [`crate::CollisionBackend`] backend).
 pub(crate) struct TileCacheEntry {
     pub(crate) sig: u64,
     pub(crate) out: TileRasterOut,

@@ -5,11 +5,11 @@
 //! free ZEB; when the tile finishes rasterizing, the unit's Z-overlap
 //! scan runs while the Raster Pipeline moves on — if a free ZEB exists.
 //! The Tile Scheduler otherwise stalls (§3.5), which is what
-//! [`ParallelCollision::next_free`] models. This module holds the data
+//! [`CollisionBackend::next_free`] models. This module holds the data
 //! the rasterizer hands a backend and the null backend of baseline runs.
 
 use crate::command::{Facing, ObjectId};
-use crate::parallel::ParallelCollision;
+use crate::parallel::CollisionBackend;
 
 /// Tile coordinates in the tile grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +23,7 @@ pub struct TileCoord {
 /// A collisionable fragment as the rasterizer forwards it to the RBCD
 /// unit: the tile-local form the insertion unit consumes directly (§3,
 /// Fig. 4). The tile is implied by the
-/// [`ParallelCollision::process_tile`] call that carries the fragment,
+/// [`CollisionBackend::process_tile`] call that carries the fragment,
 /// and the depth is already in the ZEB's 16-bit format, so the unit
 /// sorts it into list `pixel` with no conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +67,7 @@ fn round_depth(x: f32) -> u16 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullCollisionUnit;
 
-impl ParallelCollision for NullCollisionUnit {
+impl CollisionBackend for NullCollisionUnit {
     type Worker = ();
     type TileOut = ();
 

@@ -14,7 +14,7 @@
 //!   Processors shade the survivors into on-chip colour/Z buffers.
 //!
 //! The RBCD unit itself lives in the `rbcd-core` crate and attaches to the
-//! rasterizer through the [`ParallelCollision`] trait, exactly mirroring
+//! rasterizer through the [`CollisionBackend`] trait, exactly mirroring
 //! the paper's integration point (Figure 3): the rasterizer forwards every
 //! *collisionable* fragment — including tagged-to-be-culled ones — to the
 //! unit, while only non-culled fragments proceed to Early-Z.
@@ -77,7 +77,7 @@ pub use command::{
 };
 pub use config::{GovernorConfig, GpuConfig, HotPathMode};
 pub use imr::{ImrSimulator, ImrStats};
-pub use parallel::ParallelCollision;
+pub use parallel::CollisionBackend;
 pub use policy::FramePolicy;
 pub use raster::{
     rasterize_triangle_in_tile, rasterize_triangle_in_tile_masked,

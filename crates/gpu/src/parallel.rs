@@ -15,7 +15,7 @@
 //! 2. **Compute phase** (worker pools only) — workers claim tiles from
 //!    the shared binned list via an atomic cursor. Each worker owns a
 //!    private [`TileWorker`] (z-buffer + fragment scratch) and a private
-//!    collision worker ([`ParallelCollision::Worker`], e.g. a software
+//!    collision worker ([`CollisionBackend::Worker`], e.g. a software
 //!    ZEB + FF-Stack), and produces an *owned* per-tile result through
 //!    [`TileComputeCtx`], an immutable `Sync` view of the planned frame.
 //! 3. **Merge phase** (`merge_raster`) — one thread per session walks
@@ -61,12 +61,12 @@ const COARSEN_SHIFT: u8 = 2;
 /// collisionable-fragment output (the paper's Figure 3).
 ///
 /// Per-tile analysis splits into an order-free compute half (`Worker` +
-/// [`ParallelCollision::process_tile`]), which may run on any thread,
+/// [`CollisionBackend::process_tile`]), which may run on any thread,
 /// and an order-dependent timing/accumulation half
-/// ([`ParallelCollision::merge_tile`], called in tile-index order) that
-/// replays the §3.5 protocol: [`ParallelCollision::next_free`] gates
+/// ([`CollisionBackend::merge_tile`], called in tile-index order) that
+/// replays the §3.5 protocol: [`CollisionBackend::next_free`] gates
 /// tile dispatch, `merge_tile` claims a ZEB and schedules the Z-overlap
-/// scan, and [`ParallelCollision::idle_at`] reports when the last scan
+/// scan, and [`CollisionBackend::idle_at`] reports when the last scan
 /// drains.
 ///
 /// Implementations must guarantee that a tile's `process_tile` output
@@ -77,7 +77,7 @@ const COARSEN_SHIFT: u8 = 2;
 /// `Send` because [`crate::render_batch`] plans and merges each session
 /// on whichever pool thread claims it, handing that thread the
 /// session's `&mut` backend.
-pub trait ParallelCollision: Send {
+pub trait CollisionBackend: Send {
     /// Per-thread collision state (e.g. one software ZEB + FF-Stack).
     type Worker: Send;
     /// Owned per-tile result (e.g. contact points + per-tile stats).
@@ -123,7 +123,7 @@ pub trait ParallelCollision: Send {
 
     /// Folds a *cached* tile result back into the backend when the
     /// temporal-coherence layer replays it. Unlike
-    /// [`ParallelCollision::merge_tile`], a replayed tile must not
+    /// [`CollisionBackend::merge_tile`], a replayed tile must not
     /// claim a ZEB or advance the backend's timing state — the skipped
     /// tile performs no insertions or scans — but the result counters,
     /// contacts and per-tile log must accumulate exactly as a fresh
@@ -144,7 +144,7 @@ pub trait ParallelCollision: Send {
 
 /// Pool-computed results of one frame's fresh tiles, indexed by
 /// active-list position (`None` for reused tiles).
-pub(crate) type TileSlots<B> = Vec<Option<(TileRasterOut, <B as ParallelCollision>::TileOut)>>;
+pub(crate) type TileSlots<B> = Vec<Option<(TileRasterOut, <B as CollisionBackend>::TileOut)>>;
 
 /// What the plan decided for one active tile. The merge acts on it
 /// exactly, except that a governor past its deadline may shed any tile.
@@ -185,7 +185,7 @@ pub(crate) struct TilePlan {
 
 /// Where [`Simulator::merge_raster`] finds each fresh (not reused)
 /// tile's results.
-pub(crate) enum FreshTiles<B: ParallelCollision> {
+pub(crate) enum FreshTiles<B: CollisionBackend> {
     /// Computed ahead of the merge by a worker pool.
     Pooled(TileSlots<B>),
     /// Computed by the merge itself when it reaches the tile, on the
@@ -230,7 +230,7 @@ impl TileComputeCtx<'_> {
     /// them. Pure per-tile work: identical output for a given `k`
     /// regardless of thread, claim order, or what other sessions share
     /// the pool.
-    pub(crate) fn compute_tile<B: ParallelCollision>(
+    pub(crate) fn compute_tile<B: CollisionBackend>(
         &self,
         k: usize,
         tw: &mut TileWorker,
@@ -275,7 +275,7 @@ impl Simulator {
     /// # Panics
     ///
     /// If a pool worker panics.
-    pub fn render_frame_parallel<B: ParallelCollision>(
+    pub fn render_frame_parallel<B: CollisionBackend>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
@@ -298,7 +298,7 @@ impl Simulator {
     /// governor's policy rung 1 forces the reuse machinery on, so
     /// signature-stable tiles replay cheaply while the frame is under
     /// deadline pressure.
-    pub(crate) fn plan_raster<B: ParallelCollision>(
+    pub(crate) fn plan_raster<B: CollisionBackend>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
@@ -422,7 +422,7 @@ impl Simulator {
     /// (policy rung 3) whatever their verdict: their results — pooled
     /// or cached — are discarded (inline, never computed), their
     /// objects reported for CPU recovery.
-    pub(crate) fn merge_raster<B: ParallelCollision>(
+    pub(crate) fn merge_raster<B: CollisionBackend>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,

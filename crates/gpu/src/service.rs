@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::command::FrameTrace;
-use crate::parallel::{FreshTiles, ParallelCollision, TileSlots};
+use crate::parallel::{CollisionBackend, FreshTiles, TileSlots};
 use crate::sim::{PipelineMode, Simulator, TileWorker};
 use crate::stats::FrameStats;
 
@@ -71,7 +71,7 @@ impl Error for ServiceError {}
 /// both exactly as a solo [`Simulator::render_frame_parallel`] call
 /// would.
 #[must_use = "a BatchJob does nothing until passed to render_batch"]
-pub struct BatchJob<'a, B: ParallelCollision> {
+pub struct BatchJob<'a, B: CollisionBackend> {
     /// The session's GPU simulator (coherence caches, governor state,
     /// tracer — all private to this session).
     pub sim: &'a mut Simulator,
@@ -97,7 +97,7 @@ pub struct BatchJob<'a, B: ParallelCollision> {
 ///
 /// [`ServiceError::WorkerPanicked`] if a pool thread panicked in any
 /// phase; the batch's results are void.
-pub fn render_batch<B: ParallelCollision>(
+pub fn render_batch<B: CollisionBackend>(
     jobs: &mut [BatchJob<'_, B>],
     workers: usize,
 ) -> Result<Vec<FrameStats>, ServiceError> {
@@ -149,7 +149,7 @@ pub fn render_batch<B: ParallelCollision>(
 
 /// The compute phase: one interleaved work list across all sessions,
 /// drained by the pool into per-session slot lists.
-fn compute_pooled<B: ParallelCollision>(
+fn compute_pooled<B: CollisionBackend>(
     jobs: &[BatchJob<'_, B>],
     workers: usize,
 ) -> Result<Vec<TileSlots<B>>, ServiceError> {
@@ -341,7 +341,7 @@ mod tests {
         in_plan: bool,
     }
 
-    impl ParallelCollision for Panics {
+    impl CollisionBackend for Panics {
         type Worker = ();
         type TileOut = ();
 

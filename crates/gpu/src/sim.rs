@@ -7,7 +7,7 @@ use crate::collision_unit::{quantize_depth, CollisionFragment, TileCoord};
 use crate::command::{Facing, FrameTrace, ObjectId};
 use crate::config::{GovernorConfig, GpuConfig, HotPathMode};
 use crate::frontend::{self, CachedDrawGeom, DrawKey, GeomCache, ViewKey};
-use crate::parallel::{FreshTiles, ParallelCollision, TilePlan};
+use crate::parallel::{CollisionBackend, FreshTiles, TilePlan};
 use crate::policy::FramePolicy;
 use crate::raster::{rasterize_rows_in_bounds, rasterize_triangle_in_tile, Fragment, ScreenTriangle};
 use crate::service::{self, ServiceError};
@@ -661,7 +661,7 @@ impl Simulator {
     /// collisionable fragments reach `backend` and ZEB stalls are
     /// modelled through its timing protocol; pass
     /// [`crate::NullCollisionUnit`] for baseline runs.
-    pub fn render_frame<B: ParallelCollision>(
+    pub fn render_frame<B: CollisionBackend>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,
@@ -868,7 +868,7 @@ impl Simulator {
     /// responsible for resetting `backend` between passes (e.g.
     /// `RbcdUnit::new_frame` + draining contacts) so each pass starts
     /// from the same state.
-    pub fn bench_raster_pass<B: ParallelCollision>(
+    pub fn bench_raster_pass<B: CollisionBackend>(
         &mut self,
         trace: &FrameTrace,
         mode: PipelineMode,

@@ -59,8 +59,8 @@ pub mod prelude {
     };
     pub use rbcd_geometry::shapes;
     pub use rbcd_gpu::{
-        render_batch, BatchJob, Camera, DrawCommand, FramePolicy, FrameStats, FrameTrace,
-        GovernorConfig, GpuConfig, GpuConfigError, HotPathMode, ObjectId, ParallelCollision,
+        render_batch, BatchJob, Camera, CollisionBackend, DrawCommand, FramePolicy, FrameStats,
+        FrameTrace, GovernorConfig, GpuConfig, GpuConfigError, HotPathMode, ObjectId,
         PipelineMode, ServiceError, Simulator, SimulatorBuilder,
     };
     pub use rbcd_math::{Mat4, Vec3, Viewport};
