@@ -3,16 +3,15 @@
 //! `Simulator::new(GpuConfig { .. })` accepts any bag of numbers — a
 //! zero-sized tile or a zero-throughput rasterizer silently produces a
 //! nonsense simulation (or a divide-by-zero panic deep in a pipeline).
-//! [`SimulatorBuilder`] is the checked front door: setters for the
-//! commonly varied knobs, wholesale [`SimulatorBuilder::config`] for
-//! the rest, and a [`SimulatorBuilder::build`] that rejects degenerate
-//! configurations with a typed [`GpuConfigError`].
+//! [`SimulatorBuilder`] is the checked front door: a whole
+//! [`GpuConfig`] in ([`SimulatorBuilder::from_config`]), one
+//! [`FramePolicy`], and a [`SimulatorBuilder::build`] that rejects
+//! degenerate configurations with a typed [`GpuConfigError`].
 
 use crate::cache::CacheConfig;
 use crate::config::GpuConfig;
 use crate::policy::FramePolicy;
 use crate::sim::Simulator;
-use rbcd_math::Viewport;
 use std::fmt;
 
 /// A rejected GPU configuration, naming the offending parameter.
@@ -87,17 +86,17 @@ impl std::error::Error for GpuConfigError {}
 
 /// Fluent, validating constructor for [`Simulator`].
 ///
-/// Hardware shape lives in the per-field setters (or a wholesale
-/// [`GpuConfig`]); execution behaviour — reuse, hot path, front-end,
-/// broad phase, tracing, governor — arrives as one [`FramePolicy`],
-/// fixed for the built simulator's life:
+/// Hardware shape arrives as one [`GpuConfig`], each field set in the
+/// struct literal; execution behaviour — reuse, hot path, broad phase,
+/// tracing, governor — arrives as one [`FramePolicy`], fixed for the
+/// built simulator's life:
 ///
 /// ```
-/// use rbcd_gpu::{FramePolicy, SimulatorBuilder};
+/// use rbcd_gpu::{FramePolicy, GpuConfig, SimulatorBuilder};
+/// use rbcd_math::Viewport;
 ///
-/// let sim = SimulatorBuilder::new()
-///     .viewport(128, 96)
-///     .tile_size(16)
+/// let gpu = GpuConfig { viewport: Viewport::new(128, 96), tile_size: 16, ..GpuConfig::default() };
+/// let sim = SimulatorBuilder::from_config(gpu)
 ///     .policy(FramePolicy::new().with_tracing(true))
 ///     .build()
 ///     .expect("valid configuration");
@@ -115,57 +114,18 @@ impl SimulatorBuilder {
         Self::default()
     }
 
-    /// Starts from an existing configuration (all setters still apply
-    /// on top).
+    /// Starts from an existing configuration.
     pub fn from_config(config: GpuConfig) -> Self {
         Self { config, policy: FramePolicy::default() }
     }
 
     /// Installs the execution policy, replacing any set before. This is
-    /// the one place reuse, the hot-path override, the front-end, the
-    /// broad phase, tracing and the governor are configured; the built
-    /// simulator runs every frame under it, and only its governor can
-    /// change later ([`Simulator::set_governor`]).
+    /// the one place reuse, the hot-path override, the broad phase,
+    /// tracing and the governor are configured; the built simulator
+    /// runs every frame under it, and only its governor can change
+    /// later ([`Simulator::set_governor`]).
     pub fn policy(mut self, policy: FramePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the whole configuration wholesale.
-    pub fn config(mut self, config: GpuConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Render-target size in pixels. A zero dimension is accepted here
-    /// and rejected by [`SimulatorBuilder::validate`] with a typed
-    /// error (unlike [`Viewport::new`], which panics).
-    pub fn viewport(mut self, width: u32, height: u32) -> Self {
-        self.config.viewport = Viewport { width, height };
-        self
-    }
-
-    /// Tile edge in pixels.
-    pub fn tile_size(mut self, tile_size: u32) -> Self {
-        self.config.tile_size = tile_size;
-        self
-    }
-
-    /// Core clock in Hz.
-    pub fn frequency_hz(mut self, hz: u64) -> Self {
-        self.config.frequency_hz = hz;
-        self
-    }
-
-    /// Number of programmable fragment processors.
-    pub fn fragment_processors(mut self, n: u32) -> Self {
-        self.config.fragment_processors = n;
-        self
-    }
-
-    /// Number of programmable vertex processors.
-    pub fn vertex_processors(mut self, n: u32) -> Self {
-        self.config.vertex_processors = n;
         self
     }
 
@@ -259,6 +219,7 @@ fn check_cache(name: &'static str, cache: &CacheConfig) -> Result<(), GpuConfigE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbcd_math::Viewport;
 
     #[test]
     fn default_builder_is_valid() {
@@ -267,13 +228,23 @@ mod tests {
         assert!(!sim.tracing_enabled());
     }
 
+    /// A configuration with one field changed from Table 1.
+    fn with(change: impl FnOnce(&mut GpuConfig)) -> SimulatorBuilder {
+        let mut config = GpuConfig::default();
+        change(&mut config);
+        SimulatorBuilder::from_config(config)
+    }
+
     #[test]
     fn fluent_setters_apply() {
-        let sim = SimulatorBuilder::new()
-            .viewport(64, 48)
-            .tile_size(8)
-            .frequency_hz(100_000_000)
-            .fragment_processors(2)
+        let config = GpuConfig {
+            viewport: Viewport::new(64, 48),
+            tile_size: 8,
+            frequency_hz: 100_000_000,
+            fragment_processors: 2,
+            ..GpuConfig::default()
+        };
+        let sim = SimulatorBuilder::from_config(config)
             .policy(FramePolicy::new().with_tracing(true).with_reuse(true))
             .build()
             .unwrap();
@@ -288,20 +259,16 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs_with_typed_errors() {
+        // `Viewport::new` panics on a zero dimension; the builder must
+        // reject one that arrives in a struct literal with a typed error.
         assert_eq!(
-            SimulatorBuilder::new().viewport(0, 480).validate(),
+            with(|c| c.viewport = Viewport { width: 0, height: 480 }).validate(),
             Err(GpuConfigError::ZeroViewport { width: 0, height: 480 })
         );
+        assert_eq!(with(|c| c.tile_size = 0).validate(), Err(GpuConfigError::ZeroTileSize));
+        assert_eq!(with(|c| c.frequency_hz = 0).validate(), Err(GpuConfigError::ZeroFrequency));
         assert_eq!(
-            SimulatorBuilder::new().tile_size(0).validate(),
-            Err(GpuConfigError::ZeroTileSize)
-        );
-        assert_eq!(
-            SimulatorBuilder::new().frequency_hz(0).validate(),
-            Err(GpuConfigError::ZeroFrequency)
-        );
-        assert_eq!(
-            SimulatorBuilder::new().fragment_processors(0).validate(),
+            with(|c| c.fragment_processors = 0).validate(),
             Err(GpuConfigError::ZeroThroughput("fragment_processors"))
         );
         let inverted = GpuConfig {
@@ -370,11 +337,9 @@ mod tests {
     fn built_simulator_matches_plain_constructor() {
         // The builder is a checked front door, not a different machine:
         // same config in, same simulator out.
-        let via_builder = SimulatorBuilder::new().viewport(64, 64).build().unwrap();
-        let via_new = Simulator::new(GpuConfig {
-            viewport: rbcd_math::Viewport::new(64, 64),
-            ..GpuConfig::default()
-        });
+        let config = GpuConfig { viewport: Viewport::new(64, 64), ..GpuConfig::default() };
+        let via_builder = SimulatorBuilder::from_config(config.clone()).build().unwrap();
+        let via_new = Simulator::new(config);
         assert_eq!(via_builder.config(), via_new.config());
         assert_eq!(via_builder.policy(), via_new.policy());
     }
