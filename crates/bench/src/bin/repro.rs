@@ -30,7 +30,10 @@
 //! counters are bit-identical either way, only image-side timing
 //! moves), `--smoke` shrinks every experiment to a quick configuration
 //! and defaults the experiment list to `bench temporal`, and `--scene
-//! <alias>` restricts the suite to one workload. The geometry
+//! <alias>` restricts the benchmark suite to one workload: every
+//! experiment that sweeps the suite honours it, while `temporal`,
+//! `--trace`, `--faults`, `overload`, `serve` and the A/B rows keep
+//! their own scenes; an alias the suite lacks exits 2. The geometry
 //! front-end's per-draw cache has no flag: it keys each draw exactly,
 //! so it is always on. All flags parse through the shared option table
 //! in `rbcd_bench::cli`; an unknown flag, a missing value, or an
@@ -57,6 +60,7 @@ use rbcd_bench::report::{fmt_norm, fmt_pct, fmt_x, Table, TableError};
 use rbcd_bench::{ab, accuracy, geomean, run_gpu_traced, run_suite, serve, RunOptions, SuiteResult};
 use rbcd_core::{FaultPlan, RbcdConfig};
 use rbcd_gpu::GpuConfig;
+use rbcd_workloads::Scene;
 use std::error::Error;
 use std::time::Instant;
 
@@ -64,6 +68,8 @@ use std::time::Instant;
 struct Ctx {
     cli: CliOptions,
     opts: RunOptions,
+    /// The benchmark suite, `--scene` applied.
+    suite: Vec<Scene>,
 }
 
 /// What an experiment runs.
@@ -94,13 +100,13 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment { id: "serve", in_all: false, run: Run::Flags(|c| serve::run_serve_experiment(&c.cli)) },
     Experiment { id: "temporal", in_all: true, run: Run::Flags(|c| run_temporal_experiment(&c.opts)) },
     Experiment { id: "table1", in_all: true, run: Run::Flags(|c| Ok(print_table1(&c.opts)?)) },
-    Experiment { id: "table2", in_all: true, run: Run::Flags(|_| Ok(print_table2()?)) },
+    Experiment { id: "table2", in_all: true, run: Run::Flags(|c| Ok(print_table2(&c.suite)?)) },
     Experiment { id: "fig2", in_all: true, run: Run::Flags(|c| Ok(print_fig2(&c.opts)?)) },
     Experiment { id: "sec53", in_all: true, run: Run::Flags(|c| Ok(print_sec53(&c.opts)?)) },
-    Experiment { id: "imr", in_all: true, run: Run::Flags(|c| Ok(print_imr(&c.opts)?)) },
-    Experiment { id: "spares", in_all: true, run: Run::Flags(|c| Ok(print_spares(&c.opts)?)) },
-    Experiment { id: "timesteps", in_all: true, run: Run::Flags(|c| Ok(print_timesteps(&c.opts)?)) },
-    Experiment { id: "tbdr", in_all: true, run: Run::Flags(|c| Ok(print_tbdr(&c.opts)?)) },
+    Experiment { id: "imr", in_all: true, run: Run::Flags(|c| Ok(print_imr(&c.suite, &c.opts)?)) },
+    Experiment { id: "spares", in_all: true, run: Run::Flags(|c| Ok(print_spares(&c.suite, &c.opts)?)) },
+    Experiment { id: "timesteps", in_all: true, run: Run::Flags(|c| Ok(print_timesteps(&c.suite, &c.opts)?)) },
+    Experiment { id: "tbdr", in_all: true, run: Run::Flags(|c| Ok(print_tbdr(&c.suite, &c.opts)?)) },
     Experiment { id: "resolution", in_all: true, run: Run::Flags(|_| Ok(print_resolution()?)) },
     Experiment { id: "fig8a", in_all: true, run: Run::Suite(|s| print_fig8_speedup(s, false)) },
     Experiment { id: "fig8b", in_all: true, run: Run::Suite(|s| print_fig8_energy(s, false)) },
@@ -141,7 +147,7 @@ fn run() -> Result<(), Box<dyn Error>> {
         vec!["all".into()]
     };
     let named = |id: &str| wanted.iter().any(|w| w == id);
-    let ctx = Ctx { opts: cli.run_options(), cli };
+    let ctx = Ctx { opts: cli.run_options(), suite: cli.suite()?, cli };
 
     if let Some(path) = &ctx.cli.trace {
         run_trace_experiment(path, &ctx.opts)?;
@@ -155,7 +161,7 @@ fn run() -> Result<(), Box<dyn Error>> {
             Run::Flags(run) => run(&ctx)?,
             Run::Suite(print) => {
                 if suite.is_none() {
-                    suite = Some(simulate_suite(&ctx)?);
+                    suite = Some(simulate_suite(&ctx));
                 }
                 print(suite.as_ref().expect("simulated above"))?;
             }
@@ -166,11 +172,10 @@ fn run() -> Result<(), Box<dyn Error>> {
 
 /// Simulates the benchmark suite the `Suite` entries print from, on
 /// the `--scene` the command line picked.
-fn simulate_suite(ctx: &Ctx) -> Result<SuiteResult, Box<dyn Error>> {
+fn simulate_suite(ctx: &Ctx) -> SuiteResult {
     eprintln!("running the benchmark suite (this simulates every frame three+ times)...");
     let t0 = Instant::now();
-    let scenes = cli::filter_scenes(rbcd_workloads::suite(), ctx.cli.scene.as_deref())?;
-    let suite = run_suite(&scenes, &ctx.opts);
+    let suite = run_suite(&ctx.suite, &ctx.opts);
     eprintln!("suite simulated in {:.1?} of host time", t0.elapsed());
     let (checked, reused) = suite.benchmarks.iter().fold((0u64, 0u64), |acc, b| {
         let c = &b.rbcd2.stats.coherence;
@@ -183,7 +188,7 @@ fn simulate_suite(ctx: &Ctx) -> Result<SuiteResult, Box<dyn Error>> {
             fmt_pct(reused as f64 / checked as f64)
         );
     }
-    Ok(suite)
+    suite
 }
 
 fn print_table1(opts: &RunOptions) -> Result<(), TableError> {
@@ -211,9 +216,9 @@ fn print_table1(opts: &RunOptions) -> Result<(), TableError> {
     Ok(())
 }
 
-fn print_table2() -> Result<(), TableError> {
+fn print_table2(suite: &[Scene]) -> Result<(), TableError> {
     let mut t = Table::new("Table 2 — benchmarks", &["benchmark", "alias", "description"]);
-    for s in rbcd_workloads::suite() {
+    for s in suite {
         t.row(vec![s.name.to_string(), s.alias.to_string(), s.description.to_string()])?;
     }
     print!("{}", t.render());
@@ -546,13 +551,13 @@ fn print_debug(suite: &SuiteResult) -> Result<(), TableError> {
 
 /// Extension (§3.1): TBR vs IMR framebuffer traffic on the suite, plus
 /// the memory a screen-sized RBCD buffer would need in IMR.
-fn print_imr(opts: &RunOptions) -> Result<(), TableError> {
+fn print_imr(suite: &[Scene], opts: &RunOptions) -> Result<(), TableError> {
     use rbcd_gpu::{ImrSimulator, NullCollisionUnit, PipelineMode, Simulator};
     let mut t = Table::new(
         "Extension §3.1 — TBR vs IMR framebuffer DRAM traffic (MB/frame)",
         &["benchmark", "TBR", "IMR", "IMR/TBR", "IMR overdraw %"],
     );
-    for scene in rbcd_workloads::suite() {
+    for scene in suite {
         let frames = opts.frames.unwrap_or(4).min(4);
         let mut tbr = Simulator::new(opts.gpu.clone());
         let mut imr = ImrSimulator::new(opts.gpu.clone());
@@ -594,18 +599,18 @@ fn print_imr(opts: &RunOptions) -> Result<(), TableError> {
 }
 
 /// Extension (§5.3): spare-entry pool vs overflow rate at M = 4.
-fn print_spares(opts: &RunOptions) -> Result<(), TableError> {
+fn print_spares(suite: &[Scene], opts: &RunOptions) -> Result<(), TableError> {
     use rbcd_bench::runner::run_gpu;
     use rbcd_core::RbcdConfig;
     let mut t = Table::new(
         "Extension §5.3 — spare-entry pool vs overflow at M = 4 (2 ZEBs)",
         &["benchmark", "0 spares", "64 spares", "256 spares"],
     );
-    for scene in rbcd_workloads::suite() {
+    for scene in suite {
         let frames = opts.frames.unwrap_or(6).min(6);
         let rate = |spares: usize| {
             let run = run_gpu(
-                &scene,
+                scene,
                 frames,
                 opts,
                 Some(RbcdConfig {
@@ -630,13 +635,13 @@ fn print_spares(opts: &RunOptions) -> Result<(), TableError> {
 
 /// Extension (§3.6): cost of a collision-only pass (extra physics time
 /// steps) relative to a full rendered frame.
-fn print_timesteps(opts: &RunOptions) -> Result<(), TableError> {
+fn print_timesteps(suite: &[Scene], opts: &RunOptions) -> Result<(), TableError> {
     use rbcd_core::{detect_collision_pass, detect_frame_collisions, RbcdConfig};
     let mut t = Table::new(
         "Extension §3.6 — collision-only pass vs full frame (cycles/frame)",
         &["benchmark", "full frame", "collision pass", "pass/frame", "same pairs"],
     );
-    for scene in rbcd_workloads::suite() {
+    for scene in suite {
         let trace = scene.frame_trace(2);
         let full = detect_frame_collisions(&trace, &opts.gpu, &RbcdConfig::default());
         let pass = detect_collision_pass(&trace, &opts.gpu, &RbcdConfig::default());
@@ -657,13 +662,13 @@ fn print_timesteps(opts: &RunOptions) -> Result<(), TableError> {
 /// Extension (§3.1): shading work an ideal deferred renderer (PowerVR
 /// TBDR) would save relative to the early-Z TBR baseline — overdraw
 /// that passes the depth test and gets shaded anyway.
-fn print_tbdr(opts: &RunOptions) -> Result<(), TableError> {
+fn print_tbdr(suite: &[Scene], opts: &RunOptions) -> Result<(), TableError> {
     use rbcd_gpu::{NullCollisionUnit, PipelineMode, Simulator};
     let mut t = Table::new(
         "Extension §3.1 — early-Z shading vs ideal deferred shading (TBDR)",
         &["benchmark", "shaded frags/f", "covered pixels/f", "overdraw shaded"],
     );
-    for scene in rbcd_workloads::suite() {
+    for scene in suite {
         let frames = opts.frames.unwrap_or(4).min(4);
         let mut sim = Simulator::new(opts.gpu.clone());
         let mut shaded = 0u64;

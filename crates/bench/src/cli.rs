@@ -53,7 +53,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec { name: "--broadphase", value: Some("a mode (on|off)") },
     FlagSpec { name: "--trace", value: Some("an output path (e.g. trace.json)") },
     FlagSpec { name: "--faults", value: Some("a plan name") },
-    FlagSpec { name: "--scene", value: Some("a workload name or alias") },
+    FlagSpec { name: "--scene", value: Some("a suite workload name or alias") },
 ];
 
 /// Every flag the `repro` experiments share, parsed once.
@@ -82,8 +82,12 @@ pub struct CliOptions {
     pub trace: Option<String>,
     /// `--faults <plan>`: run the fault-injection experiment.
     pub faults: Option<String>,
-    /// `--scene <name>`: restrict scene-sweeping experiments to one
-    /// workload (matched against scene name or alias).
+    /// `--scene <name>`: restrict the benchmark suite to one workload
+    /// (matched against scene name or alias, checked against the suite
+    /// when the command line is parsed). Every experiment that sweeps
+    /// the suite runs on [`CliOptions::suite`]; `temporal`, `--trace`,
+    /// `--faults`, `overload`, `serve` and the A/B rows keep their own
+    /// scenes.
     pub scene: Option<String>,
     /// Remaining positional arguments (experiment ids).
     pub rest: Vec<String>,
@@ -138,6 +142,16 @@ impl CliOptions {
     pub fn frame_policy(&self) -> FramePolicy {
         self.policy
     }
+
+    /// The benchmark suite `--scene` selects: every workload of
+    /// [`rbcd_workloads::suite`], or the one it names.
+    ///
+    /// # Errors
+    ///
+    /// [`UsageError`] when `--scene` names no suite workload.
+    pub fn suite(&self) -> Result<Vec<Scene>, UsageError> {
+        filter_scenes(rbcd_workloads::suite(), self.scene.as_deref())
+    }
 }
 
 /// Parses `args` (the command line minus the program name) against the
@@ -148,8 +162,9 @@ impl CliOptions {
 ///
 /// [`UsageError`] when a flag is missing its value, a value has the
 /// wrong shape, an argument starting with `--` matches no known flag,
-/// or a positional argument is not in `experiments`, so a typo exits
-/// with usage code 2 instead of silently running nothing.
+/// `--scene` names no suite workload, or a positional argument is not
+/// in `experiments`, so a typo exits with usage code 2 instead of
+/// silently running nothing.
 pub fn parse_args(args: Vec<String>, experiments: &[&str]) -> Result<CliOptions, UsageError> {
     let mut out = CliOptions::default();
     let mut it = args.into_iter().peekable();
@@ -233,7 +248,10 @@ pub fn parse_args(args: Vec<String>, experiments: &[&str]) -> Result<CliOptions,
                 }
                 out.faults = Some(v);
             }
-            "--scene" => out.scene = Some(value(&mut it)?),
+            "--scene" => {
+                out.scene = Some(value(&mut it)?);
+                out.suite()?;
+            }
             _ => unreachable!("every FLAGS row is matched above"),
         }
     }
@@ -395,5 +413,10 @@ mod tests {
         let e = filter_scenes(rbcd_workloads::suite(), Some("nope")).expect_err("unknown");
         assert_eq!(e.flag, "--scene");
         assert!(e.expected.contains("cap"), "{e}");
+        // The parser checks the alias before anything runs.
+        let e = parse(&["--scene", "nope", "temporal"]).expect_err("unknown scene");
+        assert_eq!(e.flag, "--scene");
+        let cap = parse(&["--scene", "CAP"]).expect("aliases match case-insensitively");
+        assert_eq!(cap.suite().expect("checked").len(), 1);
     }
 }

@@ -46,3 +46,26 @@ fn usage_errors_exit_2_with_the_table_ids() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--fames"), "stderr: {stderr}");
 }
+
+/// `--scene` is checked against the benchmark suite before anything
+/// runs, even ahead of an experiment that keeps its own scenes, and
+/// every experiment that sweeps the suite runs on the one it names.
+#[test]
+fn scene_is_checked_first_and_reaches_every_suite_experiment() {
+    let dir = std::env::temp_dir();
+    let out = repro(&["--scene", "nope", "temporal", "--smoke"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs before the parse fails");
+    assert!(stderr.contains("--scene") && stderr.contains("cap"), "stderr: {stderr}");
+
+    let out = repro(&["--scene", "cap", "imr", "--smoke"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|first| rbcd_workloads::suite().iter().any(|s| s.alias == *first))
+        .collect();
+    assert_eq!(rows, ["cap"], "stdout: {stdout}");
+}
