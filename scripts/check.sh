@@ -36,6 +36,11 @@
 # sessions through the multi-session scheduler at 1/2/4 workers and
 # requires zero cross-session interference, a leak-free admission
 # ledger, and a byte-identical report across thread counts.
+#
+# The fault, overload and serve smoke artifacts are also diffed against
+# the pins in scripts/smoke/, minus their "host" line (it records the
+# machine's core count): each holds simulated results only, so none may
+# move unless its pin is regenerated on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +65,7 @@ cargo run --quiet --release --frozen --manifest-path perf/Cargo.toml --bin perf 
 repro="$PWD/target/release/repro"
 sim_pin="$PWD/scripts/perf_smoke_sim.txt"
 repro_pin="$PWD/scripts/repro_smoke.txt"
+smoke_pins="$PWD/scripts/smoke"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -82,6 +88,12 @@ diff "$sim_pin" "$work/perf_sim.txt" \
   || { echo "perf smoke: simulated metrics differ from scripts/perf_smoke_sim.txt (diff above)"; exit 1; }
 cd "$work"
 
+# Diffs a smoke artifact, minus its "host" line, against its pin.
+pinned() {
+  grep -v '"host":' "$1" | diff "$smoke_pins/$2" - \
+    || { echo "$1 differs from scripts/smoke/$2 (diff above)"; exit 1; }
+}
+
 echo "== determinism diff (repro --frames 2, --threads 1 and 4 vs scripts/repro_smoke.txt) =="
 # With no experiment id, repro runs every experiment in `all`. Those
 # print simulated results only (host timings go to stderr), so their
@@ -101,6 +113,7 @@ grep -q '"identical_results": true' BENCH_tile_pipeline.json \
 
 echo "== fault injection smoke (repro --smoke --faults all --threads 2) =="
 "$repro" --smoke --faults all --threads 2
+pinned BENCH_fault_tolerance.json fault_tolerance.json
 
 echo "== trace smoke (repro --smoke --frames 2 --trace, --threads 1 vs 4) =="
 # Renders two traced frames, re-parses the Chrome JSON with the crate's
@@ -168,6 +181,7 @@ grep -q '"budget_violations": 0' BENCH_overload.json \
   || { echo "overload smoke: a frame blew its cycle budget"; exit 1; }
 grep -q '"oracle_misses": 0' BENCH_overload.json \
   || { echo "overload smoke: silent oracle misses in the exact partition"; exit 1; }
+pinned BENCH_overload.json overload.json
 cp BENCH_overload.json overload.1.json
 for t in 2 4; do
   "$repro" --smoke overload --threads "$t"
@@ -189,6 +203,7 @@ grep -q '"interference_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: cross-session interference detected"; exit 1; }
 grep -q '"leak_free": true' BENCH_multi_session.json \
   || { echo "serve smoke: admission ledger leaked a session"; exit 1; }
+pinned BENCH_multi_session.json multi_session.json
 cp BENCH_multi_session.json serve.1.json
 for t in 2 4; do
   "$repro" serve --smoke --threads "$t"
