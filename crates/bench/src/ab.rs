@@ -1,27 +1,24 @@
 //! The A/B harness behind `repro bench`, `hotpath` and `broadphase`:
 //! one table row per experiment, one code path for all.
 //!
-//! Each [`Row`] switches one knob between an off arm and an on arm and
-//! holds only what differs between the experiments: the two arms, the
-//! scenes, the results the knob may move, the witness counters that
-//! prove the arms ran different modes, and the stage a timed pass runs.
-//! [`run`] first checks the arms exact with three legs:
+//! Each [`Row`] switches one exact knob of [`crate::exact::KNOBS`]
+//! between its reference value (the off arm) and its other value (the
+//! on arm), and holds only what differs between the experiments: the
+//! knob, the arms' names, the scenes and the stage a timed pass runs.
+//! The knob's row of the table sets the arms and says which results
+//! they may disagree on and which witness counters prove they ran
+//! different modes. [`run`] first checks the arms exact, each leg a
+//! pair of cells under the flags' policy and `GpuConfig` compared by
+//! [`exact::compare`] and against the software oracle:
 //!
-//! * **Whole runs.** Both arms through [`run_gpu`] under the flags'
-//!   policy at four (threads, reuse, governor) points: (1, off, none),
-//!   (2, on, none), (4, on, none) and (2, off, a 25,000-cycle budget).
-//!   The arms must report the same pairs, and the same counters,
-//!   simulated time and energy outside the row's may-move set. Every
-//!   witness counter must read 0 in the off arm and the first above 0
-//!   in the on arm; otherwise the leg *collapsed*: both arms ran one
-//!   mode, so their agreement proves nothing. A knob that stands down
-//!   under a governor must match in every result there, witness
-//!   included.
-//! * **Faults.** The storm and overflow plans through
-//!   [`run_fault_tolerance`]; every cell must match.
-//! * **Batch.** Every checked scene as one session of a
-//!   [`render_batch`] with reuse and the knob on; each session must
-//!   match its solo run, frame for frame.
+//! * **Whole runs** at four (threads, reuse, governor) points: (1, off,
+//!   none), (2, on, none), (4, on, none) and (2, off, a 25,000-cycle
+//!   budget). The on arm must fire the knob's first witness, unless
+//!   the knob stands down under the governor.
+//! * **Faults.** The storm and overflow plans at M = 2 on 2 workers,
+//!   with the degradation ladder.
+//! * **Batch.** The on arm as one session of a scheduler batch on 2
+//!   workers, with reuse on, against the off arm solo.
 //!
 //! Only then does it time the arms. Each timed pass runs under
 //! [`FramePolicy::new`] plus the row's knob, so a speedup means "this
@@ -31,18 +28,15 @@
 //! and hypervisor steal. A scene's speedup is the median of its
 //! per-pair ratios; its ns figures are each arm's best pass.
 
-use crate::faults::run_fault_tolerance;
-use crate::metrics::GpuRun;
+use crate::exact::{self, Cell, Clip, Knob, Oracle, Run};
+use crate::faults::ladder_config;
 use crate::report::{fmt_x, Table};
-use crate::runner::{rbcd_unit, run_gpu, simulator, RunOptions};
+use crate::runner::{rbcd_unit, simulator, RunOptions};
 use crate::{geomean, schema};
-use rbcd_core::{ContactPoint, FaultPlan, RbcdConfig, RbcdUnit};
-use rbcd_gpu::{
-    render_batch, BatchJob, BroadPhase, FramePolicy, FrameStats, FrameTrace, GovernorConfig,
-    HotPathMode, PipelineMode, Simulator,
-};
+use rbcd_core::{FaultPlan, RbcdConfig, RbcdUnit};
+use rbcd_gpu::{FramePolicy, FrameTrace, GovernorConfig, PipelineMode, Simulator};
 use rbcd_workloads::Scene;
-use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed of the fault plans the fault leg injects.
@@ -86,8 +80,10 @@ pub struct Row {
     title: &'static str,
     /// Names of the off and the on arm.
     arms: [&'static str; 2],
-    /// Sets the knob to its off (`false`) or on (`true`) arm.
-    arm: fn(&mut RunOptions, bool),
+    /// The knob the row switches: it sets the arms, the results they
+    /// may disagree on, and the witness counters that prove they ran
+    /// different modes.
+    knob: Knob,
     /// Scenes the exactness legs check.
     checked: fn() -> Vec<Scene>,
     /// Scenes the timed pairs run.
@@ -95,17 +91,6 @@ pub struct Row {
     /// Frames per scene when `--frames` is not given (`None`: the
     /// whole clip).
     frames: Option<usize>,
-    /// Results the knob may move: counter keys, plus `sim.seconds` and
-    /// `sim.energy_j` for simulated time and energy.
-    may_move: fn(&str) -> bool,
-    /// Counters that read 0 in the off arm, the first of which reads
-    /// above 0 in the on arm. Each one that only the on mode produces
-    /// is listed, so a stage that stops following the knob is caught
-    /// wherever it sits.
-    witness: &'static [&'static str],
-    /// The knob stands down under a governor, so there every result
-    /// must match.
-    stands_down_when_governed: bool,
     /// What a timed pass runs.
     stage: Stage,
     /// Timed pairs per scene at full length.
@@ -119,13 +104,10 @@ pub const ROWS: [Row; 3] = [
         bench: "tile_pipeline",
         title: "Tile pipeline — 1 worker vs a pool (host ns per rendered frame)",
         arms: ["1 worker", "pool"],
-        arm: |o, on| o.threads = if on { o.threads.max(2) } else { 1 },
+        knob: exact::THREADS,
         checked: rbcd_workloads::suite,
         timed: rbcd_workloads::suite,
         frames: Some(8),
-        may_move: |_| false,
-        witness: &[],
-        stands_down_when_governed: false,
         stage: Stage::Frames,
         passes: 30,
     },
@@ -134,13 +116,10 @@ pub const ROWS: [Row; 3] = [
         bench: "raster_hotpath",
         title: "Intra-tile hot path — reference vs span-mask (host ns per raster pass)",
         arms: ["reference", "mask"],
-        arm: |o, on| o.gpu.hot_path = if on { HotPathMode::Mask } else { HotPathMode::Reference },
+        knob: exact::HOT_PATH,
         checked: rbcd_workloads::suite,
         timed: rbcd_workloads::suite,
         frames: Some(2),
-        may_move: |k| matches!(k, "raster.rows_empty" | "raster.rows_full" | "tile.scan_skipped"),
-        witness: &["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"],
-        stands_down_when_governed: false,
         stage: Stage::RasterPass,
         passes: 40,
     },
@@ -149,24 +128,10 @@ pub const ROWS: [Row; 3] = [
         bench: "broadphase",
         title: "Screen-space broad phase — off vs on (host ns per rendered frame)",
         arms: ["off", "on"],
-        arm: |o, on| o.policy.broadphase = if on { BroadPhase::On } else { BroadPhase::Off },
+        knob: exact::BROAD_PHASE,
         checked: sparse_and_cap,
         timed: rbcd_workloads::sparse_family,
         frames: None,
-        may_move: |k| {
-            k.starts_with("broadphase.")
-                || k.starts_with("coherence.")
-                || k.starts_with("sim.")
-                || (k.starts_with("raster.")
-                    && !matches!(
-                        k,
-                        "raster.tiles_processed"
-                            | "raster.primitives_fetched"
-                            | "raster.fragments_collisionable"
-                    ))
-        },
-        witness: &["broadphase.tiles_skipped"],
-        stands_down_when_governed: true,
         stage: Stage::Frames,
         passes: 30,
     },
@@ -188,12 +153,12 @@ impl Row {
         opts.frames.or(self.frames).unwrap_or(scene.frames).min(scene.frames).max(2)
     }
 
-    /// `base` with the off arm's knob, and with the on arm's.
-    fn arms(&self, base: &RunOptions) -> [RunOptions; 2] {
+    /// `base` with the knob at its reference value, and off it.
+    fn arms(&self, base: &Cell) -> [Cell; 2] {
         [false, true].map(|on| {
-            let mut o = base.clone();
-            (self.arm)(&mut o, on);
-            o
+            let mut cell = base.clone();
+            (self.knob.arm)(&mut cell, on);
+            cell
         })
     }
 }
@@ -202,164 +167,78 @@ impl Row {
 #[derive(Debug, Default)]
 struct Exactness {
     /// Every failed check, as a `DIVERGENCE` (the arms disagree on a
-    /// result the knob must not move) or a `LEG COLLAPSED` (both arms
-    /// ran one mode) line; empty when the row is exact.
+    /// result the knob must not move), a `LEG COLLAPSED` (both arms
+    /// ran one mode) or a `BEYOND ORACLE` (an arm reports a pair the
+    /// software oracle lacks) line; empty when the row is exact.
     findings: Vec<String>,
     /// The on arm's first witness count per scene, from the first
     /// whole-run leg (1 worker, reuse off, ungoverned).
     witness: Vec<(&'static str, u64)>,
 }
 
+impl Exactness {
+    /// Runs one leg, the off and the on arm of `knob`, and records what
+    /// [`exact::compare`] and `oracle` find. Returns the on arm's run,
+    /// or `None` when the arms do not switch the knob.
+    fn leg(&mut self, knob: &Knob, [off, on]: [Cell; 2], oracle: &Oracle) -> Option<Run> {
+        if (knob.value)(&off) != 0 || (knob.value)(&on) == 0 {
+            self.findings
+                .push(format!("LEG COLLAPSED on {off}: the arms do not switch the {}", knob.name));
+            return None;
+        }
+        let [off, on] = [off, on].map(|cell| exact::run(&cell));
+        self.findings.extend(exact::compare(&off, &on));
+        self.findings.extend([&off, &on].into_iter().filter_map(|run| oracle.check(run)));
+        Some(on)
+    }
+}
+
 /// Runs every exactness leg of `row` over its checked scenes.
 fn check(row: &Row, opts: &RunOptions) -> Exactness {
-    let scenes = (row.checked)();
-    let mut exact = whole_runs(row, opts, &scenes);
-    exact.findings.extend(fault_cells(row, opts, &scenes));
-    exact.findings.extend(batch_sessions(row, opts, &scenes));
-    exact
-}
-
-/// The whole-run leg: both arms through [`run_gpu`] at every (threads,
-/// reuse, governor) point, under the flags' policy.
-fn whole_runs(row: &Row, opts: &RunOptions, scenes: &[Scene]) -> Exactness {
     let governor =
         GovernorConfig { frame_budget_cycles: GOVERNED_BUDGET, ..GovernorConfig::default() };
-    let legs = [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(governor))];
+    let whole_runs = [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(governor))];
     let mut exact = Exactness::default();
-    for scene in scenes {
-        let frames = row.frames(scene, opts);
-        for (i, (threads, reuse, governor)) in legs.into_iter().enumerate() {
-            let base = RunOptions {
-                threads,
-                policy: opts.policy.with_reuse(reuse).with_governor(governor),
-                ..opts.clone()
-            };
-            let [off, on] =
-                row.arms(&base).map(|o| run_gpu(scene, frames, &o, Some(RbcdConfig::default())));
-            let leg = format!(
-                "{threads} threads, reuse {}, {}",
-                if reuse { "on" } else { "off" },
-                if governor.is_some() { "governed" } else { "ungoverned" }
-            );
-            let standing_down = governor.is_some() && row.stands_down_when_governed;
-            if let Some(what) = first_difference(&off, &on, |k| standing_down || !(row.may_move)(k))
-            {
-                exact.findings.push(format!("DIVERGENCE on {} ({leg}): {what}", scene.alias));
+    for scene in (row.checked)() {
+        let base = |frames: usize| Cell::from_options(Clip::scene(&scene, frames.max(1)), opts);
+        // Whole runs: the on arm fires the knob's first witness, unless
+        // the knob stands down under the governor.
+        let whole = base(row.frames(&scene, opts));
+        let oracle = Oracle::new(&whole);
+        for (i, (threads, reuse, governor)) in whole_runs.into_iter().enumerate() {
+            let policy = whole.policy.with_reuse(reuse).with_governor(governor);
+            let [off, mut on] = row.arms(&Cell { threads, policy, ..whole.clone() });
+            if !(governor.is_some() && row.knob.stands_down_when_governed) {
+                on.fires = row.knob.witness.first().into_iter().copied().collect();
             }
-            let Some(&first) = row.witness.first() else { continue };
-            let w_on = on.counters.get(first);
-            let stray = row.witness.iter().find(|w| off.counters.get(w) > 0);
-            let collapsed = match stray {
-                Some(w) => Some(format!("{w} reads {} off", off.counters.get(w))),
-                None if !standing_down && w_on == 0 => Some(format!("{first} reads 0 on")),
-                None => None,
-            };
-            if let Some(what) = collapsed {
-                exact.findings.push(format!("LEG COLLAPSED on {} ({leg}): {what}", scene.alias));
-            }
-            if i == 0 {
-                exact.witness.push((scene.alias, w_on));
+            let on = exact.leg(&row.knob, [off, on], &oracle);
+            if let (0, Some(on), Some(first)) = (i, on, row.knob.witness.first()) {
+                exact.witness.push((scene.alias, on.counters().get(first)));
             }
         }
+        // Faults: the storm and overflow plans at M = 2 on 2 workers,
+        // with the degradation ladder.
+        let faulted = base(opts.frames.unwrap_or(4).min(4));
+        for preset in ["storm", "overflow"] {
+            let plan = FaultPlan::preset(preset, FAULT_SEED).expect("storm and overflow are presets");
+            let plan = FaultPlan { forced_m: Some(2), ..plan };
+            let cell =
+                Cell { threads: 2, faults: Some(plan), rbcd: ladder_config(&plan), ..faulted.clone() };
+            exact.leg(&row.knob, row.arms(&cell), &Oracle::new(&cell));
+        }
+        // Batch: the on arm as one session of a scheduler batch on 2
+        // workers, with reuse on, against the off arm solo.
+        let batched = base(opts.frames.unwrap_or(2).min(2));
+        let cell = Cell { threads: 2, policy: batched.policy.with_reuse(true), ..batched };
+        let [off, on] = row.arms(&cell);
+        exact.leg(&row.knob, [off, Cell { batch: true, ..on }], &Oracle::new(&cell));
     }
     exact
 }
 
-/// The first result the two runs disagree on among their pair sets and
-/// the `protected` results.
-fn first_difference(off: &GpuRun, on: &GpuRun, protected: impl Fn(&str) -> bool) -> Option<String> {
-    if off.pairs != on.pairs {
-        return Some(format!("pair sets differ ({} off, {} on)", off.pairs.len(), on.pairs.len()));
-    }
-    let keys: BTreeSet<&str> = off.counters.keys().chain(on.counters.keys()).collect();
-    if let Some(k) =
-        keys.into_iter().find(|k| protected(k) && off.counters.get(k) != on.counters.get(k))
-    {
-        return Some(format!("{k} reads {} off, {} on", off.counters.get(k), on.counters.get(k)));
-    }
-    [("sim.seconds", off.seconds, on.seconds), ("sim.energy_j", off.energy_j, on.energy_j)]
-        .into_iter()
-        .find(|&(k, a, b)| protected(k) && a != b)
-        .map(|(k, a, b)| format!("{k} reads {a} off, {b} on"))
-}
-
-/// The fault leg: the storm and overflow plans at M = 2 on 2 workers;
-/// every recovery cell must match.
-fn fault_cells(row: &Row, opts: &RunOptions, scenes: &[Scene]) -> Vec<String> {
-    let base =
-        RunOptions { threads: 2, frames: Some(opts.frames.unwrap_or(4).min(4)), ..opts.clone() };
-    let arms = row.arms(&base);
-    let mut findings = Vec::new();
-    for preset in ["storm", "overflow"] {
-        let plan = FaultPlan::preset(preset, FAULT_SEED).expect("storm and overflow are presets");
-        let [off, on] = arms.each_ref().map(|o| run_fault_tolerance(scenes, preset, plan, &[2], o));
-        for (a, b) in off.scenes.iter().zip(&on.scenes) {
-            for (ca, cb) in a.cells.iter().zip(&b.cells) {
-                if ca != cb {
-                    findings.push(format!(
-                        "DIVERGENCE on {} ('{preset}' faults, M = {}): the recovery cells differ",
-                        a.alias, ca.m
-                    ));
-                }
-            }
-        }
-    }
-    findings
-}
-
-/// The batch leg: every scene as one session of a [`render_batch`]
-/// with reuse and the knob on, against each session rendered solo on
-/// one worker.
-fn batch_sessions(row: &Row, opts: &RunOptions, scenes: &[Scene]) -> Vec<String> {
-    let frames = opts.frames.unwrap_or(2).min(2);
-    let base =
-        RunOptions { threads: 2, policy: FramePolicy::new().with_reuse(true), ..opts.clone() };
-    let [_, on] = row.arms(&base);
-    let solo: Vec<Vec<_>> = scenes
-        .iter()
-        .map(|scene| {
-            let mut stack = Stack::new(&on);
-            (0..frames).map(|f| stack.frame(&scene.frame_trace(f), 1)).collect()
-        })
-        .collect();
-    let mut stacks: Vec<Stack> = scenes.iter().map(|_| Stack::new(&on)).collect();
-    let mut findings = Vec::new();
-    for f in 0..frames {
-        let traces: Vec<FrameTrace> = scenes.iter().map(|s| s.frame_trace(f)).collect();
-        let batched = {
-            let mut jobs: Vec<BatchJob<'_, RbcdUnit>> = stacks
-                .iter_mut()
-                .zip(&traces)
-                .map(|(s, trace)| {
-                    s.unit.new_frame();
-                    BatchJob {
-                        sim: &mut s.sim,
-                        backend: &mut s.unit,
-                        trace,
-                        mode: PipelineMode::Rbcd,
-                    }
-                })
-                .collect();
-            render_batch(&mut jobs, on.threads).expect("batch jobs are well-formed")
-        };
-        for (((scene, stats), stack), solo) in
-            scenes.iter().zip(batched).zip(&mut stacks).zip(&solo)
-        {
-            if (stats, stack.unit.take_contacts()) != solo[f] {
-                findings.push(format!(
-                    "DIVERGENCE on {} (batch of {} sessions, frame {f}): the session differs \
-                     from its solo run",
-                    scene.alias,
-                    scenes.len()
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// One arm's simulator and RBCD unit, built the way [`run_gpu`] builds
-/// them: the unit's hot path follows `gpu.hot_path`.
+/// One timed arm's simulator and RBCD unit, built the way
+/// [`exact::run`] builds them: the unit's hot path follows
+/// `gpu.hot_path`.
 struct Stack {
     sim: Simulator,
     unit: RbcdUnit,
@@ -367,20 +246,12 @@ struct Stack {
 }
 
 impl Stack {
-    fn new(o: &RunOptions) -> Self {
+    fn new(cell: &Cell) -> Self {
         Self {
-            sim: simulator(&o.gpu, o.policy),
-            unit: rbcd_unit(&o.gpu, RbcdConfig::default()),
-            threads: o.threads,
+            sim: simulator(&cell.gpu, cell.policy),
+            unit: rbcd_unit(&cell.gpu, RbcdConfig::default()),
+            threads: cell.threads,
         }
-    }
-
-    /// Renders one whole frame on `workers` and drains its contacts.
-    fn frame(&mut self, trace: &FrameTrace, workers: usize) -> (FrameStats, Vec<ContactPoint>) {
-        self.unit.new_frame();
-        let stats =
-            self.sim.render_frame_parallel(trace, PipelineMode::Rbcd, &mut self.unit, workers);
-        (stats, self.unit.take_contacts())
     }
 
     /// Host seconds per frame of one timed pass of `stage` over
@@ -395,7 +266,14 @@ impl Stack {
                     let _ = self.unit.take_contacts();
                 }
                 Stage::Frames => {
-                    let _ = self.frame(trace, self.threads);
+                    self.unit.new_frame();
+                    let _ = self.sim.render_frame_parallel(
+                        trace,
+                        PipelineMode::Rbcd,
+                        &mut self.unit,
+                        self.threads,
+                    );
+                    let _ = self.unit.take_contacts();
                 }
             }
         }
@@ -454,14 +332,17 @@ pub fn run(row: &Row, opts: &RunOptions, smoke: bool) -> Result<(), Box<dyn std:
         return Err(format!("{}: {} exactness checks failed", row.id, exact.findings.len()).into());
     }
 
-    let mut timed = row.arms(&RunOptions { policy: FramePolicy::new(), ..opts.clone() });
+    // The timed arms' configuration: the cells render no clip of their
+    // own, the passes feed each scene's traces.
+    let base = Cell { policy: FramePolicy::new(), ..Cell::from_options(Arc::default(), opts) };
+    let mut timed = row.arms(&base);
     // Only a row whose knob is the worker count times on more than one.
     if timed[0].threads == timed[1].threads {
-        timed.iter_mut().for_each(|o| o.threads = 1);
+        timed.iter_mut().for_each(|c| c.threads = 1);
     }
-    let workers = timed.each_ref().map(|o| o.threads);
+    let workers = timed.each_ref().map(|c| c.threads);
     let (off_col, on_col) = (format!("{off_name} ns"), format!("{on_name} ns"));
-    let witness_col = row.witness.first().unwrap_or(&"witness");
+    let witness_col = row.knob.witness.first().unwrap_or(&"witness");
     let mut table =
         Table::new(row.title, &["benchmark", "frames", &off_col, &on_col, "speedup", witness_col]);
     let (mut speedups, mut entries) = (Vec::new(), Vec::new());
@@ -532,7 +413,7 @@ fn artifact(
     ));
     json.push_str(&format!(
         "  \"witness\": {},\n",
-        row.witness.first().map_or("null".into(), |w| format!("\"{w}\""))
+        row.knob.witness.first().map_or("null".into(), |w| format!("\"{w}\""))
     ));
     json.push_str("  \"identical_results\": true,\n");
     json.push_str(&format!("  \"speedup_geomean\": {geo:.4},\n"));
@@ -543,71 +424,71 @@ fn artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcd_gpu::GpuConfig;
+    use rbcd_gpu::{GpuConfig, HotPathMode};
     use rbcd_math::Viewport;
 
-    /// Two 160×96 frames of `sparse` under the CLI's policy: every
-    /// row's witness fires there.
-    fn small() -> (RunOptions, [Scene; 1]) {
-        let opts = RunOptions {
+    /// Two 160×96 frames under the CLI's policy: every row's witness
+    /// fires on `sparse`, the one scene every check here runs.
+    fn small() -> RunOptions {
+        RunOptions {
             frames: Some(2),
             gpu: GpuConfig { viewport: Viewport::new(160, 96), ..GpuConfig::default() },
             ..crate::cli::CliOptions::default().run_options()
-        };
-        (opts, [rbcd_workloads::sparse()])
+        }
     }
 
-    fn any(exact: &Exactness, kind: &str) -> bool {
-        exact.findings.iter().any(|f| f.starts_with(kind))
+    /// `row`'s findings, checking `sparse` only.
+    fn findings(row: Row) -> Vec<String> {
+        check(&Row { checked: || vec![rbcd_workloads::sparse()], ..row }, &small()).findings
     }
 
     #[test]
     fn every_row_holds_on_a_small_scene() {
-        let opts = small().0;
-        for row in &ROWS {
-            let exact = check(&Row { checked: || vec![rbcd_workloads::sparse()], ..*row }, &opts);
+        for row in ROWS {
+            let exact = check(&Row { checked: || vec![rbcd_workloads::sparse()], ..row }, &small());
             assert!(exact.findings.is_empty(), "{}: {:?}", row.id, exact.findings);
-            assert_eq!(exact.witness.len(), usize::from(!row.witness.is_empty()), "{}", row.id);
+            assert_eq!(exact.witness.len(), usize::from(!row.knob.witness.is_empty()), "{}", row.id);
         }
     }
 
     #[test]
     fn an_arm_that_ignores_its_knob_collapses() {
-        let (opts, scenes) = small();
         let ignored = ROWS
-            .iter()
-            .filter(|row| !row.witness.is_empty())
-            .map(|row| Row { arm: |_, _| {}, ..*row });
+            .into_iter()
+            .filter(|row| !row.knob.witness.is_empty())
+            .map(|row| Row { knob: Knob { arm: |_, _| {}, ..row.knob }, ..row });
         // The GPU follows the hot-path knob, but the unit stays on the
         // mask: only `tile.scan_skipped` in the off arm shows it.
-        let hotpath = ROWS.iter().find(|row| row.id == "hotpath").expect("hotpath is a row");
+        let hotpath = ROWS.into_iter().find(|row| row.id == "hotpath").expect("hotpath is a row");
         let unit_pinned = Row {
-            arm: |o, on| {
-                o.gpu.hot_path = HotPathMode::Mask;
-                o.policy.hot_path =
-                    Some(if on { HotPathMode::Mask } else { HotPathMode::Reference });
+            knob: Knob {
+                arm: |c, on| {
+                    c.gpu.hot_path = HotPathMode::Mask;
+                    c.policy.hot_path =
+                        Some(if on { HotPathMode::Mask } else { HotPathMode::Reference });
+                },
+                ..hotpath.knob
             },
-            ..*hotpath
+            ..hotpath
         };
         for row in ignored.chain([unit_pinned]) {
-            let exact = whole_runs(&row, &opts, &scenes);
-            assert!(any(&exact, "LEG COLLAPSED"), "{}: {:?}", row.id, exact.findings);
+            let found = findings(row);
+            assert!(found.iter().any(|f| f.starts_with("LEG COLLAPSED")), "{}: {found:?}", row.id);
         }
     }
 
     #[test]
     fn an_arm_that_moves_a_protected_result_diverges() {
-        fn widened<const I: usize>(o: &mut RunOptions, on: bool) {
-            (ROWS[I].arm)(o, on);
+        fn widened<const I: usize>(c: &mut Cell, on: bool) {
+            (ROWS[I].knob.arm)(c, on);
             if on {
-                o.gpu.viewport = Viewport::new(o.gpu.viewport.width + 16, o.gpu.viewport.height);
+                c.gpu.viewport = Viewport::new(c.gpu.viewport.width + 16, c.gpu.viewport.height);
             }
         }
-        let arms: [fn(&mut RunOptions, bool); 3] = [widened::<0>, widened::<1>, widened::<2>];
-        let (opts, scenes) = small();
-        for (row, arm) in ROWS.iter().zip(arms) {
-            let exact = whole_runs(&Row { arm, ..*row }, &opts, &scenes);
-            assert!(any(&exact, "DIVERGENCE"), "{}: {:?}", row.id, exact.findings);
+        let arms: [fn(&mut Cell, bool); 3] = [widened::<0>, widened::<1>, widened::<2>];
+        for (row, arm) in ROWS.into_iter().zip(arms) {
+            let found = findings(Row { knob: Knob { arm, ..row.knob }, ..row });
+            assert!(found.iter().any(|f| f.starts_with("DIVERGENCE")), "{}: {found:?}", row.id);
         }
     }
 }

@@ -23,11 +23,11 @@
 //! default; reuse never changes pairs or event counters, only the
 //! simulated-cycle timeline), `--hot-path mask|reference` selects the
 //! intra-tile hot path for every experiment (mask is the default; the
-//! two are bit-identical in every result, differing only in host
-//! wall-clock), `--broadphase on|off` selects the screen-space broad
+//! two differ only in host wall-clock and three host-side diagnostic
+//! counters), `--broadphase on|off` selects the screen-space broad
 //! phase the same way (on is the CLI default; the library default
 //! stays off so golden counters are pruning-free — pairs and `rbcd.*`
-//! counters are bit-identical either way, only image-side timing
+//! counters are bit-identical either way, only the image side
 //! moves), `--smoke` shrinks every experiment to a quick configuration
 //! and defaults the experiment list to `bench temporal`, and `--scene
 //! <alias>` restricts the benchmark suite to one workload: every

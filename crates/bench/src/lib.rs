@@ -13,6 +13,7 @@
 pub mod ab;
 pub mod accuracy;
 pub mod cli;
+pub mod exact;
 pub mod faults;
 pub mod hybrid;
 pub mod metrics;

@@ -288,8 +288,9 @@ impl SessionReport {
     /// accounting, and the structured trace — excluding scheduling
     /// metadata (rounds). Two runs of the same [`SessionSpec`] must
     /// produce byte-identical artifacts regardless of worker count,
-    /// co-tenants, or arrival stagger; the `session_isolation` property
-    /// test and `repro serve` both enforce equality on this string.
+    /// co-tenants, or arrival stagger; `repro serve` enforces equality
+    /// on this string, and `rbcd_bench`'s exactness harness compares
+    /// each batched cell's results with the same cell run solo.
     pub fn artifact(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("name: {}\n", self.name));
@@ -648,6 +649,14 @@ mod tests {
         let bad_gpu = spec("bad", 0.2, 96, 1)
             .with_gpu(GpuConfig { frequency_hz: 0, ..GpuConfig::default() });
         assert!(matches!(sched.submit(bad_gpu), Err(AdmissionError::QueueFull { .. })));
+        // The full queue still serves what it admitted, leak-free and
+        // bit-identical to a solo run despite the rejections.
+        let reports = sched.run().expect("run succeeds");
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].artifact(), solo_artifact(spec("ok", 0.2, 96, 1), 1));
+        let ledger = sched.ledger();
+        assert_eq!((ledger.submitted, ledger.rejected, ledger.completed, ledger.shed), (4, 3, 1, 0));
+        assert!(ledger.leak_free());
         let mut roomy = Scheduler::new(1, 8);
         let bad_gpu = spec("bad", 0.2, 96, 1)
             .with_gpu(GpuConfig { frequency_hz: 0, ..GpuConfig::default() });

@@ -44,13 +44,15 @@
 //!   bounds can never *prove* disjointness, so faults fall through to
 //!   "feasible", never "pruned". A draw whose z-interval was poisoned
 //!   is widened to the full depth axis.
-//! * **Only timing, energy, and mask-only `broadphase.*` counters
-//!   move.** The merge timeline charges [`BroadphaseStats::sweep_cycles`]
-//!   once per frame plus a small per-skipped-tile replay cost
-//!   ([`skip_replay_cycles`]) instead of the tile's raster/scan span;
-//!   the `broadphase.*` counters themselves follow the
-//!   `tile.scan_skipped` convention (host-side accounting the energy
-//!   model never reads).
+//! * **Only the image side moves.** The merge timeline charges
+//!   [`BroadphaseStats::sweep_cycles`] once per frame plus a small
+//!   per-skipped-tile replay cost ([`skip_replay_cycles`]) instead of
+//!   the tile's raster/scan span; the elided work drops out of the
+//!   image-side counts (fragments rasterized, early-Z'd and shaded,
+//!   pixels covered, mask rows) and of energy; the `broadphase.*`
+//!   counters themselves follow the `tile.scan_skipped` convention
+//!   (host-side accounting the energy model never reads). The exact
+//!   list is [`FramePolicy::broadphase`](crate::FramePolicy::broadphase)'s.
 //!
 //! ## Interactions
 //!

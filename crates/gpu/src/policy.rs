@@ -62,9 +62,17 @@ pub struct FramePolicy {
     pub reuse: bool,
     /// Intra-tile rasterizer hot path. `None` (the default) keeps
     /// whatever the [`GpuConfig`](crate::GpuConfig) already carries;
-    /// `Some(mode)` overrides it at build time. The two modes are
-    /// bit-identical in every result — this knob only trades host
-    /// wall-clock. A built simulator reports the mode it resolved.
+    /// `Some(mode)` overrides it at build time. A built simulator
+    /// reports the mode it resolved.
+    ///
+    /// The mask path trades host wall-clock only. Against the reference
+    /// path it moves exactly three host-side diagnostics that neither
+    /// the timing nor the energy model reads — `raster.rows_empty`,
+    /// `raster.rows_full` and `tile.scan_skipped` — and the trace that
+    /// records them. Pairs, contacts, every other counter, simulated
+    /// time and energy are bit-identical. This is the `HOT_PATH` row of
+    /// `rbcd_bench::exact::KNOBS`, the one statement of the contract
+    /// that the exactness tests check.
     pub hot_path: Option<HotPathMode>,
     /// Structured simulated-cycle tracing. Off by default (the
     /// zero-overhead path); when on, the simulator owns a
@@ -84,12 +92,23 @@ pub struct FramePolicy {
     /// AABBs + z-intervals, runs a deterministic interval sweep for the
     /// pair-feasible object set, and elides the image-side work
     /// (scenery raster, Early-Z, shading, ZEB claim) of tiles where no
-    /// feasible pair can occur. Reported pairs, every `rbcd.*` counter,
-    /// and fault-ladder behaviour are bit-identical either way —
-    /// skipped tiles' collisionable fragments still reach the unit
-    /// unchanged; only raster/scan timing, energy, and the mask-only
-    /// `broadphase.*` counters move (see `crate::broadphase` for the
-    /// full contract).
+    /// feasible pair can occur. Skipped tiles' collisionable fragments
+    /// still reach the unit unchanged, so pairs, contacts, every
+    /// `rbcd.*` counter, fault-ladder behaviour, the geometry counters,
+    /// the tile-cache load counters, `raster.tiles_processed`,
+    /// `raster.primitives_fetched` and `raster.fragments_collisionable`
+    /// are bit-identical either way. What moves is the image side:
+    /// `broadphase.*`; `coherence.*`, since pruning is folded into tile
+    /// signatures; raster timing (`raster.cycles`,
+    /// `raster.fp_busy_cycles`, `raster.fp_idle_cycles`,
+    /// `raster.zeb_stall_cycles`); the image-side counts
+    /// (`raster.fragments_rasterized`, `raster.fragments_to_early_z`,
+    /// `raster.fragments_shaded`, `raster.pixels_covered`,
+    /// `raster.rows_empty`, `raster.rows_full`); simulated time,
+    /// energy and the trace. This is the `BROAD_PHASE` row of
+    /// `rbcd_bench::exact::KNOBS`, the one statement of the contract
+    /// that the exactness tests check (see `crate::broadphase` for
+    /// why it holds).
     ///
     /// Pruning is inert in [`PipelineMode::Baseline`](crate::PipelineMode::Baseline)
     /// (no pairs to preserve; the baseline measures the full render)
@@ -128,8 +147,8 @@ impl FramePolicy {
         self
     }
 
-    /// Overrides the intra-tile hot path (both modes are bit-identical
-    /// in results; this selects the host-side implementation).
+    /// Overrides the intra-tile hot path (see [`FramePolicy::hot_path`]
+    /// for the three diagnostics the mode moves).
     pub fn with_hot_path(mut self, mode: HotPathMode) -> Self {
         self.hot_path = Some(mode);
         self
@@ -149,8 +168,8 @@ impl FramePolicy {
 
     /// Selects the screen-space broad phase. `On` prunes pair-infeasible
     /// draws and tiles while keeping pairs and `rbcd.*` counters
-    /// bit-identical; only raster/scan timing, energy, and the
-    /// mask-only `broadphase.*` counters move.
+    /// bit-identical (see [`FramePolicy::broadphase`] for everything
+    /// that moves).
     pub fn with_broadphase(mut self, broadphase: BroadPhase) -> Self {
         self.broadphase = broadphase;
         self

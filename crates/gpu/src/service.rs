@@ -30,8 +30,9 @@
 //! counters, contacts, governor reports, and traces are therefore
 //! **bit-identical to rendering that session solo** — at any worker
 //! count, under any co-tenant mix. That is the service determinism
-//! contract; `rbcd_core::sched` and the `session_isolation` property
-//! test enforce it end to end.
+//! contract; `rbcd_core::sched` and `rbcd_bench`'s exactness harness,
+//! whose batched cells render beside seeded co-tenants, enforce it end
+//! to end.
 
 use std::error::Error;
 use std::fmt;
