@@ -197,7 +197,8 @@ impl Exactness {
 fn check(row: &Row, opts: &RunOptions) -> Exactness {
     let governor =
         GovernorConfig { frame_budget_cycles: GOVERNED_BUDGET, ..GovernorConfig::default() };
-    let whole_runs = [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(governor))];
+    let whole_runs =
+        [(1, false, None), (2, true, None), (4, true, None), (2, false, Some(governor))];
     let mut exact = Exactness::default();
     for scene in (row.checked)() {
         let base = |frames: usize| Cell::from_options(Clip::scene(&scene, frames.max(1)), opts);
@@ -220,10 +221,15 @@ fn check(row: &Row, opts: &RunOptions) -> Exactness {
         // with the degradation ladder.
         let faulted = base(opts.frames.unwrap_or(4).min(4));
         for preset in ["storm", "overflow"] {
-            let plan = FaultPlan::preset(preset, FAULT_SEED).expect("storm and overflow are presets");
+            let plan =
+                FaultPlan::preset(preset, FAULT_SEED).expect("storm and overflow are presets");
             let plan = FaultPlan { forced_m: Some(2), ..plan };
-            let cell =
-                Cell { threads: 2, faults: Some(plan), rbcd: ladder_config(&plan), ..faulted.clone() };
+            let cell = Cell {
+                threads: 2,
+                faults: Some(plan),
+                rbcd: ladder_config(&plan),
+                ..faulted.clone()
+            };
             exact.leg(&row.knob, row.arms(&cell), &Oracle::new(&cell));
         }
         // Batch: the on arm as one session of a scheduler batch on 2
@@ -447,7 +453,12 @@ mod tests {
         for row in ROWS {
             let exact = check(&Row { checked: || vec![rbcd_workloads::sparse()], ..row }, &small());
             assert!(exact.findings.is_empty(), "{}: {:?}", row.id, exact.findings);
-            assert_eq!(exact.witness.len(), usize::from(!row.knob.witness.is_empty()), "{}", row.id);
+            assert_eq!(
+                exact.witness.len(),
+                usize::from(!row.knob.witness.is_empty()),
+                "{}",
+                row.id
+            );
         }
     }
 

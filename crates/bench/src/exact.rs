@@ -86,7 +86,10 @@ pub const REUSE: Knob = Knob {
         k.starts_with("coherence.")
             || matches!(
                 k,
-                "raster.cycles" | "raster.fp_idle_cycles" | "raster.zeb_stall_cycles" | SECONDS
+                "raster.cycles"
+                    | "raster.fp_idle_cycles"
+                    | "raster.zeb_stall_cycles"
+                    | SECONDS
                     | ENERGY
                     | TRACE
             )
@@ -139,7 +142,9 @@ pub const HOT_PATH: Knob = Knob {
     name: "hot path",
     value: |c| usize::from(c.policy.hot_path.unwrap_or(c.gpu.hot_path) == HotPathMode::Mask),
     arm: |c, on| c.gpu.hot_path = if on { HotPathMode::Mask } else { HotPathMode::Reference },
-    may_move: |k| matches!(k, "raster.rows_empty" | "raster.rows_full" | "tile.scan_skipped" | TRACE),
+    may_move: |k| {
+        matches!(k, "raster.rows_empty" | "raster.rows_full" | "tile.scan_skipped" | TRACE)
+    },
     witness: &["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"],
     stands_down_when_governed: false,
 };
@@ -462,11 +467,13 @@ fn co_tenant(cell: &Cell, rng: &mut Rng) -> SessionSpec {
         policy = policy.with_governor(Some(gov));
     }
     let hot_path = if rng.gen_bool(0.5) { HotPathMode::Mask } else { HotPathMode::Reference };
-    let storm = rng.gen_bool(0.3).then(|| FaultPlan::preset("storm", rng.next_u64()));
+    let storm = rng
+        .gen_bool(0.3)
+        .then(|| FaultPlan::preset("storm", rng.next_u64()).expect("storm is a preset"));
     SessionSpec::new("co-tenant", frames)
         .with_gpu(GpuConfig { hot_path, ..cell.gpu.clone() })
         .with_policy(policy)
-        .with_faults(storm.flatten())
+        .with_faults(storm)
         .with_start_round(rng.gen_range(0..3))
 }
 
@@ -520,8 +527,7 @@ fn first_difference(a: &Run, b: &Run, may_move: &dyn Fn(&str) -> bool) -> Option
             return Some(format!("frame {f}: {what}"));
         }
     }
-    if let Some(what) = counter_difference(&a.rbcd.counter_set(), &b.rbcd.counter_set(), may_move)
-    {
+    if let Some(what) = counter_difference(&a.rbcd.counter_set(), &b.rbcd.counter_set(), may_move) {
         return Some(what);
     }
     let scalars = [(SECONDS, a.seconds(), b.seconds()), (ENERGY, a.energy_j(), b.energy_j())];
@@ -553,7 +559,10 @@ fn collapsed(run: &Run) -> Vec<String> {
         .flat_map(|k| k.witness.iter().map(move |w| (k.name, *w)))
         .filter(|&(_, w)| counters.get(w) > 0)
         .map(|(knob, w)| {
-            format!("LEG COLLAPSED on {cell}: {w} reads {} at the {knob} reference", counters.get(w))
+            format!(
+                "LEG COLLAPSED on {cell}: {w} reads {} at the {knob} reference",
+                counters.get(w)
+            )
         });
     let silent = cell
         .fires

@@ -8,7 +8,9 @@
 //! comparisons follow: the broad phase's pruned tiles hold no contact,
 //! and the geometry cache's memory bound.
 
-use rbcd_bench::exact::{self, Cell, Clip, Oracle, Run, KNOBS};
+use rbcd_bench::exact::{
+    self, Cell, Clip, Knob, Oracle, Run, BROAD_PHASE, GEOMETRY_CACHE, KNOBS, REUSE,
+};
 use rbcd_bench::faults::ladder_config;
 use rbcd_core::{ContactPoint, FaultPlan, RbcdConfig, RbcdUnit};
 use rbcd_geometry::shapes;
@@ -20,7 +22,7 @@ use rbcd_math::{Mat4, Rng, Vec3, Viewport};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Seed of the sample, unless `RBCD_EXACT_SEED` gives another.
+/// Seed of the sample, printed with any finding.
 const SEED: u64 = 0x5EED_E8AC;
 
 /// Cells sampled per context.
@@ -49,11 +51,8 @@ fn random_script(seed: u64, frames: usize) -> Vec<FrameTrace> {
         DrawCommand::collidable(shapes::cube(0.5), ObjectId::new(1)),
         DrawCommand::collidable(shapes::cube(0.5), ObjectId::new(2)),
     ];
-    let mut pos = vec![
-        Vec3::new(0.0, -1.5, 0.0),
-        Vec3::new(-0.25, 0.4, 0.0),
-        Vec3::new(0.25, 0.4, 0.0),
-    ];
+    let mut pos =
+        vec![Vec3::new(0.0, -1.5, 0.0), Vec3::new(-0.25, 0.4, 0.0), Vec3::new(0.25, 0.4, 0.0)];
     for i in 0..8u32 {
         base.push(DrawCommand::collidable(shapes::cube(0.4), ObjectId::new(10 + i as u16)));
         pos.push(Vec3::new(
@@ -102,11 +101,11 @@ fn governed(cell: Cell, budget: u64) -> Cell {
     Cell { policy: cell.policy.with_governor(Some(gov)), ..cell }
 }
 
-/// `reference` with each knob switched as `on` says.
-fn switched(reference: &Cell, on: [bool; 7]) -> Cell {
+/// `reference` with `knobs` switched off their reference values.
+fn switched(reference: &Cell, knobs: &[Knob]) -> Cell {
     let mut cell = reference.clone();
-    for (knob, on) in KNOBS.iter().zip(on) {
-        (knob.arm)(&mut cell, on);
+    for knob in knobs {
+        (knob.arm)(&mut cell, true);
     }
     cell
 }
@@ -134,7 +133,6 @@ fn governor_counters(run: &Run) -> u64 {
 
 #[test]
 fn corners_fire_every_witness() {
-    let all_on = [true; 7];
     let mut findings = BTreeSet::new();
 
     // The CLI's layers on one worker, on four, and batched, traced:
@@ -143,8 +141,9 @@ fn corners_fire_every_witness() {
     let cap = scene(rbcd_workloads::cap());
     let cli = |threads, batch| Cell {
         threads,
+        batch,
         fires: vec!["raster.rows_empty", "raster.rows_full", "tile.scan_skipped"],
-        ..switched(&cap, [true, true, true, true, true, true, batch])
+        ..switched(&cap, &KNOBS)
     };
     let (runs, found) = check(&cap, vec![cli(1, false), cli(4, false), cli(2, true)]);
     findings.extend(found);
@@ -152,14 +151,14 @@ fn corners_fire_every_witness() {
 
     // A zero budget engages no rung: it forces reuse on and nothing else.
     let idle = governed(cap, 0);
-    let (runs, found) = check(&idle, vec![switched(&idle, all_on)]);
+    let (runs, found) = check(&idle, vec![switched(&idle, &KNOBS)]);
     findings.extend(found);
     assert!(runs.iter().all(|run| governor_counters(run) == 0), "a zero budget");
 
     // Still draws replay their tiles and hit the geometry cache.
     let vault = scene(rbcd_workloads::vault());
     let fires = vec!["coherence.tiles_reused", "geom.reuse_draws"];
-    findings.extend(check(&vault, vec![Cell { fires, ..switched(&vault, all_on) }]).1);
+    findings.extend(check(&vault, vec![Cell { fires, ..switched(&vault, &KNOBS) }]).1);
 
     // A scattered swarm gives the sweep tiles to skip, and still draws
     // hit the geometry cache, under storm faults too.
@@ -170,7 +169,7 @@ fn corners_fire_every_witness() {
         }
         let pruned = Cell {
             fires: vec!["broadphase.tiles_skipped", "geom.reuse_draws"],
-            ..switched(&reference, [false, true, true, false, true, false, false])
+            ..switched(&reference, &[REUSE, BROAD_PHASE, GEOMETRY_CACHE])
         };
         findings.extend(check(&reference, vec![pruned]).1);
     }
@@ -181,12 +180,12 @@ fn corners_fire_every_witness() {
     let probe = exact::run(&shells).counters();
     let budget = probe.get("raster.cycles") / probe.get("frames") / 2;
     let reference = Cell { fires: vec!["governor.tiles_shed"], ..governed(shells.clone(), budget) };
-    let cells = [2, 4].map(|threads| Cell { threads, ..switched(&reference, all_on) });
+    let cells = [2, 4].map(|threads| Cell { threads, ..switched(&reference, &KNOBS) });
     findings.extend(check(&reference, cells.into()).1);
 
     // Every fault class at M = 2 drives the ladder to re-scan.
     let reference = Cell { fires: vec!["rbcd.rung_rescan"], ..faulted(shells, "all", true) };
-    findings.extend(check(&reference, vec![switched(&reference, all_on)]).1);
+    findings.extend(check(&reference, vec![switched(&reference, &KNOBS)]).1);
 
     assert!(findings.is_empty(), "{findings:#?}");
 }
@@ -226,14 +225,15 @@ fn fault_contexts() -> Vec<Cell> {
 /// reference with probability 0.6, so most cells switch three knobs or
 /// more. `stream` keeps the two halves of the sample apart.
 fn sample(contexts: Vec<Cell>, stream: u64) {
-    let seed = std::env::var("RBCD_EXACT_SEED").map_or(SEED, |s| s.parse().expect("a u64 seed"));
-    let mut rng = Rng::seed_from_u64(seed ^ stream);
+    let seed = SEED ^ stream;
+    let mut rng = Rng::seed_from_u64(seed);
     let (mut cells, mut deep) = (0, 0);
     let mut findings = BTreeSet::new();
     for reference in contexts {
         let sample: Vec<Cell> = (0..CELLS)
             .map(|_| {
-                let mut cell = switched(&reference, [(); 7].map(|_| rng.gen_bool(0.6)));
+                let on: Vec<Knob> = KNOBS.into_iter().filter(|_| rng.gen_bool(0.6)).collect();
+                let mut cell = switched(&reference, &on);
                 if cell.threads > 1 && rng.gen_bool(0.5) {
                     cell.threads = 4;
                 }

@@ -655,7 +655,10 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].artifact(), solo_artifact(spec("ok", 0.2, 96, 1), 1));
         let ledger = sched.ledger();
-        assert_eq!((ledger.submitted, ledger.rejected, ledger.completed, ledger.shed), (4, 3, 1, 0));
+        assert_eq!(
+            (ledger.submitted, ledger.rejected, ledger.completed, ledger.shed),
+            (4, 3, 1, 0)
+        );
         assert!(ledger.leak_free());
         let mut roomy = Scheduler::new(1, 8);
         let bad_gpu = spec("bad", 0.2, 96, 1)
